@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=int, required=True, help="iteration count")
         p.add_argument("--z0", default="", help="comma-separated starting point")
         p.add_argument("--D", type=float, default=None, help="gap radius (default 2||z0-z*||)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict", action="store_true",
                        help="treat eta*L >= 1 as an error instead of a warning")
 

@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .instances import BilinearGameSpec, VIInstance
-from .sets import Box, UnsupportedSetError, WholeSpace
+from .sets import Box, UnsupportedSetError, WholeSpace, require_finite
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
 
@@ -166,9 +166,9 @@ def _project_shifted_cone(feasible_set, z: np.ndarray, w: np.ndarray) -> np.ndar
 
 def gap(inst: VIInstance, z: np.ndarray, D: float) -> float:
     """``max {<F(z), z - z'> : z' in Z, ||z' - z|| <= D}``; nonnegative."""
-    if D <= 0:
-        raise ValueError("gap radius D must be positive")
-    z = np.asarray(z, dtype=float)
+    if not 0 < D < np.inf:
+        raise ValueError("D must be finite and positive")
+    z = require_finite("z", z)
     F_z = inst.operator(z)
     _, min_value = inst.set.linear_min_over_ball(z, D, F_z)
     return max(float(F_z @ z) - min_value, 0.0)

@@ -150,6 +150,16 @@ class TestGap:
             D = float(rng.uniform(0.5, 3.0))
             assert gap(inst, z, D) <= D * tangent_residual(inst, z) + 1e-8
 
+    @pytest.mark.parametrize(
+        "name, z, D",
+        [("z", [np.nan, 0.5], 1.0), ("D", [0.5, 0.5], np.inf), ("D", [0.5, 0.5], np.nan)],
+        ids=["nan-z", "inf-D", "nan-D"],
+    )
+    def test_non_finite_inputs_are_named(self, name, z, D):
+        inst = affine_instance(np.eye(2), [1.0, -1.0], Box(np.zeros(2), np.ones(2)))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gap(inst, np.array(z), D)
+
 
 class TestDualityGapBilinear:
     def test_zero_game(self):

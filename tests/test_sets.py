@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egtan.sets import (
     Ball,
@@ -237,11 +239,109 @@ class TestLinearMinOverBall:
         np.testing.assert_allclose(z, [1.0, 1.0, 3.0], rtol=0, atol=1e-8)
         assert value == pytest.approx(-3.0, abs=1e-8)
 
+    def test_tiny_cost_beyond_the_old_bracket(self):
+        # a bisection over a fixed bracket in 1/t stops at radius 0.05 here
+        orthant = NonnegativeOrthant(2)
+        z, value = orthant.linear_min_over_ball(np.array([1.0, 1.0]), 1.0, np.array([0.0, -1e-13]))
+        np.testing.assert_array_equal(z, [1.0, 2.0])
+        assert value == pytest.approx(-2e-13, abs=1e-20)
+
+    def test_cost_dynamic_range(self):
+        # the walk normalizes the cost, so a component 1e-150 of the largest
+        # still rides the sphere once the large one is blocked ...
+        orthant = NonnegativeOrthant(2)
+        center = np.array([0.0, 1.0])
+        z, _ = orthant.linear_min_over_ball(center, 1.0, np.array([1.0, -1e-150]))
+        np.testing.assert_array_equal(z, [0.0, 2.0])
+        # ... while one whose square is subnormal (1e-160) counts as zero
+        z, _ = orthant.linear_min_over_ball(center, 1.0, np.array([1.0, -1e-160]))
+        np.testing.assert_array_equal(z, center)
+        # a uniformly tiny cost is not zero: only the ratios count
+        z, _ = orthant.linear_min_over_ball(center, 1.0, np.array([1e-200, -1e-200]))
+        np.testing.assert_array_equal(z, [0.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "name, center, D, cost",
+        [
+            ("cost", [0.5, 0.5], 1.0, [np.nan, 1.0]),
+            ("cost", [0.5, 0.5], 1.0, [np.inf, 1.0]),
+            ("D", [0.5, 0.5], np.inf, [1.0, 1.0]),
+            ("D", [0.5, 0.5], np.nan, [1.0, 1.0]),
+            ("center", [np.nan, 0.5], 1.0, [1.0, 1.0]),
+        ],
+        ids=["nan-cost", "inf-cost", "inf-D", "nan-D", "nan-center"],
+    )
+    def test_non_finite_inputs_are_named(self, name, center, D, cost):
+        box = Box(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            box.linear_min_over_ball(np.array(center), D, np.array(cost))
+
     def test_unsupported_variants_fail_loudly(self):
         with pytest.raises(UnsupportedSetError):
             Ball(np.zeros(2), 1.0).linear_min_over_ball(np.zeros(2), 1.0, np.ones(2))
         with pytest.raises(UnsupportedSetError):
             cone([1.0, 0.0]).linear_min_over_ball(np.ones(2), 1.0, np.ones(2))
+
+
+@st.composite
+def box_ball_problems(draw):
+    """A Box or orthant, a feasible center, a radius and a cost.
+
+    Coordinates mix finite, half-infinite, free and pinned bounds; the center
+    may sit on either bound, and cost components may be zero.
+    """
+    n = draw(st.integers(1, 6))
+    orthant = draw(st.booleans())
+    magnitude = st.floats(1e-6, 1e3)  # wider ratios: test_cost_dynamic_range
+    cost_entry = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+    l, u, center, cost = [], [], [], []
+    for _ in range(n):
+        kind = "lower" if orthant else draw(
+            st.sampled_from(["finite", "lower", "upper", "free", "pinned"])
+        )
+        a = 0.0 if orthant else draw(st.floats(-10.0, 10.0))
+        width = draw(st.floats(0.01, 10.0))
+        lo = a if kind in ("finite", "lower", "pinned") else -np.inf
+        hi = {"finite": a + width, "upper": a, "pinned": a}.get(kind, np.inf)
+        ref_lo = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else a) - width
+        ref_hi = hi if np.isfinite(hi) else ref_lo + width
+        spot = draw(st.sampled_from(["lower", "upper", "inside"]))
+        c = {"lower": ref_lo, "upper": ref_hi}.get(
+            spot, ref_lo + draw(st.floats(0.0, 1.0)) * (ref_hi - ref_lo)
+        )
+        l.append(lo)
+        u.append(hi)
+        center.append(min(max(c, lo), hi))
+        cost.append(draw(cost_entry))
+    feasible = NonnegativeOrthant(n) if orthant else Box(np.array(l), np.array(u))
+    D = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return feasible, np.array(center), D, np.array(cost)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(box_ball_problems())
+@example((NonnegativeOrthant(2), np.array([1.0, 1.0]), 1.0, np.array([0.0, -1e-13])))
+@example((Box(np.zeros(2), np.ones(2)), np.array([0.0, 1.0]), 0.5, np.array([2.0, -1.0])))
+# D lies past the first breakpoint (radius hypot(0.5, 0.25) at t = 0.25)
+@example((Box(np.zeros(2), np.ones(2)), np.array([0.5, 0.5]), 0.65, np.array([1.0, 2.0])))
+# D is the corner distance summed in breakpoint order, one ulp below its norm
+@example((NonnegativeOrthant(3), np.array([0.04, 0.73, 0.61]), 0.9521554494934111, np.ones(3)))
+def test_linear_min_over_ball_properties(problem):
+    feasible, center, D, cost = problem
+    z, value = feasible.linear_min_over_ball(center, D, cost)
+    dist = np.linalg.norm(z - center)
+    assert feasible.infeasibility(z) == 0.0
+    assert dist <= D * (1 + 1e-12)
+    corner = np.where(cost > 0, feasible.l, np.where(cost < 0, feasible.u, center))
+    assert dist >= D * (1 - 1e-12) or np.array_equal(z, corner)
+    # clipping a point of the ball toward the box keeps it in the ball
+    rng = np.random.default_rng(0)
+    steps = rng.standard_normal((500, center.size))
+    steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+    steps *= D * rng.random((500, 1)) ** (1 / center.size)  # uniform in the ball
+    others = np.clip(center + steps, feasible.l, feasible.u)
+    tol = 1e-12 * (1.0 + np.abs(cost) @ (np.abs(center) + D))
+    assert np.min(others @ cost) >= value - tol
 
 
 class TestFunctionAliases:
