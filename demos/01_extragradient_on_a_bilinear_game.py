@@ -9,7 +9,6 @@ residual does not have to.
 import numpy as np
 
 from egtan import BilinearGameSpec, SolverConfig, eg_run, make_bilinear
-from egtan.measures import natural_residual, tangent_residual
 
 A = np.array([[1.0, 2.0], [1.0, 1.0]])
 b = c = np.array([1.0, 1.0])
@@ -26,10 +25,11 @@ eta = 0.3 / inst.operator.lipschitz
 z0 = np.array([0.31, 0.48, 0.46, 0.58])
 traj = eg_run(inst, SolverConfig(eta=eta, T=30), z0)
 
+r_nat = traj.series("natural-residual")
+r_tan = traj.series("tangent-residual")
 print(f"\n{'k':>3} {'r_nat':>12} {'r_tan':>12}")
-for k, z in enumerate(traj.iterates):
-    print(f"{k:>3} {natural_residual(inst, z):>12.3e} {tangent_residual(inst, z):>12.3e}")
+for k in range(len(traj)):
+    print(f"{k:>3} {r_nat[k]:>12.3e} {r_tan[k]:>12.3e}")
 
-r_tan = [tangent_residual(inst, z) for z in traj.iterates]
 drops = all(b <= a + 1e-12 for a, b in zip(r_tan, r_tan[1:]))
 print(f"\ntangent residual non-increasing along the run: {drops}")

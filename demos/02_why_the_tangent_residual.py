@@ -7,7 +7,6 @@ residual, evaluated on the same runs, never does.
 """
 
 from egtan import counterexamples
-from egtan.measures import tangent_residual
 
 for name in ("natural-residual", "half-step-dist", "full-step-dist", "gap"):
     report = counterexamples.reproduce(name)
@@ -17,10 +16,7 @@ for name in ("natural-residual", "half-step-dist", "full-step-dist", "gap"):
     print(f"{'':>18}  non-monotone: {report['non_monotone']}, "
           f"matches recorded values to {report['series_tolerance']:.0e}")
 
-    ce = counterexamples.ALL[name]
-    inst = ce.instance()
-    traj = ce.run(T=10)
-    r_tan = [tangent_residual(inst, z) for z in traj.iterates]
+    r_tan = counterexamples.ALL[name].run(T=10).series("tangent-residual")
     monotone = all(b <= a + 1e-12 for a, b in zip(r_tan, r_tan[1:]))
     print(f"{'':>18}  tangent residual on the same run is monotone: {monotone}\n")
 

@@ -37,6 +37,8 @@ report = rate_report_eg(traj, z_star, gap_stride=5)
 print("\nextragradient bounds:")
 for name, check in report.checks.items():
     print(f"  {name:<34} worst slack {check.worst_slack:>12.3e}")
+for name, reason in report.skipped.items():
+    print(f"  {name:<34} skipped: {reason}")
 print(f"  all satisfied at tolerance {report.tolerance:.0e}: {report.passed}")
 
 traj = pp_run(inst, SolverConfig(eta=eta, T=60), z0)
@@ -44,4 +46,6 @@ report = rate_report_pp(traj, z_star, gap_stride=5)
 print("\nproximal-point bounds:")
 for name, check in report.checks.items():
     print(f"  {name:<34} worst slack {check.worst_slack:>12.3e}")
+for name, reason in report.skipped.items():
+    print(f"  {name:<34} skipped: {reason}")
 print(f"  all satisfied at tolerance {report.tolerance:.0e}: {report.passed}")

@@ -22,11 +22,9 @@ from .instances import (
     VIInstance,
     check_monotone_samples,
     estimate_constants,
-    eval_operator,
     make_bilinear,
 )
 from .measures import (
-    MeasureReport,
     duality_gap_bilinear,
     gap,
     natural_residual,
@@ -41,10 +39,6 @@ from .sets import (
     HalfspaceIntersection,
     NonnegativeOrthant,
     WholeSpace,
-    linear_min_over_set_ball,
-    project,
-    project_normal_cone,
-    project_tangent_cone,
 )
 from .solvers import (
     RateReport,
@@ -67,7 +61,6 @@ __all__ = [
     "Box",
     "FeasibleSet",
     "HalfspaceIntersection",
-    "MeasureReport",
     "NonnegativeOrthant",
     "RateReport",
     "SolverConfig",
@@ -80,16 +73,11 @@ __all__ = [
     "eg_run",
     "eg_step",
     "estimate_constants",
-    "eval_operator",
     "gap",
-    "linear_min_over_set_ball",
     "make_bilinear",
     "natural_residual",
     "pp_run",
     "pp_step",
-    "project",
-    "project_normal_cone",
-    "project_tangent_cone",
     "rate_report_eg",
     "rate_report_pp",
     "solve_reference",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .instances import BilinearGameSpec, VIInstance, make_bilinear
-from .measures import duality_gap_bilinear, natural_residual
+from .measures import duality_gap_bilinear
 from .solvers import SolverConfig, Trajectory, eg_run
 
 
@@ -61,24 +61,11 @@ class Counterexample:
 
     def measured_series(self, trajectory: Trajectory) -> list[float]:
         n = len(self.expected_series)
-        if self.measure == "natural-residual":
-            vals = [natural_residual(self.instance(), z) for z in trajectory.iterates[:n]]
-        elif self.measure == "half-step-dist":
-            vals = [
-                float(np.linalg.norm(trajectory.iterates[k] - trajectory.half_iterates[k]))
-                for k in range(n)
-            ]
-        elif self.measure == "full-step-dist":
-            vals = [
-                float(np.linalg.norm(trajectory.iterates[k] - trajectory.iterates[k + 1]))
-                for k in range(n)
-            ]
-        elif self.measure == "gap":
-            spec = self.spec()
-            vals = [duality_gap_bilinear(spec, z) for z in trajectory.iterates[:n]]
+        if self.measure == "gap":
+            vals = duality_gap_bilinear(self.spec(), trajectory.iterates[:n])
         else:
-            raise KeyError(f"unknown measure {self.measure!r}")
-        return [v**2 for v in vals] if self.squared else vals
+            vals = trajectory.series(self.measure, ks=slice(n))
+        return (vals**2 if self.squared else vals).tolist()
 
 
 NATURAL_RESIDUAL = Counterexample(

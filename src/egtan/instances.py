@@ -161,11 +161,6 @@ class AffineOperator:
         return self.gamma >= -EIG_TOL
 
 
-def eval_operator(op: AffineOperator, z: np.ndarray) -> np.ndarray:
-    """``M z + q`` exactly (no hidden offsets)."""
-    return op(z)
-
-
 @dataclass(frozen=True)
 class BilinearGameSpec:
     """min-max game ``x^T A y - b^T x - c^T y`` over a product box."""
@@ -178,16 +173,8 @@ class BilinearGameSpec:
 
     @classmethod
     def create(cls, A, b, c, x_box, y_box) -> "BilinearGameSpec":
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
-        c = np.array(c, dtype=float)
-        if A.ndim != 2:
-            raise DimensionMismatchError("A", f"expected a matrix, got {A.shape}")
+        A, b, c = _game_arrays(A, b, c)
         ell, m = A.shape
-        if b.shape != (ell,):
-            raise DimensionMismatchError("b", f"expected shape ({ell},), got {b.shape}")
-        if c.shape != (m,):
-            raise DimensionMismatchError("c", f"expected shape ({m},), got {c.shape}")
         xl, xu = (np.array(v, dtype=float) for v in x_box)
         yl, yu = (np.array(v, dtype=float) for v in y_box)
         if xl.shape != (ell,) or xu.shape != (ell,):
@@ -208,8 +195,10 @@ class BilinearGameSpec:
     def y_dim(self) -> int:
         return self.A.shape[1]
 
-    def payoff(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.A @ y - self.b @ x - self.c @ y)
+    def payoff(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """``f(x, y)``; row-wise when ``x`` and ``y`` are stacks of points."""
+        value = ((x @ self.A) * y).sum(axis=-1) - x @ self.b - y @ self.c
+        return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -230,26 +219,44 @@ class VIInstance:
         return cls(operator=operator, set=feasible_set, dimension=operator.dimension)
 
 
-def make_bilinear(spec: BilinearGameSpec) -> VIInstance:
-    """VI instance of a bilinear game: the skew block operator on the product box.
+def _game_arrays(A, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``A``, ``b``, ``c`` of ``x^T A y - b^T x - c^T y`` as float arrays of matching shapes."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.array(c, dtype=float)
+    if A.ndim != 2:
+        raise DimensionMismatchError("A", f"expected a matrix, got {A.shape}")
+    ell, m = A.shape
+    if b.shape != (ell,):
+        raise DimensionMismatchError("b", f"expected shape ({ell},), got {b.shape}")
+    if c.shape != (m,):
+        raise DimensionMismatchError("c", f"expected shape ({m},), got {c.shape}")
+    return A, b, c
+
+
+def _bilinear_operator(A, b, c) -> AffineOperator:
+    """The skew block operator of the game ``x^T A y - b^T x - c^T y``.
 
     ``F(x, y) = (A y - b, -A^T x + c)``, i.e. ``M = [[0, A], [-A^T, 0]]`` and
-    ``q = (-b, c)``.  The symmetric part of ``M`` vanishes, so ``gamma = 0``
-    and the Lipschitz constant equals the top singular value of ``A``.
+    ``q = (-b, c)``.  The symmetric part of ``M`` vanishes, so ``gamma = 0``;
+    ``sigma(M) = sigma(A)`` with doubled multiplicity, so ``L = sigma_max(A)``.
     """
+    A, b, c = _game_arrays(A, b, c)
+    ell, m = A.shape
+    M = np.zeros((ell + m, ell + m))
+    M[:ell, ell:] = A
+    M[ell:, :ell] = -A.T
+    lipschitz = _spectral_norm(A, np.random.default_rng(POWER_ITER_SEED))
+    return AffineOperator.create(M, np.concatenate([-b, c]), lipschitz=lipschitz, gamma=0.0)
+
+
+def make_bilinear(spec: BilinearGameSpec) -> VIInstance:
+    """VI instance of a bilinear game: the skew block operator on the product box."""
     from .sets import Box  # local import to avoid a cycle
 
-    ell, m = spec.A.shape
-    M = np.zeros((ell + m, ell + m))
-    M[:ell, ell:] = spec.A
-    M[ell:, :ell] = -spec.A.T
-    q = np.concatenate([-spec.b, spec.c])
-    # sigma(M) = sigma(A) with doubled multiplicity, so L = sigma_max(A)
-    lipschitz = _spectral_norm(spec.A, np.random.default_rng(POWER_ITER_SEED))
-    op = AffineOperator.create(M, q, lipschitz=lipschitz, gamma=0.0)
     lo = np.concatenate([spec.x_box[0], spec.y_box[0]])
     hi = np.concatenate([spec.x_box[1], spec.y_box[1]])
-    return VIInstance.create(op, Box(lo, hi))
+    return VIInstance.create(_bilinear_operator(spec.A, spec.b, spec.c), Box(lo, hi))
 
 
 def check_monotone_samples(
@@ -294,14 +301,7 @@ def instance_from_json(data: dict) -> VIInstance:
     if op_data["type"] == "affine":
         op = AffineOperator.create(np.array(op_data["M"]), np.array(op_data["q"]))
     elif op_data["type"] == "bilinear":
-        A = np.array(op_data["A"], dtype=float)
-        b = np.array(op_data["b"], dtype=float)
-        c = np.array(op_data["c"], dtype=float)
-        ell, m = A.shape
-        M = np.zeros((ell + m, ell + m))
-        M[:ell, ell:] = A
-        M[ell:, :ell] = -A.T
-        op = AffineOperator.create(M, np.concatenate([-b, c]), gamma=0.0)
+        op = _bilinear_operator(op_data["A"], op_data["b"], op_data["c"])
     else:
         raise ValueError(f"unknown operator type {op_data['type']!r}")
     feasible = set_from_json(data["set"])

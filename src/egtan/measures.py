@@ -10,31 +10,26 @@ routes (normal-cone maximizer, minimum over unit normals, tangent projection,
 shifted-cone projection, Moreau complement, minimum over the normal cone) as a
 cross-check; the two normal-cone-maximizer routes have closed forms only for
 box-like sets and are reported as ``None`` elsewhere.
+
+The functions here measure one point.  Series along a run are taken from the
+array trajectory by :meth:`egtan.solvers.Trajectory.series`, which calls them
+per iterate; ``write_measures_csv`` writes the columns of
+:meth:`egtan.solvers.Trajectory.measure_series`.  ``duality_gap_bilinear``
+also takes a stack of points.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .instances import BilinearGameSpec, VIInstance
-from .sets import Box, UnsupportedSetError, WholeSpace, require_finite
+from .sets import Box, WholeSpace, require_finite
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """One iterate's measures; distances are filled along trajectories."""
-
-    natural_residual: float
-    tangent_residual: float
-    gap: float | None = None
-    step_half_dist: float | None = None
-    step_full_dist: float | None = None
 
 
 def natural_residual(inst: VIInstance, z: np.ndarray) -> float:
@@ -174,64 +169,36 @@ def gap(inst: VIInstance, z: np.ndarray, D: float) -> float:
     return max(float(F_z @ z) - min_value, 0.0)
 
 
-def duality_gap_bilinear(spec: BilinearGameSpec, z: np.ndarray) -> float:
+def duality_gap_bilinear(spec: BilinearGameSpec, z: np.ndarray) -> float | np.ndarray:
     """``max_{y'} f(x, y') - min_{x'} f(x', y)`` over the game's own boxes.
 
     Both extrema are linear over a box, so each coordinate just picks the
-    bound matching its cost sign.
+    bound matching its cost sign.  ``z`` may also be a ``(k, n)`` stack of
+    points, giving one gap per row.
     """
     z = np.asarray(z, dtype=float)
-    x, y = z[: spec.x_dim], z[spec.x_dim :]
+    x, y = z[..., : spec.x_dim], z[..., spec.x_dim :]
     xl, xu = spec.x_box
     yl, yu = spec.y_box
-    y_cost = spec.A.T @ x - spec.c  # maximize <y_cost, y'>
+    y_cost = x @ spec.A - spec.c  # maximize <y_cost, y'>
     best_y = np.where(y_cost > 0, yu, yl)
     best_y = np.where(y_cost == 0, y, best_y)
-    x_cost = spec.A @ y - spec.b  # minimize <x_cost, x'>
+    x_cost = y @ spec.A.T - spec.b  # minimize <x_cost, x'>
     best_x = np.where(x_cost > 0, xl, xu)
     best_x = np.where(x_cost == 0, x, best_x)
     return spec.payoff(x, best_y) - spec.payoff(best_x, y)
 
 
-def measure_report(
-    inst: VIInstance,
-    z: np.ndarray,
-    D: float | None = None,
-    z_half: np.ndarray | None = None,
-    z_next: np.ndarray | None = None,
-) -> MeasureReport:
-    """Measures at ``z``; the distances look forward to the step leaving it."""
-    gap_value = None
-    if D is not None:
-        try:
-            gap_value = gap(inst, z, D)
-        except UnsupportedSetError:
-            gap_value = None
-    return MeasureReport(
-        natural_residual=natural_residual(inst, z),
-        tangent_residual=tangent_residual(inst, z),
-        gap=gap_value,
-        step_half_dist=None
-        if z_half is None
-        else float(np.linalg.norm(np.asarray(z) - np.asarray(z_half))),
-        step_full_dist=None
-        if z_next is None
-        else float(np.linalg.norm(np.asarray(z) - np.asarray(z_next))),
-    )
+def write_measures_csv(fp: TextIO, columns: dict[str, np.ndarray | None]) -> None:
+    """CSV columns ``k, r_nat, r_tan, gap, dist_half, dist_full`` at 17 digits.
 
-
-def write_measures_csv(fp: TextIO, reports: Sequence[MeasureReport]) -> None:
-    """CSV columns ``k, r_nat, r_tan, gap, dist_half, dist_full`` at 17 digits."""
+    ``columns`` is :meth:`egtan.solvers.Trajectory.measure_series`: one row per
+    iterate, blank where a column is ``None`` or shorter (the step distances
+    have no entry at the last iterate).
+    """
     writer = csv.writer(fp)
-    writer.writerow(["k", "r_nat", "r_tan", "gap", "dist_half", "dist_full"])
-    for k, rep in enumerate(reports):
+    writer.writerow(["k", *columns])
+    for k in range(len(columns["r_nat"])):
         writer.writerow(
-            [
-                k,
-                f"{rep.natural_residual:.17g}",
-                f"{rep.tangent_residual:.17g}",
-                "" if rep.gap is None else f"{rep.gap:.17g}",
-                "" if rep.step_half_dist is None else f"{rep.step_half_dist:.17g}",
-                "" if rep.step_full_dist is None else f"{rep.step_full_dist:.17g}",
-            ]
+            [k] + ["" if v is None or k >= len(v) else f"{v[k]:.17g}" for v in columns.values()]
         )

@@ -338,27 +338,8 @@ class HalfspaceIntersection(FeasibleSet):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases (the functional surface used by measures and
-# the solvers) and the JSON schema.
+# JSON schema
 # ---------------------------------------------------------------------------
-
-
-def project(feasible_set: FeasibleSet, p: np.ndarray) -> np.ndarray:
-    return feasible_set.project(p)
-
-
-def project_tangent_cone(feasible_set: FeasibleSet, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return feasible_set.project_tangent_cone(z, v)
-
-
-def project_normal_cone(feasible_set: FeasibleSet, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return feasible_set.project_normal_cone(z, v)
-
-
-def linear_min_over_set_ball(
-    feasible_set: FeasibleSet, center: np.ndarray, D: float, cost: np.ndarray
-) -> tuple[np.ndarray, float]:
-    return feasible_set.linear_min_over_ball(center, D, cost)
 
 
 def _bound_list(arr: np.ndarray) -> list:

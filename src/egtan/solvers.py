@@ -1,10 +1,15 @@
 """Extragradient and proximal-point iterations with theorem-checking reports.
 
-Both solvers record full trajectories (iterates, half iterates, cached
-operator values) so that the rate reports can evaluate every convergence
-theorem as a per-step inequality with an explicit signed slack.  A negative
-slack beyond tolerance means a theorem was violated numerically, which for a
-correct implementation on a genuinely monotone instance should never happen.
+Both solvers fill array trajectories: ``(T+1, n)`` iterates and cached
+operator values, plus ``(T, n)`` half iterates for EG.  Every measure series
+along a run (residuals, step distances, gap, distance to a solution) is
+defined once, in :meth:`Trajectory.series`.  The rate reports evaluate each
+convergence theorem as an array inequality over the step index with an
+explicit signed slack.  A negative slack beyond tolerance means a theorem was
+violated numerically, which for a correct implementation on a genuinely
+monotone instance should never happen.  A check the instance cannot support
+(no gap oracle on the set, or no strong monotonicity) is listed in
+``RateReport.skipped`` with the reason.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
 from .instances import VIInstance, instance_to_json
-from .measures import MeasureReport, gap, measure_report, natural_residual, tangent_residual
+from .measures import gap, natural_residual, tangent_residual
 from .sets import UnsupportedSetError
 
 FEASIBILITY_TOL = 1e-9
@@ -53,38 +58,88 @@ class SolverConfig:
     T: int
     inner_tol: float = 1e-12
     inner_max: int = 10_000
-    record_half: bool = True
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("step size eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"step size eta must be finite and positive, got {self.eta}")
         if self.T < 0:
             raise ValueError("iteration count T must be nonnegative")
 
 
+SERIES = (
+    "natural-residual",
+    "tangent-residual",
+    "half-step-dist",
+    "full-step-dist",
+    "gap",
+    "dist-to-solution",
+)
+
+
 @dataclass
 class Trajectory:
-    """Recorded run: ``T+1`` iterates, ``T`` half iterates when recorded."""
+    """Recorded run as arrays: ``iterates`` and ``operator_values`` are
+    ``(T+1, n)``, ``half_iterates`` is ``(T, n)`` for EG and ``None`` for PP."""
 
     instance: VIInstance
     config: SolverConfig
-    iterates: list[np.ndarray]
-    half_iterates: list[np.ndarray] | None
-    operator_values: list[np.ndarray]
-    half_operator_values: list[np.ndarray] | None
+    iterates: np.ndarray
+    half_iterates: np.ndarray | None
+    operator_values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.iterates)
 
-    def measure_series(self, D: float | None = None) -> list[MeasureReport]:
-        out = []
-        for k, z in enumerate(self.iterates):
-            z_half = None
-            if self.half_iterates is not None and k < len(self.half_iterates):
-                z_half = self.half_iterates[k]
-            z_next = self.iterates[k + 1] if k + 1 < len(self.iterates) else None
-            out.append(measure_report(self.instance, z, D=D, z_half=z_half, z_next=z_next))
-        return out
+    def series(
+        self,
+        name: str,
+        D: float | None = None,
+        z_star: np.ndarray | None = None,
+        ks: np.ndarray | slice = slice(None),
+    ) -> np.ndarray:
+        """The named measure along the run, taken at indices ``ks``.
+
+        Point measures (residuals, ``gap`` with radius ``D``, ``dist-to-solution``
+        to ``z_star``) have one value per iterate; the step distances have one
+        per step, ``||z_k - z_{k+1/2}||`` and ``||z_k - z_{k+1}||``.  ``gap``
+        raises :class:`UnsupportedSetError` on sets without a gap oracle.
+        """
+        inst, zs = self.instance, self.iterates
+        if name == "natural-residual":
+            return np.array([natural_residual(inst, z) for z in zs[ks]])
+        if name == "tangent-residual":
+            return np.array([tangent_residual(inst, z) for z in zs[ks]])
+        if name == "gap":
+            if D is None:
+                raise ValueError("the gap series needs a radius D")
+            return np.array([gap(inst, z, D) for z in zs[ks]])
+        if name == "dist-to-solution":
+            if z_star is None:
+                raise ValueError("the distance series needs a solution z_star")
+            return np.linalg.norm(zs[ks] - np.asarray(z_star, dtype=float), axis=1)
+        if name == "half-step-dist":
+            if self.half_iterates is None:
+                raise ValueError("this trajectory has no half iterates")
+            return np.linalg.norm(zs[:-1] - self.half_iterates, axis=1)[ks]
+        if name == "full-step-dist":
+            return np.linalg.norm(np.diff(zs, axis=0), axis=1)[ks]
+        raise KeyError(f"unknown measure {name!r}; choose from {sorted(SERIES)}")
+
+    def measure_series(self, D: float | None = None) -> dict[str, np.ndarray | None]:
+        """Columns of ``measures.csv``; ``gap`` is ``None`` without ``D`` or a gap oracle."""
+        gaps = None
+        if D is not None:
+            try:
+                gaps = self.series("gap", D=D)
+            except UnsupportedSetError:
+                pass
+        return {
+            "r_nat": self.series("natural-residual"),
+            "r_tan": self.series("tangent-residual"),
+            "gap": gaps,
+            "dist_half": None if self.half_iterates is None else self.series("half-step-dist"),
+            "dist_full": self.series("full-step-dist"),
+        }
 
 
 def _warn_or_raise_step(inst: VIInstance, eta: float, strict: bool) -> None:
@@ -108,33 +163,35 @@ def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, 
     return z_half, z_next
 
 
-def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray, strict: bool = False) -> Trajectory:
-    """Run EG for ``config.T`` steps from a feasible start; fully deterministic."""
-    _warn_or_raise_step(inst, config.eta, strict)
+def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
+    """A trajectory holding only ``z0``, with rows allocated for ``config.T`` steps."""
     z = np.asarray(z0, dtype=float)
     if inst.set.infeasibility(z) > FEASIBILITY_TOL:
         raise ValueError("starting point is infeasible")
-    iterates = [z.copy()]
-    op_values = [inst.operator(z)]
-    halfs: list[np.ndarray] | None = [] if config.record_half else None
-    half_ops: list[np.ndarray] | None = [] if config.record_half else None
-    for _ in range(config.T):
-        z_half = inst.set.project(z - config.eta * op_values[-1])
-        F_half = inst.operator(z_half)
-        z = inst.set.project(z - config.eta * F_half)
-        if halfs is not None:
-            halfs.append(z_half)
-            half_ops.append(F_half)
-        iterates.append(z.copy())
-        op_values.append(inst.operator(z))
-    return Trajectory(
+    F_z = inst.operator(z)
+    T, n = config.T, inst.dimension
+    traj = Trajectory(
         instance=inst,
         config=config,
-        iterates=iterates,
-        half_iterates=halfs,
-        operator_values=op_values,
-        half_operator_values=half_ops,
+        iterates=np.empty((T + 1, n)),
+        half_iterates=np.empty((T, n)) if halves else None,
+        operator_values=np.empty((T + 1, n)),
     )
+    traj.iterates[0] = z
+    traj.operator_values[0] = F_z
+    return traj
+
+
+def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray, strict: bool = False) -> Trajectory:
+    """Run EG for ``config.T`` steps from a feasible start; fully deterministic."""
+    _warn_or_raise_step(inst, config.eta, strict)
+    traj = _start(inst, config, z0, halves=True)
+    zs, halfs, Fs, eta = traj.iterates, traj.half_iterates, traj.operator_values, config.eta
+    for k in range(config.T):
+        halfs[k] = inst.set.project(zs[k] - eta * Fs[k])
+        zs[k + 1] = inst.set.project(zs[k] - eta * inst.operator(halfs[k]))
+        Fs[k + 1] = inst.operator(zs[k + 1])
+    return traj
 
 
 def pp_step(
@@ -169,23 +226,12 @@ def pp_step(
 
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run PP for ``config.T`` steps; trajectories carry no half iterates."""
-    z = np.asarray(z0, dtype=float)
-    if inst.set.infeasibility(z) > FEASIBILITY_TOL:
-        raise ValueError("starting point is infeasible")
-    iterates = [z.copy()]
-    op_values = [inst.operator(z)]
-    for _ in range(config.T):
-        z = pp_step(inst, config.eta, z, config.inner_tol, config.inner_max)
-        iterates.append(z.copy())
-        op_values.append(inst.operator(z))
-    return Trajectory(
-        instance=inst,
-        config=config,
-        iterates=iterates,
-        half_iterates=None,
-        operator_values=op_values,
-        half_operator_values=None,
-    )
+    traj = _start(inst, config, z0, halves=False)
+    zs, Fs = traj.iterates, traj.operator_values
+    for k in range(config.T):
+        zs[k + 1] = pp_step(inst, config.eta, zs[k], config.inner_tol, config.inner_max)
+        Fs[k + 1] = inst.operator(zs[k + 1])
+    return traj
 
 
 def solve_reference(
@@ -226,22 +272,25 @@ class RateCheck:
     """Per-step record of one theorem: bound minus actual, signed."""
 
     name: str
-    lhs: tuple[float, ...]
-    rhs: tuple[float, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
-    def slack(self) -> tuple[float, ...]:
-        return tuple(r - l for l, r in zip(self.lhs, self.rhs))
+    def slack(self) -> np.ndarray:
+        return self.rhs - self.lhs
 
     @property
     def worst_slack(self) -> float:
-        return min(self.slack, default=math.inf)
+        return float(self.slack.min()) if self.slack.size else math.inf
 
 
 @dataclass(frozen=True)
 class RateReport:
+    """Theorem checks by name; ``skipped`` maps each check left out to the reason."""
+
     checks: dict[str, RateCheck]
     tolerance: float
+    skipped: dict[str, str] = field(default_factory=dict)
 
     @property
     def worst_slack(self) -> float:
@@ -258,28 +307,49 @@ class RateReport:
             "worst_slack": None if math.isinf(self.worst_slack) else float(self.worst_slack),
             "checks": {
                 name: {
-                    "lhs": [float(x) for x in c.lhs],
-                    "rhs": [float(x) for x in c.rhs],
+                    "lhs": c.lhs.tolist(),
+                    "rhs": c.rhs.tolist(),
                     "worst_slack": None if math.isinf(c.worst_slack) else float(c.worst_slack),
                 }
                 for name, c in self.checks.items()
             },
+            "skipped": dict(self.skipped),
         }
 
 
-def _distances_to(iterates: Sequence[np.ndarray], z_star: np.ndarray) -> np.ndarray:
-    return np.array([float(np.linalg.norm(z - z_star)) for z in iterates])
+def _distances_and_radius(
+    trajectory: Trajectory, z_star: np.ndarray, D: float | None
+) -> tuple[np.ndarray, float]:
+    """Validate a rate-report request; distances to ``z_star`` and the gap radius."""
+    inst = trajectory.instance
+    if trajectory.config.eta * inst.operator.lipschitz >= 1.0:
+        raise StepSizeError("rate reports require eta * L < 1")
+    if natural_residual(inst, z_star) > 1e-10:
+        raise ValueError("z_star is not accurate enough for rate checks")
+    dist = trajectory.series("dist-to-solution", z_star=z_star)
+    if D is None:
+        D = 2.0 * dist[0] if dist[0] > 0 else 1.0
+    return dist, D
 
 
-def _gap_series(inst, iterates, D, indices) -> tuple[list[float], list[int]]:
-    values, kept = [], []
-    for k in indices:
+def _gap_at_steps(
+    trajectory: Trajectory, D: float, gap_stride: int, checks: tuple[str, ...], skipped: dict
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Indices ``k = 1, 1 + stride, ...`` and the gap at each ``z_k``.
+
+    Returns ``None`` when the run has no step or the set has no gap oracle,
+    after recording the reason for each of ``checks`` in ``skipped``.
+    """
+    ks = np.arange(1, len(trajectory.iterates), max(1, gap_stride))
+    if not ks.size:
+        reason = "the run has no steps"
+    else:
         try:
-            values.append(gap(inst, iterates[k], D))
-            kept.append(k)
-        except UnsupportedSetError:
-            return [], []
-    return values, kept
+            return ks, trajectory.series("gap", D=D, ks=ks)
+        except UnsupportedSetError as exc:
+            reason = str(exc)
+    skipped.update(dict.fromkeys(checks, reason))
+    return None
 
 
 def rate_report_eg(
@@ -296,74 +366,48 @@ def rate_report_eg(
     bound, tangent-residual monotonicity, the last-iterate gap rate, and (when
     the operator is strongly monotone) the linear rate and the gap-to-distance
     bound.  Requires half iterates and a reference solution with natural
-    residual at most 1e-10.
+    residual at most 1e-10.  Gap checks the set or operator cannot support
+    are listed in ``skipped``.
     """
-    inst = trajectory.instance
-    eta = trajectory.config.eta
     if trajectory.half_iterates is None:
         raise ValueError("rate_report_eg needs a trajectory recorded with half iterates")
-    if eta * inst.operator.lipschitz >= 1.0:
-        raise StepSizeError("rate reports require eta * L < 1")
-    if natural_residual(inst, z_star) > 1e-10:
-        raise ValueError("z_star is not accurate enough for rate checks")
+    dist, D = _distances_and_radius(trajectory, z_star, D)
+    eta = trajectory.config.eta
+    gamma = trajectory.instance.operator.gamma
+    etaL = eta * trajectory.instance.operator.lipschitz
+    half_dist = trajectory.series("half-step-dist")
+    r_tan = trajectory.series("tangent-residual")
+    half_to_next = np.linalg.norm(trajectory.half_iterates - trajectory.iterates[1:], axis=1)
 
-    L = inst.operator.lipschitz
-    gamma = inst.operator.gamma
-    etaL = eta * L
-    z_star = np.asarray(z_star, dtype=float)
-    zs = trajectory.iterates
-    halfs = trajectory.half_iterates
-    T = len(halfs)
-    dist = _distances_to(zs, z_star)
-    half_dist = np.array([float(np.linalg.norm(zs[k] - halfs[k])) for k in range(T)])
-    r_tan = np.array([tangent_residual(inst, z) for z in zs])
-    if D is None:
-        D = 2.0 * dist[0] if dist[0] > 0 else 1.0
-
-    checks: dict[str, RateCheck] = {}
-    checks["best_iterate_descent"] = RateCheck(
-        name="best_iterate_descent",
-        lhs=tuple(dist[k + 1] ** 2 + (1.0 - etaL**2) * half_dist[k] ** 2 for k in range(T)),
-        rhs=tuple(dist[k] ** 2 for k in range(T)),
-    )
-    checks["projection_contraction"] = RateCheck(
-        name="projection_contraction",
-        lhs=tuple(float(np.linalg.norm(halfs[k] - zs[k + 1])) for k in range(T)),
-        rhs=tuple(etaL * half_dist[k] for k in range(T)),
-    )
-    checks["residual_from_half_step"] = RateCheck(
-        name="residual_from_half_step",
-        lhs=tuple(r_tan[k + 1] for k in range(T)),
-        rhs=tuple((1.0 + etaL + etaL**2) * half_dist[k] / eta for k in range(T)),
-    )
-    checks["tangent_residual_monotone"] = RateCheck(
-        name="tangent_residual_monotone",
-        lhs=tuple(r_tan[k + 1] for k in range(T)),
-        rhs=tuple(r_tan[k] for k in range(T)),
-    )
-
-    rate_constant = 3.0 * D * dist[0] / (eta * math.sqrt(1.0 - etaL**2))
-    gap_indices = list(range(1, T + 1, max(1, gap_stride)))
-    gap_values, kept = _gap_series(inst, zs, D, gap_indices)
-    if kept:
-        checks["last_iterate_gap_rate"] = RateCheck(
-            name="last_iterate_gap_rate",
-            lhs=tuple(gap_values),
-            rhs=tuple(rate_constant / math.sqrt(k) for k in kept),
-        )
+    checks = [
+        RateCheck(
+            "best_iterate_descent",
+            dist[1:] ** 2 + (1.0 - etaL**2) * half_dist**2,
+            dist[:-1] ** 2,
+        ),
+        RateCheck("projection_contraction", half_to_next, etaL * half_dist),
+        RateCheck("residual_from_half_step", r_tan[1:], (1.0 + etaL + etaL**2) * half_dist / eta),
+        RateCheck("tangent_residual_monotone", r_tan[1:], r_tan[:-1]),
+    ]
+    skipped: dict[str, str] = {}
+    strong = ("strongly_monotone_linear_rate", "gap_bounds_distance")
+    gaps = _gap_at_steps(trajectory, D, gap_stride, ("last_iterate_gap_rate", *strong), skipped)
+    if gaps is not None:
+        ks, g = gaps
+        rate_constant = 3.0 * D * dist[0] / (eta * math.sqrt(1.0 - etaL**2))
+        checks.append(RateCheck("last_iterate_gap_rate", g, rate_constant / np.sqrt(ks)))
         if gamma > 0:
             decay = 1.0 + 2.0 * eta * gamma * (1.0 - etaL) ** 2
-            checks["strongly_monotone_linear_rate"] = RateCheck(
-                name="strongly_monotone_linear_rate",
-                lhs=tuple(gap_values),
-                rhs=tuple(decay ** (-(k - 1) / 2.0) * rate_constant for k in kept),
-            )
-            checks["gap_bounds_distance"] = RateCheck(
-                name="gap_bounds_distance",
-                lhs=tuple(dist[k] ** 2 for k in kept),
-                rhs=tuple(g / gamma for g in gap_values),
-            )
-    return RateReport(checks=checks, tolerance=tolerance)
+            checks += [
+                RateCheck(
+                    "strongly_monotone_linear_rate", g, decay ** (-(ks - 1) / 2.0) * rate_constant
+                ),
+                RateCheck("gap_bounds_distance", dist[ks] ** 2, g / gamma),
+            ]
+        else:
+            reason = f"operator is not strongly monotone (gamma = {gamma:.3g} <= 0)"
+            skipped.update(dict.fromkeys(strong, reason))
+    return RateReport({c.name: c for c in checks}, tolerance, skipped)
 
 
 def rate_report_pp(
@@ -380,81 +424,38 @@ def rate_report_pp(
     gap rate.  The tolerance grows with the inner-solve tolerance since the
     theorems assume exact proximal steps.
     """
-    inst = trajectory.instance
+    dist, D = _distances_and_radius(trajectory, z_star, D)
     eta = trajectory.config.eta
-    if eta * inst.operator.lipschitz >= 1.0:
-        raise StepSizeError("rate reports require eta * L < 1")
-    if natural_residual(inst, z_star) > 1e-10:
-        raise ValueError("z_star is not accurate enough for rate checks")
-
-    zs = trajectory.iterates
-    T = len(zs) - 1
-    z_star = np.asarray(z_star, dtype=float)
-    dist = _distances_to(zs, z_star)
-    steps = np.array([float(np.linalg.norm(zs[k + 1] - zs[k])) for k in range(T)])
-    r_tan = np.array([tangent_residual(inst, z) for z in zs])
-    if D is None:
-        D = 2.0 * dist[0] if dist[0] > 0 else 1.0
+    T = len(trajectory.iterates) - 1
+    k = np.arange(1, T + 1)
+    steps = trajectory.series("full-step-dist")
+    r_tan = trajectory.series("tangent-residual")
 
     # inexact prox: each step may be off by inner_tol/(1 - eta L), and errors
     # accumulate linearly along the run
-    slack_per_step = trajectory.config.inner_tol / max(1.0 - eta * inst.operator.lipschitz, 1e-6)
+    slack_per_step = trajectory.config.inner_tol / max(
+        1.0 - eta * trajectory.instance.operator.lipschitz, 1e-6
+    )
     tol = tolerance + 10.0 * slack_per_step * max(T, 1)
 
-    checks: dict[str, RateCheck] = {}
-    checks["best_iterate_descent"] = RateCheck(
-        name="best_iterate_descent",
-        lhs=tuple(dist[k + 1] ** 2 + steps[k] ** 2 for k in range(T)),
-        rhs=tuple(dist[k] ** 2 for k in range(T)),
-    )
-    checks["step_monotone"] = RateCheck(
-        name="step_monotone",
-        lhs=tuple(steps[k + 1] for k in range(T - 1)),
-        rhs=tuple(steps[k] for k in range(T - 1)),
-    )
-    checks["step_drop_rate"] = RateCheck(
-        name="step_drop_rate",
-        lhs=tuple(steps[k - 1] for k in range(1, T + 1)),
-        rhs=tuple(dist[0] / math.sqrt(k) for k in range(1, T + 1)),
-    )
-    checks["residual_drop_rate"] = RateCheck(
-        name="residual_drop_rate",
-        lhs=tuple(r_tan[k] ** 2 for k in range(1, T + 1)),
-        rhs=tuple(dist[0] ** 2 / (eta**2 * k) for k in range(1, T + 1)),
-    )
-    gap_indices = list(range(1, T + 1, max(1, gap_stride)))
-    gap_values, kept = _gap_series(inst, zs, D, gap_indices)
-    if kept:
-        checks["gap_rate"] = RateCheck(
-            name="gap_rate",
-            lhs=tuple(gap_values),
-            rhs=tuple(D * dist[0] / (eta * math.sqrt(k)) for k in kept),
-        )
-    return RateReport(checks=checks, tolerance=tol)
-
-
-MEASURE_SERIES = {
-    "natural-residual": lambda traj: [natural_residual(traj.instance, z) for z in traj.iterates],
-    "tangent-residual": lambda traj: [tangent_residual(traj.instance, z) for z in traj.iterates],
-    "half-step-dist": lambda traj: [
-        float(np.linalg.norm(traj.iterates[k] - traj.half_iterates[k]))
-        for k in range(len(traj.half_iterates or []))
-    ],
-    "full-step-dist": lambda traj: [
-        float(np.linalg.norm(traj.iterates[k] - traj.iterates[k + 1]))
-        for k in range(len(traj.iterates) - 1)
-    ],
-}
+    checks = [
+        RateCheck("best_iterate_descent", dist[1:] ** 2 + steps**2, dist[:-1] ** 2),
+        RateCheck("step_monotone", steps[1:], steps[:-1]),
+        RateCheck("step_drop_rate", steps, dist[0] / np.sqrt(k)),
+        RateCheck("residual_drop_rate", r_tan[1:] ** 2, dist[0] ** 2 / (eta**2 * k)),
+    ]
+    skipped: dict[str, str] = {}
+    gaps = _gap_at_steps(trajectory, D, gap_stride, ("gap_rate",), skipped)
+    if gaps is not None:
+        ks, g = gaps
+        checks.append(RateCheck("gap_rate", g, D * dist[0] / (eta * np.sqrt(ks))))
+    return RateReport({c.name: c for c in checks}, tol, skipped)
 
 
 def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:
     """Index of the smallest value of the named measure series (ties: first)."""
-    if measure_name not in MEASURE_SERIES:
-        raise KeyError(
-            f"unknown measure {measure_name!r}; choose from {sorted(MEASURE_SERIES)}"
-        )
-    series = MEASURE_SERIES[measure_name](trajectory)
-    if not series:
+    series = trajectory.series(measure_name)
+    if not series.size:
         raise ValueError("trajectory has no values for this measure")
     return int(np.argmin(series))
 
@@ -466,18 +467,16 @@ def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:
 
 def write_trajectory_csv(fp: TextIO, trajectory: Trajectory) -> None:
     n = trajectory.instance.dimension
+    halfs = trajectory.half_iterates
     writer = csv.writer(fp)
     header = ["k"] + [f"z{i}" for i in range(n)]
-    if trajectory.half_iterates is not None:
+    if halfs is not None:
         header += [f"zhalf{i}" for i in range(n)]
     writer.writerow(header)
     for k, z in enumerate(trajectory.iterates):
         row = [k] + [f"{x:.17g}" for x in z]
-        if trajectory.half_iterates is not None:
-            if k < len(trajectory.half_iterates):
-                row += [f"{x:.17g}" for x in trajectory.half_iterates[k]]
-            else:
-                row += [""] * n
+        if halfs is not None:
+            row += [f"{x:.17g}" for x in halfs[k]] if k < len(halfs) else [""] * n
         writer.writerow(row)
 
 
@@ -489,10 +488,9 @@ def trajectory_to_json(trajectory: Trajectory) -> dict:
             "T": trajectory.config.T,
             "inner_tol": trajectory.config.inner_tol,
             "inner_max": trajectory.config.inner_max,
-            "record_half": trajectory.config.record_half,
         },
-        "iterates": [z.tolist() for z in trajectory.iterates],
+        "iterates": trajectory.iterates.tolist(),
         "half_iterates": None
         if trajectory.half_iterates is None
-        else [z.tolist() for z in trajectory.half_iterates],
+        else trajectory.half_iterates.tolist(),
     }

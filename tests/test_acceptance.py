@@ -148,7 +148,7 @@ def test_criterion_4_last_iterate_rate(suite):
         L = inst.operator.lipschitz
         eta = 0.9 / L
         z_star = solve_reference(inst, eta=0.5 / L)
-        traj = eg_run(inst, SolverConfig(eta=eta, T=1000, record_half=False), z0)
+        traj = eg_run(inst, SolverConfig(eta=eta, T=1000), z0)
         dist0 = float(np.linalg.norm(z0 - z_star))
         D = 2.0 * dist0 if dist0 > 0 else 1.0
         bound = 3.0 * D * dist0 / (eta * math.sqrt(1.0 - (eta * L) ** 2))
@@ -219,7 +219,7 @@ def test_criterion_6_strongly_monotone_linear_rate():
         etaL = eta * L
         z0 = rng.uniform(0.0, 2.0, n)
         z_star = solve_reference(inst, eta=eta)
-        traj = eg_run(inst, SolverConfig(eta=eta, T=201, record_half=False), z0)
+        traj = eg_run(inst, SolverConfig(eta=eta, T=201), z0)
         dist0 = float(np.linalg.norm(z0 - z_star))
         D = 2.0 * dist0 if dist0 > 0 else 1.0
         const = 3.0 * D * dist0 / (eta * math.sqrt(1.0 - etaL**2))

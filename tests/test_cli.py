@@ -5,7 +5,7 @@ import pytest
 
 from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
-from egtan.sets import Box
+from egtan.sets import Ball, Box
 
 
 def write_instance(tmp_path, M, q, lo, hi, name="instance.json"):
@@ -161,3 +161,41 @@ class TestRatesCommand:
         blob = json.loads((tmp_path / "r" / "rates.json").read_text())
         assert blob["passed"] is True
         assert "step_monotone" in blob["checks"]
+
+    def test_nan_step_size_exits_one_naming_eta(self, tmp_path, capsys):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        code = main(["rates", "--instance", str(path), "--eta", "nan", "--T", "5", "--z0", "1,1"])
+        assert code == 1
+        assert "eta" in capsys.readouterr().err
+
+    def test_ball_rates_print_the_skipped_checks(self, tmp_path, capsys):
+        op = AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([1.0, -0.5]))
+        path = tmp_path / "ball.json"
+        save_instance(VIInstance.create(op, Ball(np.zeros(2), 1.0)), str(path))
+        code = main(["rates", "--instance", str(path), "--eta", "0.3", "--T", "10", "--z0", "0,0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "last_iterate_gap_rate" in out and "skipped:" in out
+
+
+class TestOneRunAndReportPath:
+    @pytest.mark.parametrize("solver", ["eg", "pp"])
+    def test_solve_and_rates_write_identical_rates_json(self, tmp_path, solver):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        flags = ["--instance", str(path), "--solver", solver, "--eta", "0.3", "--T", "20", "--z0", "1,1"]
+        assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == 0
+        assert main(["rates", *flags, "--out", str(tmp_path / "rates")]) == 0
+        solved = (tmp_path / "solve" / "rates.json").read_bytes()
+        assert solved == (tmp_path / "rates" / "rates.json").read_bytes()
+
+    def test_gap_column_is_the_gap_rate_lhs(self, tmp_path):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        out_dir = tmp_path / "out"
+        assert main([
+            "solve", "--instance", str(path), "--eta", "0.3", "--T", "20", "--z0", "1,1",
+            "--out", str(out_dir),
+        ]) == 0
+        rows = (out_dir / "measures.csv").read_text().strip().splitlines()[1:]
+        gap_column = [float(row.split(",")[3]) for row in rows]
+        rates = json.loads((out_dir / "rates.json").read_text())
+        assert rates["checks"]["last_iterate_gap_rate"]["lhs"] == gap_column[1:]

@@ -7,7 +7,6 @@ from egtan.instances import (
     DimensionMismatchError,
     check_monotone_samples,
     estimate_constants,
-    eval_operator,
     instance_from_json,
     instance_to_json,
     make_bilinear,
@@ -66,12 +65,12 @@ class TestMakeBilinear:
 class TestEvalOperator:
     def test_identity(self):
         op = AffineOperator.create(np.eye(2), np.zeros(2))
-        np.testing.assert_array_equal(eval_operator(op, np.array([3.0, -1.0])), [3.0, -1.0])
+        np.testing.assert_array_equal(op(np.array([3.0, -1.0])), [3.0, -1.0])
 
     def test_constant(self):
         op = AffineOperator.create(np.zeros((2, 2)), np.array([1.0, 2.0]))
         for z in (np.zeros(2), np.array([5.0, -7.0])):
-            np.testing.assert_array_equal(eval_operator(op, z), [1.0, 2.0])
+            np.testing.assert_array_equal(op(z), [1.0, 2.0])
 
     def test_bilinear_point_matches_manual_matvec(self):
         inst = make_bilinear(bilinear_spec(COUNTEREXAMPLE_A, [1, 1], [1, 1]))
@@ -79,7 +78,7 @@ class TestEvalOperator:
         # oracle: scalar-loop mat-vec, no numpy linear algebra
         M, q = inst.operator.M, inst.operator.q
         expected = [sum(M[i][j] * z[j] for j in range(4)) + q[i] for i in range(4)]
-        got = eval_operator(inst.operator, z)
+        got = inst.operator(z)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -180,3 +179,14 @@ class TestJsonSchema:
         direct = make_bilinear(bilinear_spec(COUNTEREXAMPLE_A, [1, 1], [1, 1]))
         np.testing.assert_array_equal(inst.operator.M, direct.operator.M)
         np.testing.assert_array_equal(inst.operator.q, direct.operator.q)
+        assert inst.operator.lipschitz == direct.operator.lipschitz
+        assert inst.operator.gamma == direct.operator.gamma == 0.0
+
+    def test_bilinear_schema_checks_offset_shapes(self):
+        data = {
+            "operator": {"type": "bilinear", "A": [[1.0, 2.0], [1.0, 1.0]], "b": [1.0, 1.0, 1.0], "c": [5.0]},
+            "set": {"type": "box", "l": [0.0] * 4, "u": [10.0] * 4},
+        }
+        with pytest.raises(DimensionMismatchError, match="in b:") as info:
+            instance_from_json(data)
+        assert info.value.field_name == "b"

@@ -179,6 +179,13 @@ class TestDualityGapBilinear:
             assert got == pytest.approx(want, abs=3e-8)
         assert series[0] > series[1] < series[2]  # the published non-monotonicity
 
+    def test_stack_of_points_gives_one_gap_per_row(self):
+        rng = np.random.default_rng(22)
+        spec = bilinear_spec(rng.standard_normal((2, 3)), [0.5, -0.5], [1.0, 0.0, -1.0])
+        Z = rng.uniform(0.0, 10.0, (6, 5))
+        expected = [duality_gap_bilinear(spec, z) for z in Z]
+        np.testing.assert_allclose(duality_gap_bilinear(spec, Z), expected, rtol=1e-14, atol=1e-13)
+
     def test_dominates_restricted_gap(self):
         # duality gap over the full box upper bounds the ball-restricted gap
         rng = np.random.default_rng(20)

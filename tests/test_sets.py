@@ -13,10 +13,6 @@ from egtan.sets import (
     NonnegativeOrthant,
     UnsupportedSetError,
     WholeSpace,
-    linear_min_over_set_ball,
-    project,
-    project_normal_cone,
-    project_tangent_cone,
 )
 
 
@@ -344,17 +340,17 @@ def test_linear_min_over_ball_properties(problem):
     assert np.min(others @ cost) >= value - tol
 
 
-class TestFunctionAliases:
-    def test_module_level_ops(self):
+class TestSetOperations:
+    def test_box_operations(self):
         box = Box(np.zeros(2), np.ones(2))
-        np.testing.assert_array_equal(project(box, [2.0, 0.5]), [1.0, 0.5])
+        np.testing.assert_array_equal(box.project([2.0, 0.5]), [1.0, 0.5])
         np.testing.assert_array_equal(
-            project_tangent_cone(box, [1.0, 0.5], [1.0, 1.0]), [0.0, 1.0]
+            box.project_tangent_cone([1.0, 0.5], [1.0, 1.0]), [0.0, 1.0]
         )
         np.testing.assert_array_equal(
-            project_normal_cone(box, [1.0, 0.5], [1.0, 1.0]), [1.0, 0.0]
+            box.project_normal_cone([1.0, 0.5], [1.0, 1.0]), [1.0, 0.0]
         )
-        _, value = linear_min_over_set_ball(box, np.array([0.5, 0.5]), 0.1, np.array([1.0, 0.0]))
+        _, value = box.linear_min_over_ball(np.array([0.5, 0.5]), 0.1, np.array([1.0, 0.0]))
         assert value == pytest.approx(0.4, abs=1e-9)
 
 

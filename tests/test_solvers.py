@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from egtan.instances import AffineOperator, VIInstance, make_bilinear
-from egtan.measures import natural_residual
+from egtan.measures import gap, natural_residual, tangent_residual
 from egtan.solvers import (
     InnerSolveError,
     ReferenceSolveError,
@@ -19,7 +19,7 @@ from egtan.solvers import (
     trajectory_to_json,
     write_trajectory_csv,
 )
-from egtan.sets import Box, NonnegativeOrthant, WholeSpace
+from egtan.sets import Ball, Box, NonnegativeOrthant, WholeSpace
 from tests.test_instances import bilinear_spec
 
 
@@ -60,6 +60,56 @@ class TestEgStep:
         _, z2 = eg_step(inst, 0.1, z1)
         np.testing.assert_allclose(z1, [0.24923465, 0.47967569, 0.43497808, 0.57458145], rtol=0, atol=1e-7)
         np.testing.assert_allclose(z2, [0.19396855, 0.48164918, 0.40193211, 0.56061753], rtol=0, atol=1e-7)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_step_size_must_be_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            SolverConfig(eta=eta, T=1)
+
+
+class TestArrayTrajectories:
+    def test_runs_fill_arrays_step_by_step(self):
+        inst = random_monotone_instance(np.random.default_rng(7))
+        eta = 0.5 / inst.operator.lipschitz
+        z0 = np.full(4, 0.5)
+        eg = eg_run(inst, SolverConfig(eta=eta, T=6), z0)
+        pp = pp_run(inst, SolverConfig(eta=eta, T=6), z0)
+        for traj in (eg, pp):
+            assert type(traj.iterates) is np.ndarray and traj.iterates.shape == (7, 4)
+            assert type(traj.operator_values) is np.ndarray and traj.operator_values.shape == (7, 4)
+            for z, F_z in zip(traj.iterates, traj.operator_values):
+                np.testing.assert_array_equal(F_z, inst.operator(z))
+        assert type(eg.half_iterates) is np.ndarray and eg.half_iterates.shape == (6, 4)
+        assert pp.half_iterates is None
+        z = z0
+        for k in range(6):
+            z_half, z = eg_step(inst, eta, z)
+            np.testing.assert_array_equal(eg.half_iterates[k], z_half)
+            np.testing.assert_array_equal(eg.iterates[k + 1], z)
+            np.testing.assert_array_equal(pp.iterates[k + 1], pp_step(inst, eta, pp.iterates[k]))
+
+
+    def test_series_match_per_point_loops(self):
+        inst = random_monotone_instance(np.random.default_rng(8))
+        eta = 0.5 / inst.operator.lipschitz
+        z_star = solve_reference(inst, eta=eta)
+        traj = eg_run(inst, SolverConfig(eta=eta, T=30), np.full(4, 0.5))
+        zs, halfs = traj.iterates, traj.half_iterates
+        np.testing.assert_array_equal(
+            traj.series("tangent-residual"), [tangent_residual(inst, z) for z in zs]
+        )
+        np.testing.assert_array_equal(
+            traj.series("gap", D=0.7, ks=[2, 5]), [gap(inst, zs[2], 0.7), gap(inst, zs[5], 0.7)]
+        )
+        loops = {
+            "half-step-dist": [np.linalg.norm(z - h) for z, h in zip(zs, halfs)],
+            "full-step-dist": [np.linalg.norm(a - b) for a, b in zip(zs, zs[1:])],
+            "dist-to-solution": [np.linalg.norm(z - z_star) for z in zs],
+        }
+        for name, expected in loops.items():
+            np.testing.assert_allclose(traj.series(name, z_star=z_star), expected, rtol=1e-14, atol=0)
 
 
 class TestEgRun:
@@ -260,6 +310,47 @@ class TestRateReports:
         traj = pp_run(inst, SolverConfig(eta=eta, T=50), rng.uniform(0, 1, 4))
         report = rate_report_pp(traj, z_star, gap_stride=5)
         assert report.worst_slack >= -1e-7
+
+    def test_ball_reports_the_gap_checks_as_skipped(self):
+        op = AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([1.0, -0.5]))
+        inst = VIInstance.create(op, Ball(np.zeros(2), 1.0))
+        eta = 0.5 / op.lipschitz
+        z_star = solve_reference(inst, eta=eta)
+        eg = rate_report_eg(eg_run(inst, SolverConfig(eta=eta, T=20), np.zeros(2)), z_star)
+        gap_checks = {"last_iterate_gap_rate", "strongly_monotone_linear_rate", "gap_bounds_distance"}
+        assert set(eg.skipped) == gap_checks
+        assert set(eg.checks) == {
+            "best_iterate_descent",
+            "projection_contraction",
+            "residual_from_half_step",
+            "tangent_residual_monotone",
+        }
+        assert all("Ball" in reason for reason in eg.skipped.values())
+        assert eg.to_json()["skipped"] == eg.skipped
+        pp = rate_report_pp(pp_run(inst, SolverConfig(eta=eta, T=20), np.zeros(2)), z_star)
+        assert set(pp.skipped) == {"gap_rate"} and "gap_rate" not in pp.checks
+        assert eg.passed and pp.passed
+
+    def test_not_strongly_monotone_skips_the_linear_rate(self):
+        inst = zero_operator_instance()
+        report = rate_report_eg(eg_run(inst, SolverConfig(eta=0.1, T=5), np.ones(2)), np.ones(2))
+        assert "last_iterate_gap_rate" in report.checks
+        assert set(report.skipped) == {"strongly_monotone_linear_rate", "gap_bounds_distance"}
+        assert all("gamma = 0" in reason for reason in report.skipped.values())
+
+    def test_strongly_monotone_box_skips_nothing(self):
+        op = AffineOperator.create(np.eye(2), np.array([-1.0, -2.0]))
+        inst = VIInstance.create(op, NonnegativeOrthant(2))
+        traj = eg_run(inst, SolverConfig(eta=0.5, T=10), np.array([3.0, 0.0]))
+        report = rate_report_eg(traj, solve_reference(inst, eta=0.5))
+        assert report.skipped == {} and report.to_json()["skipped"] == {}
+        assert len(report.checks) == 7
+
+    def test_run_without_steps_skips_the_gap_checks(self):
+        inst = zero_operator_instance()
+        traj = pp_run(inst, SolverConfig(eta=0.1, T=0), np.ones(2))
+        report = rate_report_pp(traj, np.ones(2))
+        assert report.skipped == {"gap_rate": "the run has no steps"}
 
     def test_missing_half_iterates_rejected(self):
         inst = zero_operator_instance()
