@@ -15,6 +15,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .sets import point_or_rows, require_finite
+
 EIG_TOL = 1e-8
 POWER_ITER_CAP = 10_000
 POWER_ITER_TOL = 1e-10
@@ -138,6 +140,8 @@ class AffineOperator:
             raise DimensionMismatchError("M", f"expected square matrix, got {M.shape}")
         if q.shape != (M.shape[0],):
             raise DimensionMismatchError("q", f"expected shape ({M.shape[0]},), got {q.shape}")
+        require_finite("M", M)
+        require_finite("q", q)
         if lipschitz is None or gamma is None:
             lip, gam = matrix_constants(M)
             lipschitz = lip if lipschitz is None else lipschitz
@@ -197,8 +201,7 @@ class BilinearGameSpec:
 
     def payoff(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         """``f(x, y)``; row-wise when ``x`` and ``y`` are stacks of points."""
-        value = ((x @ self.A) * y).sum(axis=-1) - x @ self.b - y @ self.c
-        return float(value) if np.ndim(value) == 0 else value
+        return point_or_rows(((x @ self.A) * y).sum(axis=-1) - x @ self.b - y @ self.c)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ shifted-cone projection, Moreau complement, minimum over the normal cone) as a
 cross-check; the two normal-cone-maximizer routes have closed forms only for
 box-like sets and are reported as ``None`` elsewhere.
 
-The functions here measure one point.  Series along a run are taken from the
-array trajectory by :meth:`egtan.solvers.Trajectory.series`, which calls them
-per iterate; ``write_measures_csv`` writes the columns of
-:meth:`egtan.solvers.Trajectory.measure_series`.  ``duality_gap_bilinear``
-also takes a stack of points.
+``natural_residual``, ``tangent_residual``, ``gap`` and
+``duality_gap_bilinear`` take a point or a ``(k, n)`` stack of points and
+return a float or one value per row.  The first three also take the operator
+values ``F_z`` when the caller has them cached.  A series along a run is one
+such call on the trajectory's arrays, made by
+:meth:`egtan.solvers.Trajectory.series`; ``write_measures_csv`` writes the
+columns of :meth:`egtan.solvers.Trajectory.measure_series`.
 """
 
 from __future__ import annotations
@@ -26,22 +28,40 @@ from typing import TextIO
 
 import numpy as np
 
-from .instances import BilinearGameSpec, VIInstance
-from .sets import Box, WholeSpace, require_finite
+from .instances import BilinearGameSpec, DimensionMismatchError, VIInstance
+from .sets import Box, WholeSpace, point_or_rows, require_finite, row_norm
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
 
 
-def natural_residual(inst: VIInstance, z: np.ndarray) -> float:
+def _operator_values(inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None) -> np.ndarray:
+    """``F_z`` as given, or ``F`` at the point ``z`` or at each row of the stack."""
+    if F_z is None:
+        if z.ndim == 1:
+            return inst.operator(z)
+        return np.array([inst.operator(row) for row in z]).reshape(z.shape)
+    F_z = np.asarray(F_z, dtype=float)
+    if F_z.shape != z.shape:
+        raise DimensionMismatchError("F_z", f"expected shape {z.shape}, got {F_z.shape}")
+    return F_z
+
+
+def natural_residual(
+    inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None = None
+) -> float | np.ndarray:
     """``|| z - proj(z - F(z)) ||``; zero exactly at solutions."""
     z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(z - inst.set.project(z - inst.operator(z))))
+    F_z = _operator_values(inst, z, F_z)
+    return point_or_rows(row_norm(z - inst.set.project(z - F_z)))
 
 
-def tangent_residual(inst: VIInstance, z: np.ndarray) -> float:
+def tangent_residual(
+    inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None = None
+) -> float | np.ndarray:
     """``|| proj_{T(z)}(-F(z)) ||``; equals ``||F(z)||`` at interior points."""
     z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(inst.set.project_tangent_cone(z, -inst.operator(z))))
+    F_z = _operator_values(inst, z, F_z)
+    return point_or_rows(row_norm(inst.set.project_tangent_cone(z, -F_z)))
 
 
 def tangent_residual_orthant_closed_form(F_z: np.ndarray, z: np.ndarray) -> float:
@@ -159,14 +179,17 @@ def _project_shifted_cone(feasible_set, z: np.ndarray, w: np.ndarray) -> np.ndar
     return z + feasible_set.project_tangent_cone(z, w - z)
 
 
-def gap(inst: VIInstance, z: np.ndarray, D: float) -> float:
+def gap(
+    inst: VIInstance, z: np.ndarray, D: float, F_z: np.ndarray | None = None
+) -> float | np.ndarray:
     """``max {<F(z), z - z'> : z' in Z, ||z' - z|| <= D}``; nonnegative."""
     if not 0 < D < np.inf:
         raise ValueError("D must be finite and positive")
     z = require_finite("z", z)
-    F_z = inst.operator(z)
+    F_z = _operator_values(inst, z, F_z)
     _, min_value = inst.set.linear_min_over_ball(z, D, F_z)
-    return max(float(F_z @ z) - min_value, 0.0)
+    excess = np.vecdot(F_z, z) - min_value
+    return point_or_rows(np.where(0.0 > excess, 0.0, excess))  # Python's max(excess, 0.0)
 
 
 def duality_gap_bilinear(spec: BilinearGameSpec, z: np.ndarray) -> float | np.ndarray:

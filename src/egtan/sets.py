@@ -4,6 +4,11 @@ Every set projects onto itself and onto the tangent cone at a feasible point;
 the normal cone follows by Moreau's decomposition.  Box-like sets also minimize
 a linear cost exactly over set ∩ ball, for the gap function, by a breakpoint
 walk.  Halfspace intersections enumerate active sets: exact, meant for few rows.
+
+Each method takes a point or a ``(k, n)`` stack of points and answers row by
+row; a point is the one-row case of the same array code, so a stacked call
+equals the per-point calls bit for bit.  Halfspace intersections loop over
+the rows.
 """
 
 from __future__ import annotations
@@ -23,6 +28,20 @@ def require_finite(name: str, value) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def row_norm(v: np.ndarray) -> np.ndarray:
+    """``||v||`` of a point (0-d), or of each row of a stack.
+
+    ``sqrt(vecdot(v, v))`` sums in the order ``np.linalg.norm`` does on one
+    row, so stacked and per-point norms agree bit for bit.
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
+def point_or_rows(value: np.ndarray) -> float | np.ndarray:
+    """A float for a point's result, the array for a stack's."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 class InfeasiblePointError(ValueError):
@@ -50,7 +69,11 @@ class ConeActivity:
 
 
 class FeasibleSet:
-    """Base type of the tagged union; concrete variants implement the geometry."""
+    """Base type of the tagged union; concrete variants implement the geometry.
+
+    Point arguments may be ``(k, n)`` stacks; results are then row-wise, and
+    ``infeasibility`` is that of the worst row.
+    """
 
     dimension: int
 
@@ -72,7 +95,7 @@ class FeasibleSet:
 
     def linear_min_over_ball(
         self, center: np.ndarray, D: float, cost: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    ) -> tuple[np.ndarray, float | np.ndarray]:
         raise UnsupportedSetError(
             f"linear minimization over set-and-ball is not supported for {type(self).__name__}"
         )
@@ -101,11 +124,10 @@ class WholeSpace(FeasibleSet):
     def linear_min_over_ball(self, center, D, cost):
         center = np.asarray(center, dtype=float)
         cost = np.asarray(cost, dtype=float)
-        norm = np.linalg.norm(cost)
-        if norm == 0.0:
-            return center.copy(), float(cost @ center)
-        z = center - D * cost / norm
-        return z, float(cost @ z)
+        norm = row_norm(cost)[..., None]
+        zero = norm == 0.0  # a zero cost stays at the center
+        z = np.where(zero, center, center - D * cost / np.where(zero, 1.0, norm))
+        return z, point_or_rows(np.vecdot(cost, z))
 
     def __repr__(self):
         return f"WholeSpace({self.dimension})"
@@ -146,52 +168,65 @@ class Box(FeasibleSet):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
         lo, hi = self._active_bounds(z)
-        out = v.copy()
-        out[lo] = np.maximum(out[lo], 0.0)  # only inward directions at the floor
-        out[hi] = np.minimum(out[hi], 0.0)
-        return out
+        out = np.where(lo, np.maximum(v, 0.0), v)  # only inward directions at the floor
+        return np.where(hi, np.minimum(out, 0.0), out)
 
     def project_normal_cone(self, z, v):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
         lo, hi = self._active_bounds(z)
-        out = np.zeros_like(v)
-        out[lo] = np.minimum(v[lo], 0.0)
-        out[hi & ~lo] = np.maximum(v[hi & ~lo], 0.0)
-        both = lo & hi  # pinned coordinate: normal cone is the whole line
-        out[both] = v[both]
-        return out
+        out = np.where(lo, np.minimum(v, 0.0), np.where(hi, np.maximum(v, 0.0), 0.0))
+        return np.where(lo & hi, v, out)  # pinned coordinate: normal cone is the whole line
 
     def linear_min_over_ball(self, center, D, cost):
         """Exact minimizer of ``<cost, z>`` over the box within distance D of ``center``.
 
-        Returns the box corner the cost points to when it lies in the ball.  Otherwise
-        walks the sorted breakpoints of ``t -> clip(center - t*cost, l, u)`` and solves
-        the piece that reaches D in closed form.  O(n log n), no iteration.
+        A row whose box corner (the one the cost points to) lies in the ball returns
+        it.  The others walk the sorted breakpoints of ``t -> clip(center - t*cost, l, u)``
+        and solve the piece that reaches D in closed form.  O(n log n) per row, no
+        iteration.
         """
         center = self._require_feasible(require_finite("center", center))
         cost = require_finite("cost", cost)
         if not 0 < D < np.inf:
             raise ValueError("D must be finite and positive")
-        g = cost / (np.abs(cost).max(initial=0.0) or 1.0)
+        c, g = np.atleast_2d(center), np.atleast_2d(cost)
+        top = np.abs(g).max(axis=1, initial=0.0, keepdims=True)
+        g = g / np.where(top == 0.0, 1.0, top)
         g[g * g < np.finfo(float).tiny] = 0.0  # drop components whose square is subnormal
         target = np.where(g > 0, self.l, np.where(g < 0, self.u, np.inf))  # inf if g_i = 0
-        corner = np.where(g != 0, target, center)
-        if np.linalg.norm(corner - center) <= D:  # the box minimizer is in the ball
-            return corner, float(cost @ corner)
-        cap = np.abs(target - center)
+        z = np.where(g != 0, target, c)
+        walk = ~(row_norm(z - c) <= D)  # rows whose box minimizer is outside the ball
+        if walk.any():
+            z[walk] = self._walk(c[walk], g[walk], target[walk], D)
+        if center.ndim == 1:
+            z = z[0]
+        return z, point_or_rows(np.vecdot(cost, z))
+
+    def _walk(self, c, g, target, D):
+        """Rows of ``clip(c - t*g, l, u)`` at the ``t`` where they reach distance D."""
+        rows, n = g.shape
+        cap = np.abs(target - c)
         breaks = cap / np.abs(g)
-        order = np.argsort(breaks)
-        p = np.count_nonzero(breaks < np.inf)  # coordinates that reach their bound
-        # with the first k of order at their bounds, ||z(t) - center|| = hypot(sat[k], t*free[k])
-        sat = np.sqrt(np.cumsum(np.concatenate(([0.0], cap[order[:p]] ** 2))))
-        free = np.sqrt(np.concatenate((np.cumsum(g[order[::-1]] ** 2)[::-1], [0.0])))
-        if free[p] == 0.0:  # every moving coordinate stops, at the corner outside the ball,
-            p -= 1  # so the walk ends before its last breakpoint
-        radius = np.hypot(sat[1 : p + 1], breaks[order[:p]] * free[1 : p + 1])  # at breakpoints
-        k = np.searchsorted(radius, D, side="right")
-        z = (center - np.sqrt((D - sat[k]) * (D + sat[k])) / free[k] * g).clip(self.l, self.u)
-        return z, float(cost @ z)
+        order = np.argsort(breaks, axis=1)
+        p = np.count_nonzero(breaks < np.inf, axis=1)  # coordinates that reach their bound
+        cap, g_sorted, breaks = (np.take_along_axis(a, order, axis=1) for a in (cap, g, breaks))
+        zero, end = np.zeros((rows, 1)), np.ones((rows, 1), dtype=bool)
+        # with the first k of order at their bounds, ||z(t) - c|| = hypot(sat[k], t*free[k])
+        sat = np.sqrt(np.cumsum(np.concatenate((zero, cap**2), axis=1), axis=1))
+        still_moving = np.cumsum(g_sorted[:, ::-1] ** 2, axis=1)[:, ::-1]
+        free = np.sqrt(np.concatenate((still_moving, zero), axis=1))
+        # every moving coordinate stops, at the corner outside the ball, so the
+        # walk ends before its last breakpoint
+        p -= np.take_along_axis(free, p[:, None], axis=1)[:, 0] == 0.0
+        on_path = np.arange(n) < p[:, None]
+        # the distance at each breakpoint on the path
+        radius = np.hypot(sat[:, 1:], np.where(on_path, breaks, 0.0) * free[:, 1:])
+        past = np.concatenate((~on_path | (radius > D), end), axis=1)
+        k = np.argmax(past, axis=1)[:, None]  # the first breakpoint past D ends the piece
+        sat_k = np.take_along_axis(sat, k, axis=1)
+        step = np.sqrt((D - sat_k) * (D + sat_k)) / np.take_along_axis(free, k, axis=1)
+        return (c - step * g).clip(self.l, self.u)
 
     def __repr__(self):
         return f"Box(l={self.l.tolist()}, u={self.u.tolist()})"
@@ -217,28 +252,24 @@ class Ball(FeasibleSet):
 
     def infeasibility(self, z):
         z = np.asarray(z, dtype=float)
-        return float(max(np.linalg.norm(z - self.center) - self.radius, 0.0))
+        return float(np.max(row_norm(z - self.center) - self.radius, initial=0.0))
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
         d = p - self.center
-        norm = np.linalg.norm(d)
-        if norm <= self.radius:
-            return p.copy()
-        return self.center + self.radius * d / norm
+        norm = row_norm(d)[..., None]
+        inside = norm <= self.radius
+        return np.where(inside, p, self.center + self.radius * d / np.where(inside, 1.0, norm))
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
         d = z - self.center
-        norm = np.linalg.norm(d)
-        if norm < self.radius * (1.0 - ACTIVITY_TOL):
-            return v.copy()
-        outward = d / norm
-        coeff = float(v @ outward)
-        if coeff <= 0:
-            return v.copy()
-        return v - coeff * outward
+        norm = row_norm(d)[..., None]
+        interior = norm < self.radius * (1.0 - ACTIVITY_TOL)
+        outward = d / np.where(interior, 1.0, norm)
+        coeff = np.vecdot(v, outward)[..., None]
+        return np.where(interior | (coeff <= 0), v, v - coeff * outward)
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -249,26 +280,25 @@ def _min_norm_point_over_halfspaces(
 ) -> np.ndarray:
     """Projection of ``p`` onto ``{z : A z >= b}`` by active-set enumeration.
 
-    Every subset of rows is solved as an equality-constrained least-squares
-    problem; among feasible candidates the closest wins, with ties broken by
-    smaller active set, then lexicographic subset order (enumeration order
-    already realizes that tie-break).
+    A feasible ``p`` is its own projection.  Otherwise every nonempty subset of
+    rows is solved as an equality-constrained least-squares problem; among
+    feasible candidates the closest wins, with ties broken by smaller active
+    set, then lexicographic subset order (enumeration order already realizes
+    that tie-break).
     """
+    scale = 1.0 + np.abs(rows_b).max()
+    if not np.min(rows_a @ p - rows_b, initial=0.0) < -1e-9 * scale:
+        return p.copy()  # at distance 0, no other candidate is strictly closer
     m = rows_a.shape[0]
     best: tuple[float, np.ndarray] | None = None
-    for size in range(m + 1):
+    for size in range(1, m + 1):
         for S in combinations(range(m), size):
-            if size == 0:
-                z = p.copy()
-            else:
-                A = rows_a[list(S)]
-                rhs = rows_b[list(S)] - A @ p
-                lam = np.linalg.lstsq(A @ A.T, rhs, rcond=None)[0]
-                z = p + A.T @ lam
-                if np.max(np.abs(A @ z - rows_b[list(S)])) > 1e-8 * (1.0 + np.abs(rows_b).max()):
-                    continue  # subset is inconsistent
-            slack = rows_a @ z - rows_b
-            if np.min(slack, initial=0.0) < -1e-9 * (1.0 + np.abs(rows_b).max()):
+            A, b = rows_a[list(S)], rows_b[list(S)]
+            lam = np.linalg.lstsq(A @ A.T, b - A @ p, rcond=None)[0]
+            z = p + A.T @ lam
+            if np.max(np.abs(A @ z - b)) > 1e-8 * scale:
+                continue  # subset is inconsistent
+            if np.min(rows_a @ z - rows_b, initial=0.0) < -1e-9 * scale:
                 continue
             d = float(np.sum((z - p) ** 2))
             if best is None or d < best[0] - tol * (1.0 + best[0]):
@@ -311,10 +341,15 @@ class HalfspaceIntersection(FeasibleSet):
 
     def infeasibility(self, z):
         z = np.asarray(z, dtype=float)
+        if z.ndim == 2:
+            return max((self.infeasibility(row) for row in z), default=0.0)
         return float(np.max(np.maximum(self.b - self.a @ z, 0.0), initial=0.0))
 
     def project(self, p):
-        return _min_norm_point_over_halfspaces(self.a, self.b, np.asarray(p, dtype=float))
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 2:
+            return np.array([self.project(row) for row in p]).reshape(p.shape)
+        return _min_norm_point_over_halfspaces(self.a, self.b, p)
 
     def activity(self, z: np.ndarray, tol: float = ACTIVITY_TOL) -> ConeActivity:
         z = np.asarray(z, dtype=float)
@@ -327,6 +362,9 @@ class HalfspaceIntersection(FeasibleSet):
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
+        if z.ndim == 2:
+            rows = [self.project_tangent_cone(z_row, v_row) for z_row, v_row in zip(z, v)]
+            return np.array(rows).reshape(v.shape)
         active = self.activity(z).active_rows
         if not active:
             return v.copy()

@@ -3,12 +3,14 @@
 Both solvers fill array trajectories: ``(T+1, n)`` iterates and cached
 operator values, plus ``(T, n)`` half iterates for EG.  Every measure series
 along a run (residuals, step distances, gap, distance to a solution) is
-defined once, in :meth:`Trajectory.series`.  The rate reports evaluate each
-convergence theorem as an array inequality over the step index with an
-explicit signed slack.  A negative slack beyond tolerance means a theorem was
-violated numerically, which for a correct implementation on a genuinely
-monotone instance should never happen.  A check the instance cannot support
-(no gap oracle on the set, or no strong monotonicity) is listed in
+defined once, in :meth:`Trajectory.series`, as one array call: the point
+measures and the set geometry take a ``(k, n)`` stack of iterates with their
+cached operator values as they take a single point.  The rate reports
+evaluate each convergence theorem as an array inequality over the step index
+with an explicit signed slack.  A negative slack beyond tolerance means a
+theorem was violated numerically, which for a correct implementation on a
+genuinely monotone instance should never happen.  A check the instance cannot
+support (no gap oracle on the set, or no strong monotonicity) is listed in
 ``RateReport.skipped`` with the reason.
 """
 
@@ -52,6 +54,12 @@ class ReferenceSolveError(RuntimeError):
         self.best_residual = best_residual
 
 
+def _require_step_size(eta: float) -> None:
+    """Raise ``ValueError`` naming ``eta`` unless ``0 < eta < inf``."""
+    if not 0 < eta < math.inf:
+        raise ValueError(f"step size eta must be finite and positive, got {eta}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     eta: float
@@ -60,8 +68,7 @@ class SolverConfig:
     inner_max: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"step size eta must be finite and positive, got {self.eta}")
+        _require_step_size(self.eta)
         if self.T < 0:
             raise ValueError("iteration count T must be nonnegative")
 
@@ -103,16 +110,17 @@ class Trajectory:
         to ``z_star``) have one value per iterate; the step distances have one
         per step, ``||z_k - z_{k+1/2}||`` and ``||z_k - z_{k+1}||``.  ``gap``
         raises :class:`UnsupportedSetError` on sets without a gap oracle.
+        Each series is one call on the arrays.
         """
         inst, zs = self.instance, self.iterates
         if name == "natural-residual":
-            return np.array([natural_residual(inst, z) for z in zs[ks]])
+            return natural_residual(inst, zs[ks], self.operator_values[ks])
         if name == "tangent-residual":
-            return np.array([tangent_residual(inst, z) for z in zs[ks]])
+            return tangent_residual(inst, zs[ks], self.operator_values[ks])
         if name == "gap":
             if D is None:
                 raise ValueError("the gap series needs a radius D")
-            return np.array([gap(inst, z, D) for z in zs[ks]])
+            return gap(inst, zs[ks], D, self.operator_values[ks])
         if name == "dist-to-solution":
             if z_star is None:
                 raise ValueError("the distance series needs a solution z_star")
@@ -155,8 +163,7 @@ def _warn_or_raise_step(inst: VIInstance, eta: float, strict: bool) -> None:
 
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
+    _require_step_size(eta)
     z_k = np.asarray(z_k, dtype=float)
     z_half = inst.set.project(z_k - eta * inst.operator(z_k))
     z_next = inst.set.project(z_k - eta * inst.operator(z_half))
@@ -207,6 +214,7 @@ def pp_step(
     ``eta * L``, so ``eta * L < 1`` is a hard requirement here, not just a
     theory assumption.
     """
+    _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError(
             f"pp_step needs eta * L < 1 for the inner contraction "
@@ -242,6 +250,7 @@ def solve_reference(
     z0: np.ndarray | None = None,
 ) -> np.ndarray:
     """High-accuracy solution by running EG until the natural residual is tiny."""
+    _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError("solve_reference needs eta * L < 1")
     z = (

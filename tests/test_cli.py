@@ -112,6 +112,26 @@ class TestSolveCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field, M, q",
+        [
+            ("M", [[1.0, float("nan")], [0.0, 1.0]], [0.0, 0.0]),
+            ("q", [[1.0, 0.0], [0.0, 1.0]], [float("inf"), 0.0]),
+        ],
+    )
+    def test_non_finite_operator_exits_one_naming_field(self, tmp_path, capsys, field, M, q):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "operator": {"type": "affine", "M": M, "q": q},
+            "set": {"type": "box", "l": [-1.0, -1.0], "u": [1.0, 1.0]},
+        }))
+        code = main([
+            "solve", "--instance", str(path), "--eta", "0.1", "--T", "3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded
         # squared natural residual in the k=0 measure row
@@ -199,3 +219,27 @@ class TestOneRunAndReportPath:
         gap_column = [float(row.split(",")[3]) for row in rows]
         rates = json.loads((out_dir / "rates.json").read_text())
         assert rates["checks"]["last_iterate_gap_rate"]["lhs"] == gap_column[1:]
+
+    def test_box_geometry_calls_do_not_grow_with_T(self, tmp_path, monkeypatch):
+        # each series is one stacked call, so a longer run makes no more calls
+        calls = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                calls.append(method.__name__)
+                return method(self, *args)
+
+            return wrapper
+
+        for name in ("linear_min_over_ball", "project_tangent_cone"):
+            monkeypatch.setattr(Box, name, counted(getattr(Box, name)))
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        counts = []
+        for T in (10, 100):
+            calls.clear()
+            assert main([
+                "solve", "--instance", str(path), "--eta", "0.3", "--T", str(T), "--z0", "1,1",
+                "--out", str(tmp_path / f"T{T}"),
+            ]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4

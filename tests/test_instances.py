@@ -87,6 +87,21 @@ class TestEvalOperator:
             op(np.zeros(3))
 
 
+class TestCreateRejectsNonFinite:
+    # a NaN in M used to surface as a PowerIterationError, an inf in q not at all
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrix(self, bad):
+        M = np.eye(2)
+        M[0, 1] = bad
+        with pytest.raises(ValueError, match="^M must be finite"):
+            AffineOperator.create(M, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_offset(self, bad):
+        with pytest.raises(ValueError, match="^q must be finite"):
+            AffineOperator.create(np.eye(2), np.array([bad, 0.0]))
+
+
 class TestEstimateConstants:
     def test_identity(self):
         lip, gamma = estimate_constants(AffineOperator.create(np.eye(3), np.zeros(3)))

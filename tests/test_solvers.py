@@ -62,11 +62,33 @@ class TestEgStep:
         np.testing.assert_allclose(z2, [0.19396855, 0.48164918, 0.40193211, 0.56061753], rtol=0, atol=1e-7)
 
 
+BAD_STEP_SIZES = [float("nan"), float("inf"), 0.0, -1.0]
+
+
 class TestSolverConfig:
-    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("eta", BAD_STEP_SIZES)
     def test_step_size_must_be_finite_and_positive(self, eta):
         with pytest.raises(ValueError, match="eta"):
             SolverConfig(eta=eta, T=1)
+
+
+class TestStepFunctionsCheckEta:
+    # a NaN eta used to give NaN iterates (eg_step), 10 000 Picard iterations
+    # and an InnerSolveError (pp_step), or up to 2M EG iterations (solve_reference)
+    @pytest.mark.parametrize("eta", BAD_STEP_SIZES)
+    def test_eg_step(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            eg_step(zero_operator_instance(), eta, np.ones(2))
+
+    @pytest.mark.parametrize("eta", BAD_STEP_SIZES)
+    def test_pp_step(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            pp_step(scalar_identity_instance(), eta, np.array([1.0]))
+
+    @pytest.mark.parametrize("eta", BAD_STEP_SIZES)
+    def test_solve_reference(self, eta):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            solve_reference(scalar_identity_instance(), eta)
 
 
 class TestArrayTrajectories:

@@ -1,0 +1,236 @@
+"""A ``(k, n)`` stack of points gives, row for row, bit for bit, what the
+per-point calls give: for every set operation and every point measure."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from egtan.instances import AffineOperator, DimensionMismatchError, VIInstance
+from egtan.measures import gap, natural_residual, tangent_residual
+from egtan.sets import (
+    Ball,
+    Box,
+    HalfspaceIntersection,
+    InfeasiblePointError,
+    NonnegativeOrthant,
+    UnsupportedSetError,
+    WholeSpace,
+)
+
+KINDS = ("box", "orthant", "rn", "ball", "halfspaces")
+
+
+def assert_bitwise_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected, dtype=float)
+    np.testing.assert_array_equal(got, expected)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()  # signs of zeros too
+
+
+def row_by_row(fn, *stacks):
+    return np.array([fn(*rows) for rows in zip(*stacks)])
+
+
+def has_gap_oracle(feasible):
+    return isinstance(feasible, (Box, WholeSpace))
+
+
+def _box_rows(draw, n, k, orthant):
+    """A box with finite, half-infinite, free and pinned coordinates, and rows
+    on and inside its bounds."""
+    l, u, ref = [], [], []
+    for _ in range(n):
+        kind = "lower" if orthant else draw(
+            st.sampled_from(["finite", "lower", "upper", "free", "pinned"])
+        )
+        a = 0.0 if orthant else draw(st.floats(-10.0, 10.0))
+        width = draw(st.floats(0.01, 10.0))
+        lo = a if kind in ("finite", "lower", "pinned") else -np.inf
+        hi = {"finite": a + width, "upper": a, "pinned": a}.get(kind, np.inf)
+        ref_lo = lo if np.isfinite(lo) else (hi if np.isfinite(hi) else a) - width
+        ref_hi = hi if np.isfinite(hi) else ref_lo + width
+        l.append(lo)
+        u.append(hi)
+        ref.append((ref_lo, ref_hi))
+    feasible = NonnegativeOrthant(n) if orthant else Box(np.array(l), np.array(u))
+    Z = np.empty((k, n))
+    for r in range(k):
+        for i, (ref_lo, ref_hi) in enumerate(ref):
+            spot = draw(st.sampled_from(["lower", "upper", "inside"]))
+            c = {"lower": ref_lo, "upper": ref_hi}.get(
+                spot, ref_lo + draw(st.floats(0.0, 1.0)) * (ref_hi - ref_lo)
+            )
+            Z[r, i] = min(max(c, feasible.l[i]), feasible.u[i])
+    return feasible, Z
+
+
+@st.composite
+def stacked_problems(draw):
+    """A set, feasible rows ``Z``, direction/cost rows ``V``, rows ``P`` to project, a
+    radius ``D`` and an operator.  ``V`` has zero entries and whole zero rows."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("box", "orthant"):
+        feasible, Z = _box_rows(draw, n, k, kind == "orthant")
+    elif kind == "rn":
+        feasible, Z = WholeSpace(n), rng.uniform(-3.0, 3.0, (k, n))
+    elif kind == "ball":
+        feasible = Ball(rng.standard_normal(n), float(rng.uniform(0.5, 2.0)))
+        d = rng.standard_normal((k, n))
+        scale = [draw(st.sampled_from([0.0, 1.0, float(rng.random())])) for _ in range(k)]
+        Z = feasible.center + feasible.radius * np.array(scale)[:, None] * d / np.linalg.norm(
+            d, axis=1, keepdims=True
+        )  # center, on the sphere, or inside
+    else:
+        m = draw(st.integers(1, 3))
+        a = rng.standard_normal((m, n))
+        z0 = rng.standard_normal(n)
+        feasible = HalfspaceIntersection(list(zip(a, a @ z0 - rng.uniform(0.0, 0.5, m))))
+        projected = [feasible.project(p) for p in rng.uniform(-3.0, 3.0, (k, n))]  # on faces
+        Z = np.array([p if feasible.contains(p) else z0 for p in projected])
+    entry = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+    V = np.array([[0.0] * n if draw(st.integers(0, 4)) == 0 else [draw(entry) for _ in range(n)]
+                  for _ in range(k)])
+    P = rng.uniform(-5.0, 5.0, (k, n))
+    D = 10.0 ** draw(st.floats(-2.0, 2.0))
+    op = AffineOperator.create(rng.standard_normal((n, n)), rng.standard_normal(n), 1.0, 0.0)
+    return feasible, Z, V, P, D, op
+
+
+# One stack on [0, 1] x [0, inf) at D = 0.65, row by row: D before the first
+# breakpoint, between two, the corner inside the ball, a zero cost, D past the
+# last finite breakpoint (riding the unbounded axis), and a point on two bounds.
+WALK_CASES = (
+    Box(np.zeros(2), np.array([1.0, np.inf])),
+    np.array([[0.9, 0.9], [0.5, 0.5], [0.2, 0.1], [0.5, 0.5], [0.1, 0.5], [0.0, 0.0]]),
+    np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]]),
+    np.array([[2.0, -1.0], [0.5, 0.5], [-1.0, 3.0], [0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]),
+    0.65,
+    AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([1.0, -2.0]), 1.0, 0.0),
+)
+
+
+@settings(max_examples=300)
+@given(stacked_problems())
+@example(WALK_CASES)
+def test_set_operations_match_row_by_row(problem):
+    feasible, Z, V, P, D, _ = problem
+    assert_bitwise_equal(feasible.project(P), row_by_row(feasible.project, P))
+    for method in (feasible.project_tangent_cone, feasible.project_normal_cone):
+        assert_bitwise_equal(method(Z, V), row_by_row(method, Z, V))
+    if not has_gap_oracle(feasible):
+        with pytest.raises(UnsupportedSetError):
+            feasible.linear_min_over_ball(Z, D, V)
+        return
+    z, value = feasible.linear_min_over_ball(Z, D, V)
+    singles = [feasible.linear_min_over_ball(c, D, g) for c, g in zip(Z, V)]
+    assert_bitwise_equal(z, [s[0] for s in singles])
+    assert_bitwise_equal(value, [s[1] for s in singles])
+    assert all(isinstance(s[1], float) for s in singles)
+    assert feasible.infeasibility(z) == 0.0
+    assert np.all(np.linalg.norm(z - Z, axis=1) <= D * (1 + 1e-12))
+    still = ~V.any(axis=1)  # a zero cost stays at the center
+    np.testing.assert_array_equal(z[still], Z[still])
+
+
+@settings(max_examples=200)
+@given(stacked_problems())
+@example(WALK_CASES)
+def test_measures_match_row_by_row(problem):
+    feasible, Z, _, _, D, op = problem
+    inst = VIInstance.create(op, feasible)
+    F = row_by_row(op, Z)
+    measures = [natural_residual, tangent_residual]
+    if has_gap_oracle(feasible):
+        measures.append(lambda inst, z, F_z=None: gap(inst, z, D, F_z))
+    else:
+        with pytest.raises(UnsupportedSetError):
+            gap(inst, Z, D, F)
+    for measure in measures:
+        singles = [measure(inst, z) for z in Z]
+        assert all(isinstance(s, float) for s in singles)
+        assert_bitwise_equal(measure(inst, Z), singles)
+        assert_bitwise_equal(measure(inst, Z, F), singles)
+        assert_bitwise_equal(row_by_row(lambda z, F_z: measure(inst, z, F_z), Z, F), singles)
+    # the point measures are the 1-D norms of their definitions, to the bit
+    assert_bitwise_equal([natural_residual(inst, z) for z in Z],
+                         [np.linalg.norm(z - feasible.project(z - op(z))) for z in Z])
+    assert_bitwise_equal([tangent_residual(inst, z) for z in Z],
+                         [np.linalg.norm(feasible.project_tangent_cone(z, -op(z))) for z in Z])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_stack(kind):
+    n = 3
+    feasible = {
+        "box": Box(-np.ones(n), np.ones(n)),
+        "orthant": NonnegativeOrthant(n),
+        "rn": WholeSpace(n),
+        "ball": Ball(np.zeros(n), 1.0),
+        "halfspaces": HalfspaceIntersection([(np.ones(n), -1.0)]),
+    }[kind]
+    empty = np.empty((0, n))
+    assert feasible.project(empty).shape == (0, n)
+    assert feasible.project_tangent_cone(empty, empty).shape == (0, n)
+    assert feasible.project_normal_cone(empty, empty).shape == (0, n)
+    inst = VIInstance.create(AffineOperator.create(np.eye(n), np.zeros(n)), feasible)
+    assert tangent_residual(inst, empty).shape == (0,)
+    assert natural_residual(inst, empty).shape == (0,)
+    if has_gap_oracle(feasible):
+        z, value = feasible.linear_min_over_ball(empty, 1.0, empty)
+        assert z.shape == (0, n) and value.shape == (0,)
+        assert gap(inst, empty, 1.0).shape == (0,)
+
+
+OUTSIDE = {  # a set, two feasible rows, and a point infeasible by 0.5
+    "box": (Box(np.zeros(2), np.ones(2)), [[0.5, 0.5], [1.0, 0.0]], [1.5, 0.5]),
+    "orthant": (NonnegativeOrthant(2), [[0.5, 0.5], [0.0, 2.0]], [-0.5, 1.0]),
+    "ball": (Ball(np.zeros(2), 1.0), [[0.5, 0.5], [1.0, 0.0]], [0.9, 1.2]),
+    "halfspaces": (HalfspaceIntersection([(np.array([1.0, 0.0]), 0.0)]), [[0.5, 0.5], [0.0, 3.0]],
+                   [-0.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OUTSIDE))
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_one_infeasible_row_raises(kind, row):
+    feasible, rows, outside = OUTSIDE[kind]
+    Z = np.insert(np.array(rows), row, outside, axis=0)
+    V = np.ones_like(Z)
+    for method in (feasible.project_tangent_cone, feasible.project_normal_cone):
+        with pytest.raises(InfeasiblePointError) as err:
+            method(Z, V)
+        assert err.value.magnitude == pytest.approx(0.5)
+    if has_gap_oracle(feasible):
+        with pytest.raises(InfeasiblePointError):
+            feasible.linear_min_over_ball(Z, 1.0, V)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_nan_in_any_row_is_named(row):
+    box = Box(np.zeros(2), np.ones(2))
+    inst = VIInstance.create(AffineOperator.create(np.eye(2), np.zeros(2)), box)
+    good = np.full((3, 2), 0.5)
+    bad = good.copy()
+    bad[row, 1] = np.nan
+    with pytest.raises(ValueError, match="^center must be finite"):
+        box.linear_min_over_ball(bad, 1.0, good)
+    with pytest.raises(ValueError, match="^cost must be finite"):
+        box.linear_min_over_ball(good, 1.0, bad)
+    with pytest.raises(ValueError, match="^z must be finite"):
+        gap(inst, bad, 1.0)
+    with pytest.raises(ValueError, match="^z must be finite"):
+        gap(inst, bad, 1.0, F_z=good)
+
+
+def test_cached_operator_values_must_match_the_stack():
+    box = Box(np.zeros(2), np.ones(2))
+    inst = VIInstance.create(AffineOperator.create(np.eye(2), np.zeros(2)), box)
+    Z = np.full((3, 2), 0.5)
+    for measure in (natural_residual, tangent_residual):
+        with pytest.raises(DimensionMismatchError, match="F_z"):
+            measure(inst, Z, Z[:2])
+    with pytest.raises(DimensionMismatchError, match="F_z"):
+        gap(inst, Z, 1.0, Z[0])
