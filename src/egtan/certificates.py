@@ -46,14 +46,6 @@ ALL_TERM_NAMES = LHS_TERM_NAMES + RHS_TERM_NAMES
 BRANCHES = ("nonneg", "neg")
 
 
-class IdentityError(ValueError):
-    """An identity check failed; carries the first offending monomial."""
-
-    def __init__(self, message: str, monomial: str | None = None):
-        super().__init__(message)
-        self.monomial = monomial
-
-
 class DegenerateFrameError(ValueError):
     """The three observed normals are (numerically) linearly dependent."""
 

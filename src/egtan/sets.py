@@ -3,24 +3,24 @@
 Every set projects onto itself and onto the tangent cone at a feasible point;
 the normal cone follows by Moreau's decomposition.  Box-like sets also minimize
 a linear cost exactly over set ∩ ball, for the gap function, by a breakpoint
-walk.  Halfspace intersections enumerate active sets: exact, meant for few rows.
+walk.  Halfspace intersections project by least-distance programming: one
+Lawson–Hanson NNLS solve of its dual picks the active rows, exact and finite
+for any number of rows.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
-equals the per-point calls bit for bit.  Halfspace intersections loop over
-the rows.
+equals the per-point calls bit for bit.  Halfspace projections loop over the
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 ACTIVITY_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
-MAX_HALFSPACE_ROWS = 8
 
 
 def require_finite(name: str, value) -> np.ndarray:
@@ -141,6 +141,10 @@ class Box(FeasibleSet):
         u = np.array(u, dtype=float)
         if l.shape != u.shape or l.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
+        if not np.all(l < np.inf):  # false for nan too
+            raise ValueError("l must not be nan or +inf")
+        if not np.all(u > -np.inf):
+            raise ValueError("u must not be nan or -inf")
         if np.any(l > u):
             raise ValueError("box bounds must satisfy l <= u componentwise")
         l.flags.writeable = False
@@ -242,9 +246,9 @@ class NonnegativeOrthant(Box):
 
 class Ball(FeasibleSet):
     def __init__(self, center: np.ndarray, radius: float):
-        center = np.array(center, dtype=float)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        center = require_finite("center", np.array(center, dtype=float))
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be finite and positive")
         center.flags.writeable = False
         self.center = center
         self.radius = float(radius)
@@ -275,101 +279,99 @@ class Ball(FeasibleSet):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
 
-def _min_norm_point_over_halfspaces(
-    rows_a: np.ndarray, rows_b: np.ndarray, p: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """Projection of ``p`` onto ``{z : A z >= b}`` by active-set enumeration.
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Lawson–Hanson NNLS, ``argmin ||E x - f||`` over ``x >= 0``, in bounded passes."""
+    m = E.shape[1]
+    x, passive, skip = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
 
-    A feasible ``p`` is its own projection.  Otherwise every nonempty subset of
-    rows is solved as an equality-constrained least-squares problem; among
-    feasible candidates the closest wins, with ties broken by smaller active
-    set, then lexicographic subset order (enumeration order already realizes
-    that tie-break).
+    def solve():
+        s = np.zeros(m)
+        s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+        return s
+
+    for _ in range(3 * m + 3):
+        w = np.where(passive | skip, -np.inf, E.T @ (f - E @ x))
+        if not w.max() > 10 * np.finfo(float).eps * sum(E.shape):
+            return x
+        t = w.argmax()
+        passive[t] = True
+        s = solve()
+        if not s[t] > 0:  # column t adds only rounding: pass it over until the next admission
+            passive[t], skip[t] = False, True
+            continue
+        skip[:] = False
+        while not np.all(s[passive] > 0):  # step toward s until a passive entry hits 0
+            blocked = np.flatnonzero(passive & (s <= 0))
+            ratio = x[blocked] / (x[blocked] - s[blocked])
+            x = x + ratio.min() * (s - x)
+            x[blocked[ratio.argmin()]] = 0.0
+            passive &= x > 0
+            s = solve()
+        x = s
+    raise np.linalg.LinAlgError(f"NNLS did not settle in {3 * m + 3} passes")
+
+
+def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Projection of ``p`` onto ``{z : a z >= b}`` by least-distance programming.
+
+    ``z - p`` is the shortest ``y`` with ``a y >= h = b - a p``.  NNLS on its dual,
+    ``[a^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23; unit rows, ``max h = 1``),
+    picks the rows with positive multipliers, and ``z`` meets them as equalities.
+    An empty set leaves a zero dual residual, so ``z`` comes back infeasible.
     """
-    scale = 1.0 + np.abs(rows_b).max()
-    if not np.min(rows_a @ p - rows_b, initial=0.0) < -1e-9 * scale:
-        return p.copy()  # at distance 0, no other candidate is strictly closer
-    m = rows_a.shape[0]
-    best: tuple[float, np.ndarray] | None = None
-    for size in range(1, m + 1):
-        for S in combinations(range(m), size):
-            A, b = rows_a[list(S)], rows_b[list(S)]
-            lam = np.linalg.lstsq(A @ A.T, b - A @ p, rcond=None)[0]
-            z = p + A.T @ lam
-            if np.max(np.abs(A @ z - b)) > 1e-8 * scale:
-                continue  # subset is inconsistent
-            if np.min(rows_a @ z - rows_b, initial=0.0) < -1e-9 * scale:
-                continue
-            d = float(np.sum((z - p) ** 2))
-            if best is None or d < best[0] - tol * (1.0 + best[0]):
-                best = (d, z)
-    if best is None:
-        raise EmptySetError("halfspace intersection appears to be empty")
-    return best[1]
+    scale = 1.0 + np.abs(b).max(initial=0.0)
+    if not np.min(a @ p - b, initial=0.0) < -1e-9 * scale:
+        return p.copy()  # also when there are no rows
+    norms = row_norm(a)
+    h = (b - a @ p) / norms
+    S = np.flatnonzero(_nnls(np.vstack(((a / norms[:, None]).T, h / h.max())),
+                             np.eye(len(p) + 1)[-1]) > 0)
+    z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
+    if np.min(a @ z - b) < -1e-9 * scale:
+        raise EmptySetError("halfspace intersection is empty")
+    return z
 
 
 class HalfspaceIntersection(FeasibleSet):
-    """``{z : <a_i, z> >= b_i for all i}`` with at most 8 rows."""
+    """``{z : <a_i, z> >= b_i for all i}``; finite rows, nonzero normals."""
 
     def __init__(self, rows: list[tuple[np.ndarray, float]]):
         if not rows:
             raise ValueError("at least one halfspace row is required")
-        if len(rows) > MAX_HALFSPACE_ROWS:
-            raise ValueError(f"at most {MAX_HALFSPACE_ROWS} rows are supported")
-        a_rows = []
-        b_rows = []
-        dim = None
-        for a, b in rows:
-            a = np.array(a, dtype=float)
-            if dim is None:
-                dim = a.shape[0]
-            if a.shape != (dim,):
-                raise ValueError("all rows must share the ambient dimension")
-            if np.linalg.norm(a) == 0.0:
-                raise ValueError("halfspace normals must be nonzero")
-            a_rows.append(a)
-            b_rows.append(float(b))
-        self.a = np.array(a_rows)
-        self.b = np.array(b_rows)
+        a_rows = [np.array(a, dtype=float) for a, _ in rows]
+        if any(a.ndim != 1 or a.shape != a_rows[0].shape for a in a_rows):
+            raise ValueError("all rows must share the ambient dimension")
+        self.a = require_finite("a", np.array(a_rows))
+        self.b = require_finite("b", np.array([float(b) for _, b in rows]))
+        if np.any(row_norm(self.a) == 0.0):
+            raise ValueError("halfspace normals must be nonzero")
         self.a.flags.writeable = False
         self.b.flags.writeable = False
-        self.dimension = dim
-        # nonempty check: the projection of the origin must come back feasible
-        probe = _min_norm_point_over_halfspaces(self.a, self.b, np.zeros(dim))
-        if self.infeasibility(probe) > 1e-7 * (1.0 + np.abs(self.b).max()):
-            raise EmptySetError("halfspace intersection appears to be empty")
+        self.dimension = self.a.shape[1]
+        self.project(np.zeros(self.dimension))  # raises EmptySetError on an empty set
 
     def infeasibility(self, z):
         z = np.asarray(z, dtype=float)
-        if z.ndim == 2:
-            return max((self.infeasibility(row) for row in z), default=0.0)
-        return float(np.max(np.maximum(self.b - self.a @ z, 0.0), initial=0.0))
+        return float(np.max(np.maximum(self.b - (self.a @ z.T).T, 0.0), initial=0.0))
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
-        if p.ndim == 2:
-            return np.array([self.project(row) for row in p]).reshape(p.shape)
-        return _min_norm_point_over_halfspaces(self.a, self.b, p)
+        rows = [_min_norm_point_over_halfspaces(self.a, self.b, row) for row in np.atleast_2d(p)]
+        return np.array(rows).reshape(p.shape)
 
     def activity(self, z: np.ndarray, tol: float = ACTIVITY_TOL) -> ConeActivity:
         z = np.asarray(z, dtype=float)
-        resid = np.abs(self.a @ z - self.b)
-        active = tuple(
-            int(i) for i in range(self.a.shape[0]) if resid[i] <= tol * (1.0 + abs(self.b[i]))
-        )
-        return ConeActivity(active_rows=active, activity_tolerance=tol)
+        active = np.flatnonzero(np.abs(self.a @ z - self.b) <= tol * (1.0 + np.abs(self.b)))
+        return ConeActivity(active_rows=tuple(active.tolist()), activity_tolerance=tol)
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
-        if z.ndim == 2:
-            rows = [self.project_tangent_cone(z_row, v_row) for z_row, v_row in zip(z, v)]
-            return np.array(rows).reshape(v.shape)
-        active = self.activity(z).active_rows
-        if not active:
-            return v.copy()
-        rows = self.a[list(active)]
-        return _min_norm_point_over_halfspaces(rows, np.zeros(len(active)), v)
+        rows = []
+        for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v)):
+            a = self.a[list(self.activity(z_row).active_rows)]
+            rows.append(_min_norm_point_over_halfspaces(a, np.zeros(len(a)), v_row))
+        return np.array(rows).reshape(v.shape)
 
     def __repr__(self):
         return f"HalfspaceIntersection({len(self.b)} rows, dim {self.dimension})"

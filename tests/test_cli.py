@@ -132,6 +132,27 @@ class TestSolveCommand:
         assert code == 1
         assert f"error: {field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, feasible_set",
+        [
+            ("l", {"type": "box", "l": [float("nan"), -1.0], "u": [1.0, 1.0]}),
+            ("radius", {"type": "ball", "center": [0.0, 0.0], "radius": float("inf")}),
+            ("a", {"type": "halfspaces", "rows": [{"a": [float("nan"), 1.0], "b": 0.0}]}),
+        ],
+    )
+    def test_non_finite_set_exits_one_naming_field(self, tmp_path, capsys, field, feasible_set):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "operator": {"type": "affine", "M": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]},
+            "set": feasible_set,
+        }))
+        code = main([
+            "solve", "--instance", str(path), "--eta", "0.1", "--T", "3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert f"error: {field} must" in capsys.readouterr().err
+
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded
         # squared natural residual in the k=0 measure row

@@ -1,0 +1,127 @@
+"""Property test of the halfspace projection: a KKT certificate for every
+draw, and agreement with exhaustive active-set enumeration on few rows."""
+
+from itertools import combinations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from egtan.sets import EmptySetError, HalfspaceIntersection, _nnls
+
+
+def _min_norm_point_over_halfspaces(
+    rows_a: np.ndarray, rows_b: np.ndarray, p: np.ndarray, tol: float = 1e-10
+) -> np.ndarray:
+    """Projection of ``p`` onto ``{z : A z >= b}`` by active-set enumeration.
+
+    A feasible ``p`` is its own projection.  Otherwise every nonempty subset of
+    rows is solved as an equality-constrained least-squares problem; among
+    feasible candidates the closest wins, with ties broken by smaller active
+    set, then lexicographic subset order (enumeration order already realizes
+    that tie-break).
+    """
+    scale = 1.0 + np.abs(rows_b).max()
+    if not np.min(rows_a @ p - rows_b, initial=0.0) < -1e-9 * scale:
+        return p.copy()  # at distance 0, no other candidate is strictly closer
+    m = rows_a.shape[0]
+    best: tuple[float, np.ndarray] | None = None
+    for size in range(1, m + 1):
+        for S in combinations(range(m), size):
+            A, b = rows_a[list(S)], rows_b[list(S)]
+            lam = np.linalg.lstsq(A @ A.T, b - A @ p, rcond=None)[0]
+            z = p + A.T @ lam
+            if np.max(np.abs(A @ z - b)) > 1e-8 * scale:
+                continue  # subset is inconsistent
+            if np.min(rows_a @ z - rows_b, initial=0.0) < -1e-9 * scale:
+                continue
+            d = float(np.sum((z - p) ** 2))
+            if best is None or d < best[0] - tol * (1.0 + best[0]):
+                best = (d, z)
+    if best is None:
+        raise EmptySetError("halfspace intersection appears to be empty")
+    return best[1]
+
+
+@st.composite
+def halfspace_problems(draw):
+    """Rows with small integer entries that all hold at an anchor point.
+
+    Later rows may repeat an earlier row, scale it (a negative factor makes a
+    slab), or add two earlier rows and their offsets (a redundant row).  Half
+    the draws are cones: every offset 0, so the apex sits at the origin.  The
+    point is the anchor itself (a quarter of the draws) or any point of a box
+    around it.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 20))
+    small = st.integers(-3, 3)
+    is_cone = draw(st.booleans())
+    anchor = np.zeros(n) if is_cone else np.array(draw(st.lists(small, min_size=n, max_size=n)))
+    slack = st.just(0) if is_cone else st.integers(0, 2)
+    a_rows, b_rows = [], []
+    for _ in range(m):
+        kinds = ["duplicate", "parallel", "redundant", "new"] if a_rows else ["new"]
+        kind = draw(st.sampled_from(kinds))
+        i, j = (draw(st.integers(0, len(a_rows) - 1)) for _ in "ij") if a_rows else (0, 0)
+        if kind == "duplicate":
+            a, b = a_rows[i], b_rows[i]
+        elif kind == "redundant" and (a_rows[i] + a_rows[j]).any():
+            a, b = a_rows[i] + a_rows[j], b_rows[i] + b_rows[j] - draw(slack)
+        else:
+            if kind == "parallel":
+                a = a_rows[i] * draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 2.0]))
+            else:
+                a = np.array(draw(st.lists(small, min_size=n, max_size=n).filter(any)), dtype=float)
+            b = float(a @ anchor) - draw(slack)
+        a_rows.append(a)
+        b_rows.append(b)
+    if draw(st.integers(0, 3)) == 0:
+        p = anchor.astype(float)
+    else:
+        p = anchor + np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return np.array(a_rows, dtype=float), np.array(b_rows, dtype=float), p
+
+
+def assert_kkt(A, b, p, z):
+    """``z`` is feasible and ``z - p = A^T lam`` with ``lam >= 0`` on the active rows only."""
+    tol = 1e-9 * (1.0 + np.abs(b).max() + np.abs(p).max())
+    slack = A @ z - b
+    assert slack.min() >= -tol
+    lam = np.zeros(len(b))
+    active = slack <= tol
+    if active.any():
+        lam[active] = _nnls(A[active].T, z - p)
+    assert lam.min() >= 0.0
+    np.testing.assert_allclose(A.T @ lam, z - p, rtol=0, atol=tol)
+    assert abs(lam @ slack) <= tol * (1.0 + lam.sum())
+
+
+@settings(max_examples=400)
+@given(halfspace_problems())
+# five rows through the origin of R^2: a line as two opposite rows, a
+# duplicated row and one more direction
+@example((
+    np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]]),
+    np.array([0.0, 0.0, 0.0, 0.0, 0.0]),
+    np.array([-3.0, 1.5]),
+))
+# a hyperplane through 0 as eight multiples of one row; rounding offers the
+# NNLS dependent columns, which it must pass over
+@example((
+    np.outer([1.0, -1.0, -1.0, 1.0, 1.0, 2.0, 3.0, 1.0], [-1.0, -1.0, 2.0, 2.0, 2.0]),
+    np.zeros(8),
+    np.array([7.259499937437507, 3.2799178057305376, -4.22324732605746, 5.798510600475906,
+              3.691085803741821]),
+))
+def test_halfspace_projection_kkt_and_enumeration(problem):
+    A, b, p = problem
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    z = feasible.project(p)
+    assert_kkt(A, b, p, z)
+    if len(b) <= 6:
+        np.testing.assert_allclose(
+            z, _min_norm_point_over_halfspaces(A, b, p), rtol=0, atol=1e-11
+        )
+    if not b.any():  # a cone is its own tangent cone at the apex
+        np.testing.assert_array_equal(feasible.project_tangent_cone(np.zeros_like(p), p), z)

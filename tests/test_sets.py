@@ -82,10 +82,69 @@ class TestProject:
                 [(np.array([1.0, 0.0]), 1.0), (np.array([-1.0, 0.0]), 1.0)]
             )
 
-    def test_row_cap(self):
-        rows = [(np.ones(2), -float(i)) for i in range(9)]
-        with pytest.raises(ValueError, match="at most 8"):
+    def test_many_rows_build_and_project(self):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((20, 4))
+        feasible = HalfspaceIntersection(list(zip(a, a @ rng.standard_normal(4) - 0.5)))
+        for _ in range(20):
+            p = 5.0 * rng.standard_normal(4)
+            z = feasible.project(p)
+            assert feasible.infeasibility(z) <= 1e-12
+            np.testing.assert_array_equal(feasible.project(z), z)
+
+    def test_empty_intersection_with_many_rows_raises(self):
+        # twelve feasible rows, then a pair that no point can meet
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((12, 4))
+        rows = list(zip(a, a @ rng.standard_normal(4) - 1.0))
+        rows += [(np.array([0.0, 0.0, 1.0, 1.0]), 1.0), (np.array([0.0, 0.0, -2.0, -2.0]), -1.0)]
+        with pytest.raises(EmptySetError):
             HalfspaceIntersection(rows)
+
+    def test_far_offsets(self):
+        # b near 1e6: a nonempty set far from the origin builds and projects,
+        # also points 1e8 away from it
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((10, 4))
+        z0 = np.full(4, 1e6)
+        feasible = HalfspaceIntersection(list(zip(a, a @ z0 - 1.0)))
+        for spread in (1e3, 1e8):
+            for _ in range(10):
+                z = feasible.project(z0 + spread * rng.standard_normal(4))
+                assert feasible.infeasibility(z) <= 1e-9 * (1.0 + np.abs(feasible.b).max())
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_narrow_wedge(self, eps):
+        # {x + eps y >= 1, -x + eps y >= 1}: the nearest point to 0 is (0, 1/eps)
+        feasible = HalfspaceIntersection([([1.0, eps], 1.0), ([-1.0, eps], 1.0)])
+        z = feasible.project([0.0, 0.0])
+        np.testing.assert_allclose(z, [0.0, 1.0 / eps], atol=1e-12, rtol=1e-12)
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Box([np.nan, 0.0], [1.0, 1.0]), "l"),
+            (lambda: Box([np.inf], [np.inf]), "l"),
+            (lambda: Box([0.0, 0.0], [1.0, np.nan]), "u"),
+            (lambda: Box([-np.inf], [-np.inf]), "u"),
+            (lambda: Ball([np.nan, 0.0], 1.0), "center"),
+            (lambda: Ball([0.0, 0.0], np.nan), "radius"),
+            (lambda: Ball([0.0, 0.0], np.inf), "radius"),
+            (lambda: HalfspaceIntersection([([np.nan, 1.0], 0.0)]), "a"),
+            (lambda: HalfspaceIntersection([([0.0, 1.0], np.nan)]), "b"),
+        ],
+        ids=["nan-l", "inf-l", "nan-u", "minus-inf-u", "nan-center", "nan-radius",
+             "inf-radius", "nan-a", "nan-b"],
+    )
+    def test_non_finite_fields_are_named(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            build()
+
+    def test_infinite_bounds_on_the_open_side_build(self):
+        box = Box([-np.inf, 0.0], [np.inf, np.inf])
+        np.testing.assert_array_equal(box.project([-5.0, -5.0]), [-5.0, 0.0])
 
 
 class TestTangentCone:
@@ -166,6 +225,9 @@ class TestConeActivity:
         assert act.active_rows == (0,)  # within 1e-9 * (1 + |b|)
         act = feasible.activity(np.array([1e-3, 0.5]))
         assert act.active_rows == ()
+        # the tolerance grows with |b|: 5e-7 off a row with b = 1000 is active
+        shifted = HalfspaceIntersection([([1.0, 0.0], 1000.0), ([0.0, 1.0], 0.0)])
+        assert shifted.activity(np.array([1000.0 + 5e-7, 0.5])).active_rows == (0,)
 
 
 class TestLinearMinOverBall:
