@@ -21,8 +21,8 @@ from .instances import (
     BilinearGameSpec,
     VIInstance,
     check_monotone_samples,
-    estimate_constants,
     make_bilinear,
+    matrix_constants,
 )
 from .measures import (
     duality_gap_bilinear,
@@ -72,9 +72,9 @@ __all__ = [
     "duality_gap_bilinear",
     "eg_run",
     "eg_step",
-    "estimate_constants",
     "gap",
     "make_bilinear",
+    "matrix_constants",
     "natural_residual",
     "pp_run",
     "pp_step",

@@ -9,6 +9,10 @@ squares with positive rational-function multipliers (the "rhs terms").  The
 indicator on the sign of the first component of the final operator value
 splits the identity into two branches.
 
+The fourteen terms of a branch are built once and cached.  Each side is a sum
+read from that table; a mutation (one term dropped, to confirm that the check
+bites) skips or subtracts the cached term and never edits the table.
+
 Everything in this module is exact: coefficients are ``Fraction`` and an
 identity "holds" only when the difference is the zero polynomial.  Numeric
 code enters only in :func:`reduction_frame`, which builds the canonical frame
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +64,7 @@ class FrameCheckError(ValueError):
         self.value = value
 
 
-def _gens():
-    return generators(CONSTRAINED_VARS)
-
-
-_G = _gens()
+_G = generators(CONSTRAINED_VARS)
 _ONE = SparsePoly.constant(CONSTRAINED_VARS, 1)
 _ZERO = SparsePoly(CONSTRAINED_VARS)
 _DEN_AL = _ONE + _G["al"] ** 2                      # 1 + alpha^2
@@ -71,24 +72,17 @@ _DEN_BB = _ONE + _G["b1"] ** 2 + _G["b2"] ** 2      # 1 + beta1^2 + beta2^2
 _DEN_ALL = _DEN_AL * _DEN_BB
 
 
-def _cleared(numerator: SparsePoly, denominator: str) -> SparsePoly:
-    """Multiply a term by DEN_ALL / its own denominator."""
-    if denominator == "1":
-        return numerator * _DEN_ALL
-    if denominator == "al":
-        return numerator * _DEN_BB
-    if denominator == "bb":
-        return numerator * _DEN_AL
-    raise ValueError(f"unknown denominator tag {denominator!r}")
+@cache
+def _terms(branch: str) -> dict[str, SparsePoly]:
+    """The fourteen named terms of one branch, each cleared to ``_DEN_ALL``.
 
-
-def _lhs_terms(branch: str) -> dict[str, SparsePoly]:
-    """The nine summands of the identity's left side, denominators cleared.
-
-    ``cons-1`` is the tangent-residual difference itself (with the
+    Left side: ``cons-1`` is the tangent-residual difference itself (with the
     normal-component correction and the branch indicator), ``cons-2``/``cons-3``
     come from monotonicity and Lipschitzness, ``cons-4``..``cons-9`` are the
-    six hyperplane constraint products with their multipliers.
+    six hyperplane constraint products with their multipliers.  Right side:
+    the five squares ``sos-1``..``sos-5``.  A term over ``1 + alpha^2``
+    is multiplied by ``_DEN_BB``, one over ``1 + beta1^2 + beta2^2`` by
+    ``_DEN_AL``.  Built once per branch; callers must not modify the result.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -104,85 +98,52 @@ def _lhs_terms(branch: str) -> dict[str, SparsePoly]:
     # halfplane factor shared by cons-4/5: <(1,-alpha), z_half - z_k + eta F_k>
     # with z_half[2] already eliminated.
     bracket = zh1 - zk1 + fk1 + al * (al * zh1 + zk2 - fk2)
-
-    terms = {
-        "cons-1": (
-            _cleared(fk1**2 + fk2**2 + fk3**2 - fn1**2 - fn2**2 - fn3**2, "1")
-            + _cleared(-((b1 * fk1 + b2 * fk2 + fk3) ** 2), "bb")
-            + _cleared(fn1**2 * ind_pos, "1")
-        ),
-        "cons-2": _cleared(
-            2 * (zk1 * (fn1 - fk1) + fh2 * (fn2 - fk2) + fh3 * (fn3 - fk3)), "1"
-        ),
-        "cons-3": _cleared(
-            (fn1 - fh1) ** 2 + (fn2 - fh2) ** 2 + (fn3 - fh3) ** 2
-            - zh1**2
-            - (zk2 - fh2 + al * zh1) ** 2
-            - (fk3 - fh3) ** 2,
-            "1",
-        ),
-        "cons-4": _cleared(2 * zh1 * bracket, "1"),
-        "cons-5": _cleared(2 * al * (zk2 - fh2) * bracket, "al"),
-        "cons-6": _cleared(
-            2 * (al * (zk1 - fk1) + (zk2 - fk2)) * (zk2 - fh2), "al"
-        ),
-        "cons-7": _cleared(
-            -2
-            * (b1 * fk1 + b2 * fk2 + fk3)
-            * ((b1 - al * b2) * zh1 - b1 * zk1 - b2 * zk2 - fk3),
-            "bb",
-        ),
-        "cons-8": _cleared(2 * zk1 * (zk1 - fh1), "1"),
-        "cons-9": _cleared(-2 * (fn1 * ind_neg) * (zk1 - fh1), "1"),
-    }
-    return terms
-
-
-def _rhs_terms(branch: str) -> dict[str, SparsePoly]:
-    """The five squares of the identity's right side, denominators cleared."""
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    g = _G
-    zk1, zk2, zh1 = g["zk1"], g["zk2"], g["zh1"]
-    fk1, fk2, fk3 = g["fk1"], g["fk2"], g["fk3"]
-    fh1 = g["fh1"]
-    fn1 = g["fn1"]
-    al, b1, b2 = g["al"], g["b1"], g["b2"]
-    ind_pos = _ONE if branch == "nonneg" else _ZERO
-
+    normal = b1 * fk1 + b2 * fk2 + fk3
     u = zk1 - fk1 - zh1
     v = zk2 - fk2 + al * zh1
     return {
-        "sos-1": _cleared((zk1 - fh1 + fn1 * ind_pos) ** 2, "1"),
-        "sos-2": _cleared(u**2, "bb"),
-        "sos-3": _cleared(
-            (fk3 + b1 * zk1 + b2 * zk2 + (al * b2 - b1) * zh1) ** 2, "bb"
+        "cons-1": (
+            (fk1**2 + fk2**2 + fk3**2 - fn1**2 - fn2**2 - fn3**2 + fn1**2 * ind_pos) * _DEN_ALL
+            - normal**2 * _DEN_AL
         ),
-        "sos-4": _cleared(v**2, "bb"),
-        "sos-5": _cleared((b1 * v - b2 * u) ** 2, "bb"),
+        "cons-2": 2 * (zk1 * (fn1 - fk1) + fh2 * (fn2 - fk2) + fh3 * (fn3 - fk3)) * _DEN_ALL,
+        "cons-3": (
+            (fn1 - fh1) ** 2 + (fn2 - fh2) ** 2 + (fn3 - fh3) ** 2
+            - zh1**2
+            - (zk2 - fh2 + al * zh1) ** 2
+            - (fk3 - fh3) ** 2
+        ) * _DEN_ALL,
+        "cons-4": 2 * zh1 * bracket * _DEN_ALL,
+        "cons-5": 2 * al * (zk2 - fh2) * bracket * _DEN_BB,
+        "cons-6": 2 * (al * (zk1 - fk1) + (zk2 - fk2)) * (zk2 - fh2) * _DEN_BB,
+        "cons-7": -2 * normal * ((b1 - al * b2) * zh1 - b1 * zk1 - b2 * zk2 - fk3) * _DEN_AL,
+        "cons-8": 2 * zk1 * (zk1 - fh1) * _DEN_ALL,
+        "cons-9": -2 * (fn1 * ind_neg) * (zk1 - fh1) * _DEN_ALL,
+        "sos-1": (zk1 - fh1 + fn1 * ind_pos) ** 2 * _DEN_ALL,
+        "sos-2": u**2 * _DEN_AL,
+        "sos-3": (fk3 + b1 * zk1 + b2 * zk2 + (al * b2 - b1) * zh1) ** 2 * _DEN_AL,
+        "sos-4": v**2 * _DEN_AL,
+        "sos-5": (b1 * v - b2 * u) ** 2 * _DEN_AL,
     }
+
+
+def _sum(branch: str, names: tuple[str, ...], mutate: str | None) -> SparsePoly:
+    terms = _terms(branch)
+    total = _ZERO
+    for name in names:
+        if name != mutate:
+            total = total + terms[name]
+    return total
 
 
 def build_constrained_lhs(branch: str, mutate: str | None = None) -> SparsePoly:
     """Sum of the nine left-side terms (optionally dropping one by name)."""
-    terms = _lhs_terms(branch)
-    if mutate is not None and mutate in terms:
-        del terms[mutate]
-    total = _ZERO
-    for t in terms.values():
-        total = total + t
-    return total
+    return _sum(branch, LHS_TERM_NAMES, mutate)
 
 
 def build_constrained_rhs(branch: str, mutate: str | None = None) -> SparsePoly:
     """Sum of the five right-side squares (optionally dropping one by name)."""
-    terms = _rhs_terms(branch)
-    if mutate is not None and mutate in terms:
-        del terms[mutate]
-    total = _ZERO
-    for t in terms.values():
-        total = total + t
-    return total
+    return _sum(branch, RHS_TERM_NAMES, mutate)
 
 
 def _monomial_name(exp: Sequence[int], vars: Sequence[str] = CONSTRAINED_VARS) -> str:
@@ -190,12 +151,18 @@ def _monomial_name(exp: Sequence[int], vars: Sequence[str] = CONSTRAINED_VARS) -
     return "*".join(factors) if factors else "1"
 
 
+def _lowest_monomial(diff: SparsePoly) -> str | None:
+    """Name of the graded-lex lowest monomial of ``diff``; ``None`` when it is 0."""
+    if diff.is_zero():
+        return None
+    return _monomial_name(min(diff.terms, key=lambda e: (sum(e), e)))
+
+
 def constrained_identity_difference(
     branch: str, mutate: str | None = None
 ) -> SparsePoly:
-    lhs = build_constrained_lhs(branch, None if mutate in RHS_TERM_NAMES else mutate)
-    rhs = build_constrained_rhs(branch, mutate if mutate in RHS_TERM_NAMES else None)
-    return lhs - rhs
+    """Cleared left side minus right side, without the term named ``mutate``."""
+    return build_constrained_lhs(branch, mutate) - build_constrained_rhs(branch, mutate)
 
 
 def check_constrained_identity(branch: str, mutate: str | None = None) -> bool:
@@ -204,11 +171,7 @@ def check_constrained_identity(branch: str, mutate: str | None = None) -> bool:
 
 
 def first_differing_monomial(branch: str, mutate: str | None = None) -> str | None:
-    diff = constrained_identity_difference(branch, mutate)
-    if diff.is_zero():
-        return None
-    exp = min(diff.terms, key=lambda e: (sum(e), e))
-    return _monomial_name(exp)
+    return _lowest_monomial(constrained_identity_difference(branch, mutate))
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +252,11 @@ def build_lhs_from_derivation(branch: str) -> SparsePoly:
 
     eliminated = total.substitute(substitution_map())
 
-    # re-embed into the 15-variable ring
-    out = SparsePoly(CONSTRAINED_VARS)
-    keep = [_PRE_VARS.index(v) for v in CONSTRAINED_VARS]
-    drop = [i for i in range(len(_PRE_VARS)) if _PRE_VARS[i] not in CONSTRAINED_VARS]
-    terms = {}
-    for exp, c in eliminated.terms.items():
-        if any(exp[i] for i in drop):
-            raise AssertionError("elimination left a dependent variable")
-        terms[tuple(exp[i] for i in keep)] = c
-    out.terms = terms
-    return out
+    # _PRE_VARS extends CONSTRAINED_VARS: drop the (now zero) dependent tail
+    n = len(CONSTRAINED_VARS)
+    if any(any(exp[n:]) for exp in eliminated.terms):
+        raise AssertionError("elimination left a dependent variable")
+    return SparsePoly(CONSTRAINED_VARS, {exp[:n]: c for exp, c in eliminated.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -743,31 +700,28 @@ def verification_report(seed: int = 0, mutate: str | None = None) -> dict:
         ok = ok and check_unconstrained_identity(*vecs)
     results["unconstrained"] = {"status": "pass" if ok else "fail", "trials": 100}
 
+    derived = True
     for branch in BRANCHES:
-        use_mutate = mutate
-        good = check_constrained_identity(branch, mutate=use_mutate)
-        lhs = build_constrained_lhs(branch)
-        rhs = build_constrained_rhs(branch)
+        lhs, rhs = build_constrained_lhs(branch), build_constrained_rhs(branch)
+        diff = lhs - rhs
+        if mutate in LHS_TERM_NAMES:
+            diff = diff - _terms(branch)[mutate]
+        elif mutate in RHS_TERM_NAMES:
+            diff = diff + _terms(branch)[mutate]
         entry = {
             "identity_name": "constrained-tangent-residual-monotonicity",
             "branch": branch,
-            "status": "pass" if good else "fail",
+            "status": "pass" if diff.is_zero() else "fail",
             "monomial_count_lhs": lhs.monomial_count(),
             "monomial_count_rhs": rhs.monomial_count(),
             "max_degree": max(lhs.degree(), rhs.degree()),
         }
-        if not good:
-            entry["first_differing_monomial"] = first_differing_monomial(branch, use_mutate)
+        if not diff.is_zero():
+            entry["first_differing_monomial"] = _lowest_monomial(diff)
         results[f"constrained-{branch}"] = entry
+        derived = derived and (build_lhs_from_derivation(branch) - lhs).is_zero()
 
-    results["derivation-route"] = {
-        "status": "pass"
-        if all(
-            (build_lhs_from_derivation(b) - build_constrained_lhs(b)).is_zero()
-            for b in BRANCHES
-        )
-        else "fail"
-    }
+    results["derivation-route"] = {"status": "pass" if derived else "fail"}
     results["p2-block"] = {"status": "pass" if check_p2_block_identity() else "fail"}
 
     ok = True

@@ -110,13 +110,6 @@ def matrix_constants(M: np.ndarray) -> tuple[float, float]:
     return lipschitz, gamma
 
 
-def estimate_constants(op: "AffineOperator | np.ndarray") -> tuple[float, float]:
-    """Constants for an operator (or raw matrix); see :func:`matrix_constants`."""
-    if isinstance(op, AffineOperator):
-        return matrix_constants(op.M)
-    return matrix_constants(op)
-
-
 @dataclass(frozen=True)
 class AffineOperator:
     """``F(z) = M z + q`` with cached Lipschitz and monotonicity constants."""

@@ -327,7 +327,8 @@ def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray)
     S = np.flatnonzero(_nnls(np.vstack(((a / norms[:, None]).T, h / h.max())),
                              np.eye(len(p) + 1)[-1]) > 0)
     z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
-    if np.min(a @ z - b) < -1e-9 * scale:
+    # z carries the rounding of p, about eps ||p||, which a row scales by its norm
+    if np.min(a @ z - b) < -1e-9 * (scale + norms.max() * row_norm(p)):
         raise EmptySetError("halfspace intersection is empty")
     return z
 

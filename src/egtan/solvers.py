@@ -26,9 +26,7 @@ import numpy as np
 
 from .instances import VIInstance, instance_to_json
 from .measures import gap, natural_residual, tangent_residual
-from .sets import UnsupportedSetError
-
-FEASIBILITY_TOL = 1e-9
+from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite
 
 
 class StepSizeError(ValueError):
@@ -172,7 +170,7 @@ def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
     """A trajectory holding only ``z0``, with rows allocated for ``config.T`` steps."""
-    z = np.asarray(z0, dtype=float)
+    z = require_finite("z0", z0)
     if inst.set.infeasibility(z) > FEASIBILITY_TOL:
         raise ValueError("starting point is infeasible")
     F_z = inst.operator(z)
@@ -253,11 +251,7 @@ def solve_reference(
     _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError("solve_reference needs eta * L < 1")
-    z = (
-        inst.set.project(np.zeros(inst.dimension))
-        if z0 is None
-        else np.asarray(z0, dtype=float)
-    )
+    z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else require_finite("z0", z0)
     best = math.inf
     for _ in range(max_iter):
         F_z = inst.operator(z)

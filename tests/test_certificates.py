@@ -405,3 +405,13 @@ class TestVerificationReport:
         assert not report["all_pass"]
         assert report["constrained-nonneg"]["status"] == "fail"
         assert report["constrained-nonneg"]["first_differing_monomial"]
+
+    def test_mutations_leave_the_cached_terms_intact(self):
+        # each branch's terms are built once and shared by every later call, so
+        # a mutated report or check must drop its term without editing that table
+        clean = verification_report(seed=0)
+        for term in ALL_TERM_NAMES:
+            assert not verification_report(seed=0, mutate=term)["all_pass"]
+            assert not check_constrained_identity("neg", mutate=term)
+            again = verification_report(seed=0)
+            assert again["all_pass"] and again == clean  # same statuses and monomial counts

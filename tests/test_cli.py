@@ -203,6 +203,14 @@ class TestRatesCommand:
         assert blob["passed"] is True
         assert "step_monotone" in blob["checks"]
 
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_non_finite_z0_exits_one_naming_z0(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        code = main([command, "--instance", str(path), "--eta", "0.1", "--T", "5",
+                     "--z0", "nan,0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: z0 must be finite" in capsys.readouterr().err
+
     def test_nan_step_size_exits_one_naming_eta(self, tmp_path, capsys):
         path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
         code = main(["rates", "--instance", str(path), "--eta", "nan", "--T", "5", "--z0", "1,1"])

@@ -1,5 +1,6 @@
-"""Property test of the halfspace projection: a KKT certificate for every
-draw, and agreement with exhaustive active-set enumeration on few rows."""
+"""Property tests of the halfspace projection: a KKT certificate for every
+draw, agreement with exhaustive active-set enumeration on few rows, and no
+false empty set for points far from a nonempty one."""
 
 from itertools import combinations
 
@@ -125,3 +126,26 @@ def test_halfspace_projection_kkt_and_enumeration(problem):
         )
     if not b.any():  # a cone is its own tangent cone at the apex
         np.testing.assert_array_equal(feasible.project_tangent_cone(np.zeros_like(p), p), z)
+
+
+@st.composite
+def far_problems(draw):
+    """A draw of :func:`halfspace_problems` with its point moved 1 to 1e8 away."""
+    A, b, p = draw(halfspace_problems())
+    n = len(p)
+    u = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)), dtype=float)
+    return A, b, p + 10.0 ** draw(st.floats(0.0, 8.0)) * u / np.linalg.norm(u)
+
+
+@settings(max_examples=200)
+@given(far_problems())
+# a wedge with its vertex near (0.69, 1.0) and a point 2.2e6 away: z carries
+# rounding of about 1e-16 * 2.2e6, which once failed the emptiness test
+@example((
+    np.array([[-2.630367381307939, 0.7239161378227218], [-0.2110471830216745, 0.7793647137401867]]),
+    np.array([-1.090325399156081, 0.6372057725780966]),
+    np.array([1874179.3543751938, -1222343.2535365454]),
+))
+def test_far_points_project_onto_nonempty_sets(problem):
+    A, b, p = problem
+    assert_kkt(A, b, p, HalfspaceIntersection(list(zip(A, b))).project(p))

@@ -6,10 +6,10 @@ from egtan.instances import (
     BilinearGameSpec,
     DimensionMismatchError,
     check_monotone_samples,
-    estimate_constants,
     instance_from_json,
     instance_to_json,
     make_bilinear,
+    matrix_constants,
 )
 
 
@@ -104,18 +104,18 @@ class TestCreateRejectsNonFinite:
 
 class TestEstimateConstants:
     def test_identity(self):
-        lip, gamma = estimate_constants(AffineOperator.create(np.eye(3), np.zeros(3)))
+        lip, gamma = matrix_constants(AffineOperator.create(np.eye(3), np.zeros(3)).M)
         assert abs(lip - 1.0) < 1e-10
         assert abs(gamma - 1.0) < 1e-10
 
     def test_skew_gamma_zero(self):
         S = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        _, gamma = estimate_constants(S)
+        _, gamma = matrix_constants(S)
         assert abs(gamma) < 1e-8
 
     def test_against_dense_eigen_oracle(self):
         M = np.array([[2.0, 1.0], [0.0, 2.0]])
-        lip, gamma = estimate_constants(M)
+        lip, gamma = matrix_constants(M)
         lip0 = np.linalg.svd(M, compute_uv=False)[0]
         gamma0 = np.linalg.eigvalsh(0.5 * (M + M.T)).min()
         assert abs(lip - lip0) <= 1e-8 * lip0
@@ -126,7 +126,7 @@ class TestEstimateConstants:
         for _ in range(25):
             n = int(rng.integers(1, 9))
             M = rng.standard_normal((n, n))
-            lip, gamma = estimate_constants(M)
+            lip, gamma = matrix_constants(M)
             assert abs(lip - np.linalg.svd(M, compute_uv=False)[0]) <= 1e-8 * max(lip, 1)
             assert abs(gamma - np.linalg.eigvalsh(0.5 * (M + M.T)).min()) <= 1e-8
 
@@ -157,7 +157,7 @@ class TestInvariants:
     def test_bilinear_gamma_near_zero(self):
         rng = np.random.default_rng(12)
         inst = make_bilinear(bilinear_spec(rng.standard_normal((2, 2)), [0, 0], [0, 0]))
-        _, gamma = estimate_constants(inst.operator)
+        _, gamma = matrix_constants(inst.operator.M)
         assert abs(gamma) <= 1e-8
 
     def test_operator_is_affine(self):

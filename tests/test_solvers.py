@@ -446,3 +446,13 @@ class TestStartValidation:
             eg_run(inst, SolverConfig(eta=0.1, T=1), bad)
         with pytest.raises(ValueError, match="infeasible"):
             pp_run(inst, SolverConfig(eta=0.1, T=1), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected_naming_z0(self, bad):
+        inst = zero_operator_instance()
+        z0 = np.array([bad, 0.5])
+        for run in (eg_run, pp_run):
+            with pytest.raises(ValueError, match="^z0 must be finite"):
+                run(inst, SolverConfig(eta=0.1, T=1), z0)
+        with pytest.raises(ValueError, match="^z0 must be finite"):
+            solve_reference(inst, eta=0.1, z0=z0)
