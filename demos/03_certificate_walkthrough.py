@@ -6,8 +6,11 @@ the right, in fifteen variables, degree eight, one version per sign branch of
 the last operator component.  This script verifies the identity exactly over
 the rationals, shows a few rows of the monomial expansion, evaluates both
 sides at a random exact assignment, and demonstrates that dropping any single
-term breaks the identity.
+term breaks the identity.  The smaller identities are proved the same way, as
+polynomial zero tests; the expansion equalities are also shown at one point.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +24,8 @@ from egtan.certificates import (
     check_p2_block_identity,
     constrained_expansion_table,
     first_differing_monomial,
+    prove_expansion_identities,
+    prove_unconstrained_identity,
 )
 
 for branch in ("nonneg", "neg"):
@@ -44,8 +49,9 @@ for term in ALL_TERM_NAMES:
     monomial = first_differing_monomial(branch, mutate=term)
     print(f"  drop {term:<7} -> broken: {broken} (first differing monomial {monomial})")
 
-print(f"\nrepresentative-coordinate block collapses to zero: {check_p2_block_identity()}")
+print(f"\nunconstrained identity, every dimension: {prove_unconstrained_identity()}")
+print(f"representative-coordinate block collapses to zero: {check_p2_block_identity()}")
 print(f"regrouped right side matches: {check_newsos_claim()}")
-from fractions import Fraction
+print(f"coefficient expansions hold as polynomial identities: {prove_expansion_identities()}")
 print(f"coefficient expansions hold at (1, 1/2, -2/3): "
       f"{check_expansion_identities(Fraction(1), Fraction(1, 2), Fraction(-2, 3))}")

@@ -11,12 +11,12 @@ splits the identity into two branches.
 
 The fourteen terms of a branch are built once and cached.  Each side is a sum
 read from that table; a mutation (one term dropped, to confirm that the check
-bites) skips or subtracts the cached term and never edits the table.
+bites) skips the cached term and never edits the table.
 
-Everything in this module is exact: coefficients are ``Fraction`` and an
-identity "holds" only when the difference is the zero polynomial.  Numeric
-code enters only in :func:`reduction_frame`, which builds the canonical frame
-for one observed extragradient step and checks the frame properties in
+Everything in this module is exact: coefficients are ``Fraction`` and every
+identity is proved by a zero test on a ``SparsePoly``, never by sampling.
+Numeric code enters only in :func:`reduction_frame`, which builds the canonical
+frame for one observed extragradient step and checks the frame properties in
 floating point.
 """
 
@@ -128,6 +128,8 @@ def _terms(branch: str) -> dict[str, SparsePoly]:
 
 
 def _sum(branch: str, names: tuple[str, ...], mutate: str | None) -> SparsePoly:
+    if mutate is not None and mutate not in ALL_TERM_NAMES:
+        raise ValueError(f"mutate must be one of {', '.join(ALL_TERM_NAMES)}; got {mutate!r}")
     terms = _terms(branch)
     total = _ZERO
     for name in names:
@@ -334,9 +336,11 @@ def unconstrained_identity_terms(
     """
     if not (len(f_k) == len(f_half) == len(f_next)):
         raise ValueError("operator value vectors must share a dimension")
-    fk = [Fraction(x) for x in f_k]
-    fh = [Fraction(x) for x in f_half]
-    fn = [Fraction(x) for x in f_next]
+    return _unconstrained_terms(*([Fraction(x) for x in f] for f in (f_k, f_half, f_next)))
+
+
+def _unconstrained_terms(fk: Sequence, fh: Sequence, fn: Sequence) -> list:
+    """The five summands in ring operations only, over ``Fraction`` or ``SparsePoly``."""
     dot = lambda a, b: sum(x * y for x, y in zip(a, b))
     sq = lambda a: dot(a, a)
     return [
@@ -353,6 +357,13 @@ def check_unconstrained_identity(
 ) -> bool:
     """Exact zero test of the unconstrained norm-monotonicity identity."""
     return sum(unconstrained_identity_terms(f_k, f_half, f_next)) == 0
+
+
+def prove_unconstrained_identity() -> bool:
+    """Zero test of the unconstrained identity in every dimension: each summand
+    sums one scalar term over coordinates, so one coordinate of generators suffices."""
+    g = generators(("fk", "fh", "fn"))
+    return sum(_unconstrained_terms([g["fk"]], [g["fh"]], [g["fn"]])).is_zero()
 
 
 _P2_VARS = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -394,27 +405,30 @@ def check_expansion_identities(
 ) -> bool:
     """The three rational-function equalities behind the expansion table.
 
-    Verified exactly at the given rational point (denominators are positive
-    for every rational argument, so no zero-division can occur).
+    Verified exactly at the given rational point, cleared of the denominator
+    ``(1+beta2^2)(1+beta1^2+beta2^2)``, which is positive for every input.
     """
-    a = Fraction(alpha)
-    b1 = Fraction(beta1)
-    b2 = Fraction(beta2)
+    sides = _expansion_sides(Fraction(alpha), Fraction(beta1), Fraction(beta2))
+    return all(lhs == rhs for lhs, rhs in sides)
+
+
+def _expansion_sides(a, b1, b2) -> list[tuple]:
+    """Both sides of each expansion equality times ``d2 * dbb``, in ring
+    operations only, so ``a, b1, b2`` may be ``Fraction`` or ``SparsePoly``."""
     d2 = 1 + b2**2
     dbb = 1 + b1**2 + b2**2
-    lhs1 = -2 * a / d2 - 2 * b1 * b2 * (b2**2 + a * b1 * b2 + 1) / (d2 * dbb)
-    rhs1 = -2 * a * (b1**2 + 1) / dbb - 2 * b1 * b2 / dbb
-    lhs2 = (
-        2 * a / d2
-        - 2 * b2 * (b1 - a * b2) / dbb
-        + 2 * b1 * b2 * (b2**2 + a * b1 * b2 + 1) / (d2 * dbb)
-    )
-    lhs3 = (
-        a**2 / d2
-        + (b1 - a * b2) ** 2 / dbb
-        + (b2**2 + a * b1 * b2 + 1) ** 2 / (d2 * dbb)
-    )
-    return lhs1 == rhs1 and lhs2 == 2 * a and lhs3 == a**2 + 1
+    w = b2**2 + a * b1 * b2 + 1
+    return [
+        (-2 * a * dbb - 2 * b1 * b2 * w, -2 * (a * (b1**2 + 1) + b1 * b2) * d2),
+        (2 * a * dbb - 2 * b2 * (b1 - a * b2) * d2 + 2 * b1 * b2 * w, 2 * a * d2 * dbb),
+        (a**2 * dbb + (b1 - a * b2) ** 2 * d2 + w**2, (a**2 + 1) * d2 * dbb),
+    ]
+
+
+def prove_expansion_identities() -> bool:
+    """The three cleared expansion equalities as polynomial identities in ``a, b1, b2``."""
+    g = generators(("a", "b1", "b2"))
+    return all((lhs - rhs).is_zero() for lhs, rhs in _expansion_sides(g["a"], g["b1"], g["b2"]))
 
 
 def check_newsos_claim() -> bool:
@@ -686,32 +700,20 @@ def reduction_frame(
 
 
 def verification_report(seed: int = 0, mutate: str | None = None) -> dict:
-    """Run every identity check and collect a machine-readable summary."""
-    rng = np.random.default_rng(seed)
-    results = {}
+    """Run every identity check (each an exact polynomial zero test) and summarize.
 
-    ok = True
-    for _ in range(100):
-        dim = int(rng.integers(1, 9))
-        vecs = [
-            [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 10))) for _ in range(dim)]
-            for _ in range(3)
-        ]
-        ok = ok and check_unconstrained_identity(*vecs)
-    results["unconstrained"] = {"status": "pass" if ok else "fail", "trials": 100}
+    ``seed`` has no effect, as no check samples points; it is kept for callers."""
+    status = lambda ok: {"status": "pass" if ok else "fail"}
+    results = {"unconstrained": status(prove_unconstrained_identity())}
 
     derived = True
     for branch in BRANCHES:
         lhs, rhs = build_constrained_lhs(branch), build_constrained_rhs(branch)
-        diff = lhs - rhs
-        if mutate in LHS_TERM_NAMES:
-            diff = diff - _terms(branch)[mutate]
-        elif mutate in RHS_TERM_NAMES:
-            diff = diff + _terms(branch)[mutate]
+        diff = lhs - rhs if mutate is None else constrained_identity_difference(branch, mutate)
         entry = {
             "identity_name": "constrained-tangent-residual-monotonicity",
             "branch": branch,
-            "status": "pass" if diff.is_zero() else "fail",
+            **status(diff.is_zero()),
             "monomial_count_lhs": lhs.monomial_count(),
             "monomial_count_rhs": rhs.monomial_count(),
             "max_degree": max(lhs.degree(), rhs.degree()),
@@ -721,17 +723,9 @@ def verification_report(seed: int = 0, mutate: str | None = None) -> dict:
         results[f"constrained-{branch}"] = entry
         derived = derived and (build_lhs_from_derivation(branch) - lhs).is_zero()
 
-    results["derivation-route"] = {"status": "pass" if derived else "fail"}
-    results["p2-block"] = {"status": "pass" if check_p2_block_identity() else "fail"}
-
-    ok = True
-    for _ in range(1000):
-        vals = [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 12))) for _ in range(3)]
-        ok = ok and check_expansion_identities(*vals)
-    results["expansion"] = {"status": "pass" if ok else "fail", "trials": 1000}
-
-    results["regrouped-rhs"] = {"status": "pass" if check_newsos_claim() else "fail"}
-    results["all_pass"] = all(
-        v.get("status") == "pass" for k, v in results.items() if isinstance(v, dict)
-    )
+    results["derivation-route"] = status(derived)
+    results["p2-block"] = status(check_p2_block_identity())
+    results["expansion"] = status(prove_expansion_identities())
+    results["regrouped-rhs"] = status(check_newsos_claim())
+    results["all_pass"] = all(v["status"] == "pass" for v in results.values())
     return results

@@ -5,11 +5,11 @@ Subcommands::
     egtan solve               run EG/PP on an instance file, write trajectory,
                               measures, and a rate report
     egtan counterexample      reproduce a built-in non-monotonicity example
-    egtan verify-certificates check every algebraic identity exactly
+    egtan verify-certificates prove every algebraic identity by a zero test
     egtan rates               reference solution + run + rate report only,
                               with the checks it skipped
 
-Exit codes: 0 success, 1 operational error, 2 a check or theorem slack failed.
+Exit codes: 0 success, 1 operational or usage error, 2 a check or slack failed.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _run_and_report(args, write) -> int:
             traj = pp_run(inst, config, z0)
         L = inst.operator.lipschitz
         z_star = solve_reference(inst, eta=min(args.eta, 0.5 / L) if L > 0 else args.eta)
-        D = args.D if args.D else 2.0 * float(np.linalg.norm(z0 - z_star)) or 1.0
+        D = args.D if args.D is not None else 2.0 * float(np.linalg.norm(z0 - z_star)) or 1.0
         rate_report = rate_report_eg if args.solver == "eg" else rate_report_pp
         report = rate_report(traj, z_star, D=D)
         write(traj, D, report)
@@ -97,11 +97,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    try:
-        report = counterexamples.reproduce(args.name)
-    except KeyError:
-        print(f"error: unknown counterexample {args.name!r}", file=sys.stderr)
-        return EXIT_ERROR
+    report = counterexamples.reproduce(args.name)
     label = f"{report['measure']}^2" if report["squared"] else report["measure"]
     print(f"counterexample: {args.name} (series: {label} per iterate)")
     if "resolved_domain" in report:
@@ -120,7 +116,11 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify_certificates(args) -> int:
-    report = certificates.verification_report(seed=args.seed, mutate=args.mutate)
+    try:
+        report = certificates.verification_report(seed=args.seed, mutate=args.mutate)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -132,8 +132,6 @@ def cmd_verify_certificates(args) -> int:
             continue
         status = entry["status"]
         extra = ""
-        if "trials" in entry:
-            extra = f" ({entry['trials']} random trials)"
         if "monomial_count_lhs" in entry:
             extra = (
                 f" (lhs {entry['monomial_count_lhs']} monomials, "
@@ -188,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.set_defaults(func=cmd_counterexample)
 
     p_cert = sub.add_parser("verify-certificates", help="exact identity verification")
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--seed", type=int, default=0,
+                        help="no effect: every identity is a symbolic zero test")
     p_cert.add_argument("--mutate", default=None,
                         help="drop one identity term (e.g. sos-5) to confirm the check bites")
     p_cert.add_argument("--report-table", action="store_true",
@@ -204,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_ERROR if exc.code == 2 else exc.code
     return args.func(args)
 
 

@@ -332,6 +332,8 @@ def _distances_and_radius(
     dist = trajectory.series("dist-to-solution", z_star=z_star)
     if D is None:
         D = 2.0 * dist[0] if dist[0] > 0 else 1.0
+    elif not 0 < D < np.inf:
+        raise ValueError("D must be finite and positive")
     return dist, D
 
 

@@ -21,6 +21,8 @@ from egtan.certificates import (
     constrained_expansion_table,
     first_differing_monomial,
     p2_block_polynomial,
+    prove_expansion_identities,
+    prove_unconstrained_identity,
     reduction_frame,
     unconstrained_identity_terms,
     verification_report,
@@ -114,6 +116,22 @@ class TestUnconstrainedIdentity:
                 total = total + 2 * (fn[i] - fk[i]) * fh[i]
                 total = total + (fh[i] - fn[i]) ** 2 - (fh[i] - fk[i]) ** 2
             assert total.is_zero()
+
+    def test_symbolic_proof_holds(self):
+        assert prove_unconstrained_identity()
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_perturbed_summand_fails_the_proof(self, monkeypatch, i):
+        summands = cert._unconstrained_terms
+
+        def perturbed(*vectors):
+            terms = summands(*vectors)
+            terms[i] = 2 * terms[i]
+            return terms
+
+        monkeypatch.setattr(cert, "_unconstrained_terms", perturbed)
+        assert not prove_unconstrained_identity()
+        assert verification_report()["unconstrained"] == {"status": "fail"}
 
 
 class TestConstrainedIdentity:
@@ -240,6 +258,22 @@ class TestExpansionIdentities:
         for _ in range(1000):
             vals = [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 12))) for _ in range(3)]
             assert check_expansion_identities(*vals)
+
+    def test_symbolic_proof_holds(self):
+        assert prove_expansion_identities()
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_perturbed_equality_fails_the_proof(self, monkeypatch, j):
+        cleared = cert._expansion_sides
+
+        def perturbed(*point):
+            sides = cleared(*point)
+            sides[j] = (2 * sides[j][0], sides[j][1])
+            return sides
+
+        monkeypatch.setattr(cert, "_expansion_sides", perturbed)
+        assert not prove_expansion_identities()
+        assert verification_report()["expansion"] == {"status": "fail"}
 
 
 class TestNewSosClaim:
@@ -415,3 +449,16 @@ class TestVerificationReport:
             assert not check_constrained_identity("neg", mutate=term)
             again = verification_report(seed=0)
             assert again["all_pass"] and again == clean  # same statuses and monomial counts
+
+    def test_report_draws_nothing_from_the_seed(self):
+        report = verification_report(seed=0)
+        assert report == verification_report(seed=12345)
+        assert report["unconstrained"] == report["expansion"] == {"status": "pass"}
+        assert not any("trials" in entry for entry in report.values() if isinstance(entry, dict))
+
+    @pytest.mark.parametrize("mutate", ["bogus", "", "sos-6"])
+    def test_unknown_mutation_is_rejected(self, mutate):
+        for check in (lambda: verification_report(mutate=mutate),
+                      lambda: check_constrained_identity("nonneg", mutate=mutate)):
+            with pytest.raises(ValueError, match="mutate must be one of cons-1, .*sos-5"):
+                check()

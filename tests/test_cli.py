@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from egtan.certificates import ALL_TERM_NAMES
 from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
 from egtan.sets import Ball, Box
@@ -56,6 +57,39 @@ class TestVerifyCertificatesCommand:
         blob = json.loads((tmp_path / "certificates.json").read_text())
         assert blob["all_pass"] is True
         assert blob["constrained-nonneg"]["max_degree"] == 8
+
+    def test_unknown_mutation_exits_one_listing_the_terms(self, tmp_path, capsys):
+        code = main(["verify-certificates", "--mutate", "bogus", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: mutate must be one of" in captured.err and "'bogus'" in captured.err
+        assert all(term in captured.err for term in ALL_TERM_NAMES)
+        assert captured.out == "" and not (tmp_path / "certificates.json").exists()
+
+    def test_seed_changes_nothing(self, tmp_path, capsys):
+        blobs = []
+        for seed in ("0", "3"):
+            assert main(["verify-certificates", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+            blobs.append(((tmp_path / seed / "certificates.json").read_text(),
+                          capsys.readouterr().out))
+        assert blobs[0] == blobs[1]
+        assert "trials" not in blobs[0][0] and "trials" not in blobs[0][1]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "bogus"],
+        ["rates", "--instance", "x.json", "--eta", "abc", "--T", "5"],
+        ["solve", "--eta", "0.1", "--T", "5"],
+    ], ids=["unknown-counterexample", "non-numeric-eta", "missing-instance"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rates", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestSolveCommand:
@@ -216,6 +250,24 @@ class TestRatesCommand:
         code = main(["rates", "--instance", str(path), "--eta", "nan", "--T", "5", "--z0", "1,1"])
         assert code == 1
         assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    @pytest.mark.parametrize("D", ["0", "0.0"])
+    def test_zero_radius_exits_one(self, tmp_path, capsys, command, D):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        code = main([command, "--instance", str(path), "--eta", "0.1", "--T", "5",
+                     "--z0", "1,1", "--D", D, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: D must be finite and positive" in capsys.readouterr().err
+
+    def test_zero_radius_exits_one_without_a_gap_check(self, tmp_path, capsys):
+        # no gap is evaluated on a ball or at T = 0, so the radius is checked up front
+        op = AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([1.0, -0.5]))
+        path = tmp_path / "ball.json"
+        save_instance(VIInstance.create(op, Ball(np.zeros(2), 1.0)), str(path))
+        code = main(["rates", "--instance", str(path), "--eta", "0.3", "--T", "0", "--D", "0"])
+        assert code == 1
+        assert "error: D must be finite and positive" in capsys.readouterr().err
 
     def test_ball_rates_print_the_skipped_checks(self, tmp_path, capsys):
         op = AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([1.0, -0.5]))
