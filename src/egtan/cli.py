@@ -54,6 +54,12 @@ def _run_and_report(args, write) -> int:
     """
     try:
         inst = load_instance(args.instance)
+        if not inst.operator.monotone:
+            msg = (f"operator is not monotone (gamma = {inst.operator.gamma:.6g} < 0); "
+                   "the convergence theorems do not apply")
+            if args.strict:
+                raise ValueError(msg)
+            print(f"warning: {msg}", file=sys.stderr)
         config = SolverConfig(eta=args.eta, T=args.T)
         z0 = (
             _parse_z0(args.z0, inst.dimension)
@@ -89,7 +95,7 @@ def cmd_solve(args) -> int:
         with open(out / "trajectory.csv", "w", newline="") as fh:
             write_trajectory_csv(fh, traj)
         with open(out / "measures.csv", "w", newline="") as fh:
-            write_measures_csv(fh, traj.measure_series(D=D))
+            write_measures_csv(fh, traj.measure_series(D=D, known=report.series))
         print(f"wrote trajectory.csv, measures.csv, rates.json to {out}")
         print(f"worst theorem slack: {report.worst_slack:.3e} (tolerance {report.tolerance:.1e})")
 
@@ -174,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z0", default="", help="comma-separated starting point")
         p.add_argument("--D", type=float, default=None, help="gap radius (default 2||z0-z*||)")
         p.add_argument("--strict", action="store_true",
-                       help="treat eta*L >= 1 as an error instead of a warning")
+                       help="treat eta*L >= 1 and a non-monotone operator (gamma < 0) "
+                            "as errors instead of warnings")
 
     p_solve = sub.add_parser("solve", help="run a solver and write outputs")
     add_run_flags(p_solve)

@@ -161,7 +161,15 @@ class Box(FeasibleSet):
         )
 
     def project(self, p):
-        return np.clip(np.asarray(p, dtype=float), self.l, self.u)
+        """Nearest point of the box to ``p``, or to each row of a stack.
+
+        ``minimum(maximum(p, l), u)`` is ``np.clip(p, l, u)`` under ``==``, NaN
+        propagating alike, at about half its per-call cost.  The point comes
+        first because numpy's min/max return the second argument on a tie, the
+        bound, as clip does; so even a zero keeps clip's sign, except that a
+        stack may differ from clip in the sign of a zero that ties a zero bound.
+        """
+        return np.minimum(np.maximum(p, self.l), self.u)
 
     def _active_bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo = np.isfinite(self.l) & (np.abs(z - self.l) <= ACTIVITY_TOL * (1.0 + np.abs(self.l)))

@@ -131,17 +131,34 @@ class Trajectory:
             return np.linalg.norm(np.diff(zs, axis=0), axis=1)[ks]
         raise KeyError(f"unknown measure {name!r}; choose from {sorted(SERIES)}")
 
-    def measure_series(self, D: float | None = None) -> dict[str, np.ndarray | None]:
-        """Columns of ``measures.csv``; ``gap`` is ``None`` without ``D`` or a gap oracle."""
+    def measure_series(
+        self, D: float | None = None, known: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+    ) -> dict[str, np.ndarray | None]:
+        """Columns of ``measures.csv``; ``gap`` is ``None`` without ``D`` or a gap oracle.
+
+        ``known`` maps a series name to ``(ks, values)`` already evaluated at the
+        iterates ``ks``, as :attr:`RateReport.series` holds them for the run it
+        checked at radius ``D``; only the other iterates are evaluated here.
+        """
+        known = known or {}
+
+        def column(name: str, **kwargs) -> np.ndarray:
+            ks, done = known.get(name, ([], []))
+            values, rest = np.empty(len(self)), np.ones(len(self), dtype=bool)
+            values[ks], rest[ks] = done, False
+            if rest.any():
+                values[rest] = self.series(name, ks=rest, **kwargs)
+            return values
+
         gaps = None
         if D is not None:
             try:
-                gaps = self.series("gap", D=D)
+                gaps = column("gap", D=D)
             except UnsupportedSetError:
                 pass
         return {
             "r_nat": self.series("natural-residual"),
-            "r_tan": self.series("tangent-residual"),
+            "r_tan": column("tangent-residual"),
             "gap": gaps,
             "dist_half": None if self.half_iterates is None else self.series("half-step-dist"),
             "dist_full": self.series("full-step-dist"),
@@ -247,21 +264,36 @@ def solve_reference(
     max_iter: int = 2_000_000,
     z0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """High-accuracy solution by running EG until the natural residual is tiny."""
+    """High-accuracy solution by running EG until the natural residual is tiny.
+
+    Returns the first EG iterate ``z`` with ``||z - proj(z - F z)|| <= tol``.
+    That check costs a third projection, so it runs only once the half step is
+    short: by the projection-arc lemma (Gafni & Bertsekas 1984; Calamai & Moré,
+    *Math. Programming* 39, 1987, Lemma 2.2) ``||z - proj(z - tF z)||`` is
+    nondecreasing in ``t`` and its quotient by ``t`` nonincreasing, so
+    ``r_nat(z) >= min(1, 1/eta) * ||z - z_half||``.  While that bound exceeds
+    ``2 * tol`` (the factor absorbs rounding) the check could not pass, and an
+    iteration makes two projections.  A run that exhausts ``max_iter`` raises
+    :class:`ReferenceSolveError` with the smallest residual it evaluated, at the
+    last iterate if the check never ran.
+    """
     _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError("solve_reference needs eta * L < 1")
     z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else require_finite("z0", z0)
+    gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
     for _ in range(max_iter):
         F_z = inst.operator(z)
-        moved = inst.set.project(z - F_z)
-        residual = float(np.linalg.norm(z - moved))
-        best = min(best, residual)
-        if residual <= tol:
-            return z
         z_half = inst.set.project(z - eta * F_z)
+        if np.linalg.norm(z - z_half) <= gate:
+            residual = float(np.linalg.norm(z - inst.set.project(z - F_z)))
+            best = min(best, residual)
+            if residual <= tol:
+                return z
         z = inst.set.project(z - eta * inst.operator(z_half))
+    if best == math.inf:
+        best = natural_residual(inst, z)
     raise ReferenceSolveError(best)
 
 
@@ -289,11 +321,18 @@ class RateCheck:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Theorem checks by name; ``skipped`` maps each check left out to the reason."""
+    """Theorem checks by name; ``skipped`` maps each check left out to the reason.
+
+    ``series`` keeps the measure series the checks read, by :data:`SERIES` name,
+    as ``(ks, values)`` at the iterates ``ks``: the tangent residual at every
+    iterate and, unless skipped, the gap at the checked steps.  It is not part
+    of :meth:`to_json`.
+    """
 
     checks: dict[str, RateCheck]
     tolerance: float
     skipped: dict[str, str] = field(default_factory=dict)
+    series: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def worst_slack(self) -> float:
@@ -395,9 +434,11 @@ def rate_report_eg(
         RateCheck("tangent_residual_monotone", r_tan[1:], r_tan[:-1]),
     ]
     skipped: dict[str, str] = {}
+    series = {"tangent-residual": (np.arange(len(r_tan)), r_tan)}
     strong = ("strongly_monotone_linear_rate", "gap_bounds_distance")
     gaps = _gap_at_steps(trajectory, D, gap_stride, ("last_iterate_gap_rate", *strong), skipped)
     if gaps is not None:
+        series["gap"] = gaps
         ks, g = gaps
         rate_constant = 3.0 * D * dist[0] / (eta * math.sqrt(1.0 - etaL**2))
         checks.append(RateCheck("last_iterate_gap_rate", g, rate_constant / np.sqrt(ks)))
@@ -412,7 +453,7 @@ def rate_report_eg(
         else:
             reason = f"operator is not strongly monotone (gamma = {gamma:.3g} <= 0)"
             skipped.update(dict.fromkeys(strong, reason))
-    return RateReport({c.name: c for c in checks}, tolerance, skipped)
+    return RateReport({c.name: c for c in checks}, tolerance, skipped, series)
 
 
 def rate_report_pp(
@@ -450,11 +491,13 @@ def rate_report_pp(
         RateCheck("residual_drop_rate", r_tan[1:] ** 2, dist[0] ** 2 / (eta**2 * k)),
     ]
     skipped: dict[str, str] = {}
+    series = {"tangent-residual": (np.arange(len(r_tan)), r_tan)}
     gaps = _gap_at_steps(trajectory, D, gap_stride, ("gap_rate",), skipped)
     if gaps is not None:
+        series["gap"] = gaps
         ks, g = gaps
         checks.append(RateCheck("gap_rate", g, D * dist[0] / (eta * np.sqrt(ks))))
-    return RateReport({c.name: c for c in checks}, tol, skipped)
+    return RateReport({c.name: c for c in checks}, tol, skipped, series)
 
 
 def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:

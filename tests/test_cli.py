@@ -9,6 +9,16 @@ from egtan.instances import AffineOperator, VIInstance, save_instance
 from egtan.sets import Ball, Box
 
 
+def counted(method, calls):
+    """``method`` wrapped to append its name to ``calls`` on each call."""
+
+    def wrapper(self, *args):
+        calls.append(method.__name__)
+        return method(self, *args)
+
+    return wrapper
+
+
 def write_instance(tmp_path, M, q, lo, hi, name="instance.json"):
     op = AffineOperator.create(np.array(M, dtype=float), np.array(q, dtype=float))
     inst = VIInstance.create(op, Box(np.array(lo, dtype=float), np.array(hi, dtype=float)))
@@ -279,6 +289,39 @@ class TestRatesCommand:
         assert "last_iterate_gap_rate" in out and "skipped:" in out
 
 
+class TestMonotonicityWarning:
+    # gamma = -0.1: the run and its reference solve still finish, but the
+    # theorems need not hold (here tangent_residual_monotone fails)
+    NON_MONOTONE = ([[-0.1, 0.0], [0.0, 1.0]], [1.0, 0.0])
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_non_monotone_instance_warns(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, *self.NON_MONOTONE, [-1, -1], [1, 1])
+        code = main([command, "--instance", str(path), "--eta", "0.3", "--T", "10",
+                     "--z0", "0.5,0.5", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("warning: operator is not monotone (gamma = -0.1 < 0)")
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_strict_rejects_a_non_monotone_instance(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, *self.NON_MONOTONE, [-1, -1], [1, 1])
+        code = main([command, "--instance", str(path), "--eta", "0.3", "--T", "10",
+                     "--z0", "0.5,0.5", "--out", str(tmp_path / "o"), "--strict"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: operator is not monotone (gamma = -0.1 < 0)")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_monotone_instance_is_silent(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        code = main([command, "--instance", str(path), "--eta", "0.3", "--T", "10",
+                     "--z0", "1,1", "--out", str(tmp_path / "o"), "--strict"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestOneRunAndReportPath:
     @pytest.mark.parametrize("solver", ["eg", "pp"])
     def test_solve_and_rates_write_identical_rates_json(self, tmp_path, solver):
@@ -302,18 +345,12 @@ class TestOneRunAndReportPath:
         assert rates["checks"]["last_iterate_gap_rate"]["lhs"] == gap_column[1:]
 
     def test_box_geometry_calls_do_not_grow_with_T(self, tmp_path, monkeypatch):
-        # each series is one stacked call, so a longer run makes no more calls
+        # each series is one stacked call, evaluated once per solve: the tangent
+        # residual and the gap at k >= 1 come from the rate report, so
+        # measures.csv adds only the gap at k = 0
         calls = []
-
-        def counted(method):
-            def wrapper(self, *args):
-                calls.append(method.__name__)
-                return method(self, *args)
-
-            return wrapper
-
         for name in ("linear_min_over_ball", "project_tangent_cone"):
-            monkeypatch.setattr(Box, name, counted(getattr(Box, name)))
+            monkeypatch.setattr(Box, name, counted(getattr(Box, name), calls))
         path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
         counts = []
         for T in (10, 100):
@@ -323,4 +360,5 @@ class TestOneRunAndReportPath:
                 "--out", str(tmp_path / f"T{T}"),
             ]) == 0
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= 4
+            assert calls.count("project_tangent_cone") == 1
+        assert counts[0] == counts[1] <= 3

@@ -402,6 +402,54 @@ def test_linear_min_over_ball_properties(problem):
     assert np.min(others @ cost) >= value - tol
 
 
+@st.composite
+def box_projection_problems(draw):
+    """A Box or orthant and a point or ``(k, n)`` stack to project.
+
+    Bounds mix finite, half-infinite, free and pinned coordinates, including
+    pins at ``-0.0`` or ``+0.0``; entries of the points include signed zeros,
+    the bounds themselves, infinities and NaN.
+    """
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        feasible = NonnegativeOrthant(n)
+    else:
+        l, u = [], []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["finite", "lower", "upper", "free", "pinned", "zero"]))
+            a = draw(st.floats(-10.0, 10.0))
+            if kind == "zero":
+                lo, hi = draw(st.sampled_from([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]))
+            else:
+                lo = a if kind in ("finite", "lower", "pinned") else -np.inf
+                hi = {"finite": a + draw(st.floats(0.0, 10.0)), "upper": a, "pinned": a}.get(
+                    kind, np.inf
+                )
+            l.append(lo)
+            u.append(hi)
+        feasible = Box(np.array(l), np.array(u))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    entry = st.one_of(st.floats(-20.0, 20.0), special, st.sampled_from(feasible.l.tolist()),
+                      st.sampled_from(feasible.u.tolist()))
+    k = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (n,) if k is None else (k, n)
+    p = np.array(draw(st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    return feasible, p.reshape(shape)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(box_projection_problems())
+def test_box_project_equals_clip(problem):
+    # min/max equals np.clip under ==, with NaN propagating as clip does; a
+    # point's zeros also keep clip's sign, so iterates print alike
+    feasible, p = problem
+    got, clipped = feasible.project(p), np.clip(p, feasible.l, feasible.u)
+    assert got.dtype == np.float64 and got.shape == p.shape
+    assert np.array_equal(got, clipped, equal_nan=True)
+    if p.ndim == 1:
+        assert np.array_equal(np.signbit(got[got == 0]), np.signbit(clipped[clipped == 0]))
+
+
 class TestSetOperations:
     def test_box_operations(self):
         box = Box(np.zeros(2), np.ones(2))
