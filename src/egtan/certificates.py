@@ -177,58 +177,40 @@ def first_differing_monomial(branch: str, mutate: str | None = None) -> str | No
 
 
 # ---------------------------------------------------------------------------
-# Derivation cross-check: rebuild the left side from the pre-elimination
-# constraint products and the six coordinate substitutions.
+# Derivation cross-check: rebuild the left side from the raw constraint
+# products, taken at the eliminated coordinates.
 # ---------------------------------------------------------------------------
-
-_PRE_VARS = CONSTRAINED_VARS + ("zk3", "zh2", "zh3", "zn1", "zn2", "zn3")
-
-
-def substitution_map() -> dict[str, SparsePoly]:
-    """The six dependent-coordinate eliminations, as polynomials.
-
-    ``z_k[3]`` and ``z_half[2]`` come from lying on their own hyperplanes,
-    ``z_next[1] = 0`` likewise, and the remaining three coordinates follow the
-    unconstrained update along directions orthogonal to the active normals.
-    """
-    g = generators(_PRE_VARS)
-    zk3 = -(g["b1"] * g["zk1"]) - g["b2"] * g["zk2"]
-    return {
-        "zk3": zk3,
-        "zh2": -(g["al"] * g["zh1"]),
-        "zh3": zk3 - g["fk3"],
-        "zn1": SparsePoly(_PRE_VARS),
-        "zn2": g["zk2"] - g["fh2"],
-        "zn3": zk3 - g["fh3"],
-    }
 
 
 def build_lhs_from_derivation(branch: str) -> SparsePoly:
-    """Left side built the long way: raw constraint products, then elimination.
+    """Left side built the long way: raw constraint products at the eliminated point.
 
-    Serves as an independent route to :func:`build_constrained_lhs`; the two
-    must agree exactly.
+    The products are written in the full coordinates of ``z_k``, ``z_half``
+    and ``z_next`` and evaluated where the six dependent coordinates are ring
+    expressions in the free variables.  ``z_k[3]`` and ``z_half[2]`` come from
+    lying on their own hyperplanes, ``z_next[1] = 0`` likewise, and the
+    remaining three coordinates follow the unconstrained update along
+    directions orthogonal to the active normals.  Serves as an independent
+    route to :func:`build_constrained_lhs`; the two must agree exactly.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    g = generators(_PRE_VARS)
-    one = SparsePoly.constant(_PRE_VARS, 1)
-    zero = SparsePoly(_PRE_VARS)
-    zk = [g["zk1"], g["zk2"], g["zk3"]]
-    zh = [g["zh1"], g["zh2"], g["zh3"]]
-    zn = [g["zn1"], g["zn2"], g["zn3"]]
+    g = _G
+    zk1, zk2, zh1 = g["zk1"], g["zk2"], g["zh1"]
     fk = [g["fk1"], g["fk2"], g["fk3"]]
     fh = [g["fh1"], g["fh2"], g["fh3"]]
     fn = [g["fn1"], g["fn2"], g["fn3"]]
     al, b1, b2 = g["al"], g["b1"], g["b2"]
-    den_al = one + al**2
-    den_bb = one + b1**2 + b2**2
-    ind_pos = one if branch == "nonneg" else zero
-    ind_neg = one if branch == "neg" else zero
+    zk3 = -(b1 * zk1) - b2 * zk2
+    zk = [zk1, zk2, zk3]
+    zh = [zh1, -(al * zh1), zk3 - fk[2]]
+    zn = [_ZERO, zk2 - fh[1], zk3 - fh[2]]
+    ind_pos = _ONE if branch == "nonneg" else _ZERO
+    ind_neg = _ONE if branch == "neg" else _ZERO
 
     # residual difference + monotonicity + Lipschitz, restricted to the first
     # three coordinates (the rest cancels identically).
-    core = zero
+    core = _ZERO
     for i in range(3):
         core = core + fk[i] ** 2 - fn[i] ** 2
         core = core + 2 * (fn[i] - fk[i]) * (zk[i] - zn[i])
@@ -245,20 +227,12 @@ def build_lhs_from_derivation(branch: str) -> SparsePoly:
     cons6 = -(fn[0] * ind_neg) * (zk[0] - fh[0])
 
     # multiply through by (1+al^2)(1+b1^2+b2^2)
-    total = (core + indicator_sq) * den_al * den_bb
-    total = total - normal_sq * den_al
-    total = total + 2 * (cons1 + cons5 + cons6) * den_al * den_bb
-    total = total + 2 * al * cons2 * den_bb
-    total = total + 2 * cons3 * den_bb
-    total = total + 2 * cons4 * den_al
-
-    eliminated = total.substitute(substitution_map())
-
-    # _PRE_VARS extends CONSTRAINED_VARS: drop the (now zero) dependent tail
-    n = len(CONSTRAINED_VARS)
-    if any(any(exp[n:]) for exp in eliminated.terms):
-        raise AssertionError("elimination left a dependent variable")
-    return SparsePoly(CONSTRAINED_VARS, {exp[:n]: c for exp, c in eliminated.terms.items()})
+    total = (core + indicator_sq) * _DEN_ALL
+    total = total - normal_sq * _DEN_AL
+    total = total + 2 * (cons1 + cons5 + cons6) * _DEN_ALL
+    total = total + 2 * al * cons2 * _DEN_BB
+    total = total + 2 * cons3 * _DEN_BB
+    return total + 2 * cons4 * _DEN_AL
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +425,7 @@ def check_newsos_claim() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Certificate assignments: exact points satisfying the eliminations.
+# Certificate assignments: exact rational points for the constrained identity.
 # ---------------------------------------------------------------------------
 
 
@@ -460,9 +434,9 @@ class CertificateAssignment:
     """One exact rational point for the constrained identity.
 
     Free data: the surviving iterate coordinates, the nine operator values
-    (already scaled by the step size), the frame parameters, the
-    representative coordinates, and the indicator branch.  Dependent
-    coordinates are derived, never stored.
+    (already scaled by the step size), the frame parameters and the indicator
+    branch.  The six dependent coordinates are eliminated in the identity
+    itself, so a point needs only these fifteen values.
     """
 
     zk1: Rational
@@ -474,8 +448,6 @@ class CertificateAssignment:
     alpha: Rational
     beta1: Rational
     beta2: Rational
-    x0: Rational = Fraction(0)
-    y: tuple[Rational, Rational, Rational] = (Fraction(0), Fraction(0), Fraction(0))
     branch: str = "nonneg"
 
     def __post_init__(self):
@@ -485,31 +457,6 @@ class CertificateAssignment:
             raise ValueError("nonneg branch requires fn[0] >= 0")
         if self.branch == "neg" and self.fn[0] > 0:
             raise ValueError("neg branch requires fn[0] <= 0")
-
-    # dependent coordinates, from the hyperplane and update relations
-    @property
-    def zk3(self) -> Rational:
-        return -self.beta1 * self.zk1 - self.beta2 * self.zk2
-
-    @property
-    def zh2(self) -> Rational:
-        return -self.alpha * self.zh1
-
-    @property
-    def zh3(self) -> Rational:
-        return self.zk3 - self.fk[2]
-
-    @property
-    def zn(self) -> tuple[Rational, Rational, Rational]:
-        return (Fraction(0), self.zk2 - self.fh[1], self.zk3 - self.fh[2])
-
-    @property
-    def x1(self) -> Rational:
-        return self.x0 - self.y[0]
-
-    @property
-    def x2(self) -> Rational:
-        return self.x0 - self.y[1]
 
     def values(self) -> dict[str, Rational]:
         return {
@@ -550,7 +497,6 @@ class CertificateAssignment:
             fh=(q(), q(), q()),
             fn=(fn1, q(), q()),
             alpha=q(), beta1=q(), beta2=q(),
-            x0=q(), y=(q(), q(), q()),
             branch=branch,
         )
 

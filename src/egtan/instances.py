@@ -227,6 +227,8 @@ def _game_arrays(A, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatchError("b", f"expected shape ({ell},), got {b.shape}")
     if c.shape != (m,):
         raise DimensionMismatchError("c", f"expected shape ({m},), got {c.shape}")
+    for name, arr in (("A", A), ("b", b), ("c", c)):
+        require_finite(name, arr)
     return A, b, c
 
 

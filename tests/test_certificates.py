@@ -7,6 +7,7 @@ from egtan import certificates as cert
 from egtan.certificates import (
     ALL_TERM_NAMES,
     BRANCHES,
+    LHS_TERM_NAMES,
     CertificateAssignment,
     DegenerateFrameError,
     FrameCheckError,
@@ -144,6 +145,13 @@ class TestConstrainedIdentity:
         for branch in BRANCHES:
             assert (build_lhs_from_derivation(branch) - build_constrained_lhs(branch)).is_zero()
 
+    @pytest.mark.parametrize("term", LHS_TERM_NAMES)
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_derivation_route_detects_a_dropped_term(self, branch, term):
+        diff = build_lhs_from_derivation(branch) - build_constrained_lhs(branch, mutate=term)
+        # cons-9 carries the negative-branch indicator: identically zero on nonneg
+        assert diff.is_zero() == (branch == "nonneg" and term == "cons-9")
+
     def test_degree_and_size(self):
         lhs = build_constrained_lhs("nonneg")
         assert lhs.degree() == 8
@@ -203,16 +211,6 @@ class TestConstrainedIdentity:
             branch = "nonneg" if i % 2 == 0 else "neg"
             point = CertificateAssignment.random(rng, branch)
             assert point.evaluate_rhs() >= 0
-
-    def test_assignment_dependents_follow_the_substitutions(self):
-        rng = np.random.default_rng(5)
-        p = CertificateAssignment.random(rng, "nonneg")
-        assert p.zk3 == -p.beta1 * p.zk1 - p.beta2 * p.zk2
-        assert p.zh2 == -p.alpha * p.zh1
-        assert p.zh3 == p.zk3 - p.fk[2]
-        assert p.zn == (0, p.zk2 - p.fh[1], p.zk3 - p.fh[2])
-        assert p.x1 == p.x0 - p.y[0]
-        assert p.x2 == p.x0 - p.y[1]
 
     def test_branch_sign_enforced(self):
         with pytest.raises(ValueError, match="nonneg branch"):

@@ -197,6 +197,26 @@ class TestSolveCommand:
         assert code == 1
         assert f"error: {field} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, A, b",
+        [
+            ("A", [[float("nan"), 2.0], [1.0, 1.0]], [1.0, 1.0]),
+            ("b", [[1.0, 2.0], [1.0, 1.0]], [float("inf"), 1.0]),
+        ],
+    )
+    def test_non_finite_game_exits_one_naming_field(self, tmp_path, capsys, field, A, b):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "operator": {"type": "bilinear", "A": A, "b": b, "c": [1.0, 1.0]},
+            "set": {"type": "box", "l": [0.0] * 4, "u": [10.0] * 4},
+        }))
+        code = main([
+            "solve", "--instance", str(path), "--eta", "0.1", "--T", "3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded
         # squared natural residual in the k=0 measure row

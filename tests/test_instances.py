@@ -101,6 +101,16 @@ class TestCreateRejectsNonFinite:
         with pytest.raises(ValueError, match="^q must be finite"):
             AffineOperator.create(np.eye(2), np.array([bad, 0.0]))
 
+    @pytest.mark.parametrize("field", ["A", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_game_data(self, field, bad):
+        # a NaN in A used to run the power iteration to its cap, an inf in b
+        # was reported against q
+        data = {"A": np.eye(2), "b": np.zeros(2), "c": np.zeros(2)}
+        data[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            bilinear_spec(data["A"], data["b"], data["c"])
+
 
 class TestEstimateConstants:
     def test_identity(self):
