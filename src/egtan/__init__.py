@@ -4,8 +4,8 @@ The package is organized around four concerns:
 
 * :mod:`egtan.instances` / :mod:`egtan.sets` -- affine operators, bilinear
   games, feasible sets, and the projection primitives.
-* :mod:`egtan.measures` -- natural residual, tangent residual (six equivalent
-  routes), gap function, bilinear duality gap.
+* :mod:`egtan.measures` -- natural residual, tangent residual, gap function,
+  bilinear duality gap.
 * :mod:`egtan.solvers` -- EG and PP runs with trajectory recording and
   rate reports that check each convergence theorem step by step.
 * :mod:`egtan.certificates` -- exact rational verification of the
@@ -20,7 +20,6 @@ from .instances import (
     AffineOperator,
     BilinearGameSpec,
     VIInstance,
-    check_monotone_samples,
     make_bilinear,
     matrix_constants,
 )
@@ -29,8 +28,6 @@ from .measures import (
     gap,
     natural_residual,
     tangent_residual,
-    tangent_residual_orthant_closed_form,
-    tangent_residual_variants,
 )
 from .sets import (
     Ball,
@@ -68,7 +65,6 @@ __all__ = [
     "VIInstance",
     "WholeSpace",
     "best_iterate_index",
-    "check_monotone_samples",
     "duality_gap_bilinear",
     "eg_run",
     "eg_step",
@@ -82,8 +78,6 @@ __all__ = [
     "rate_report_pp",
     "solve_reference",
     "tangent_residual",
-    "tangent_residual_orthant_closed_form",
-    "tangent_residual_variants",
 ]
 
 __version__ = "0.1.0"

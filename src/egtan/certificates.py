@@ -15,9 +15,7 @@ bites) skips the cached term and never edits the table.
 
 Everything in this module is exact: coefficients are ``Fraction`` and every
 identity is proved by a zero test on a ``SparsePoly``, never by sampling.
-Numeric code enters only in :func:`reduction_frame`, which builds the canonical
-frame for one observed extragradient step and checks the frame properties in
-floating point.
+Nothing here imports numpy, so the proofs run without it.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
-
-import numpy as np
 
 from .exactpoly import Rational, SparsePoly, generators
 
@@ -49,19 +45,6 @@ RHS_TERM_NAMES = tuple(f"sos-{i}" for i in range(1, 6))
 ALL_TERM_NAMES = LHS_TERM_NAMES + RHS_TERM_NAMES
 
 BRANCHES = ("nonneg", "neg")
-
-
-class DegenerateFrameError(ValueError):
-    """The three observed normals are (numerically) linearly dependent."""
-
-
-class FrameCheckError(ValueError):
-    """A reduction-frame property failed; names the violated inequality."""
-
-    def __init__(self, name: str, value: float):
-        super().__init__(f"frame property {name} violated (value {value:.3e})")
-        self.name = name
-        self.value = value
 
 
 _G = generators(CONSTRAINED_VARS)
@@ -300,19 +283,6 @@ def constrained_expansion_table(branch: str = "nonneg") -> list[TableRow]:
 # ---------------------------------------------------------------------------
 
 
-def unconstrained_identity_terms(
-    f_k: Sequence[Rational], f_half: Sequence[Rational], f_next: Sequence[Rational]
-) -> list[Rational]:
-    """The five summands whose total vanishes for any three vectors.
-
-    norm-difference, twice the monotonicity product, and the Lipschitz
-    difference, all expressed in the operator values alone.
-    """
-    if not (len(f_k) == len(f_half) == len(f_next)):
-        raise ValueError("operator value vectors must share a dimension")
-    return _unconstrained_terms(*([Fraction(x) for x in f] for f in (f_k, f_half, f_next)))
-
-
 def _unconstrained_terms(fk: Sequence, fh: Sequence, fn: Sequence) -> list:
     """The five summands in ring operations only, over ``Fraction`` or ``SparsePoly``."""
     dot = lambda a, b: sum(x * y for x, y in zip(a, b))
@@ -330,7 +300,10 @@ def check_unconstrained_identity(
     f_k: Sequence[Rational], f_half: Sequence[Rational], f_next: Sequence[Rational]
 ) -> bool:
     """Exact zero test of the unconstrained norm-monotonicity identity."""
-    return sum(unconstrained_identity_terms(f_k, f_half, f_next)) == 0
+    if not (len(f_k) == len(f_half) == len(f_next)):
+        raise ValueError("operator value vectors must share a dimension")
+    vectors = ([Fraction(x) for x in f] for f in (f_k, f_half, f_next))
+    return sum(_unconstrained_terms(*vectors)) == 0
 
 
 def prove_unconstrained_identity() -> bool:
@@ -343,30 +316,30 @@ def prove_unconstrained_identity() -> bool:
 _P2_VARS = ("x0", "x1", "x2", "y0", "y1", "y2")
 
 
-def p2_block_polynomial(substitute: bool = True) -> SparsePoly:
+def p2_block_polynomial() -> SparsePoly:
     """The representative-coordinate block of the constrained proof.
 
     One scalar coordinate stands in for every coordinate beyond the third;
     with the update relations ``x1 = x0 - y0`` and ``x2 = x0 - y1`` the block
-    collapses to zero.
+    collapses to zero (see :func:`check_p2_block_identity`).
     """
     g = generators(_P2_VARS)
     x0, x1, x2 = g["x0"], g["x1"], g["x2"]
     y0, y1, y2 = g["y0"], g["y1"], g["y2"]
-    block = (
+    return (
         y0**2
         - y2**2
         + 2 * (y2 - y0) * (x0 - x2)
         + (y2 - y1) ** 2
         - (x2 - x1) ** 2
     )
-    if substitute:
-        block = block.substitute({"x1": x0 - y0, "x2": x0 - y1})
-    return block
 
 
 def check_p2_block_identity() -> bool:
-    return p2_block_polynomial(substitute=True).is_zero()
+    """Zero test of the block after the update relations ``x1 = x0 - y0``, ``x2 = x0 - y1``."""
+    g = generators(_P2_VARS)
+    relations = {"x1": g["x0"] - g["y0"], "x2": g["x0"] - g["y1"]}
+    return p2_block_polynomial().substitute(relations).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +457,11 @@ class CertificateAssignment:
         return build_constrained_rhs(self.branch).evaluate(self.values())
 
     @staticmethod
-    def random(rng: np.random.Generator, branch: str = "nonneg") -> "CertificateAssignment":
-        """Random small-integer-ratio assignment honoring the branch sign."""
+    def random(rng, branch: str = "nonneg") -> "CertificateAssignment":
+        """Random small-integer-ratio assignment honoring the branch sign.
+
+        ``rng`` is any generator with ``integers(lo, hi)``, such as numpy's.
+        """
 
         def q() -> Fraction:
             return Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
@@ -499,145 +475,6 @@ class CertificateAssignment:
             alpha=q(), beta1=q(), beta2=q(),
             branch=branch,
         )
-
-
-# ---------------------------------------------------------------------------
-# Numeric reduction frame for one observed extragradient step.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReductionFrame:
-    """Orthonormal change of basis putting the three normals in canonical form."""
-
-    rotation: np.ndarray
-    a_k: np.ndarray
-    a_half: np.ndarray
-    a_next: np.ndarray
-    alpha: float
-    beta1: float
-    beta2: float
-
-
-def _gram_schmidt_rows(ordered: list[np.ndarray], n: int) -> np.ndarray:
-    basis: list[np.ndarray] = []
-    for v in ordered + [e for e in np.eye(n)]:
-        w = v.astype(float).copy()
-        for b in basis:
-            w -= (b @ w) * b
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            basis.append(w / nw)
-        if len(basis) == n:
-            break
-    return np.array(basis)
-
-
-def reduction_frame(
-    z_k: np.ndarray,
-    z_half: np.ndarray,
-    z_next: np.ndarray,
-    F_k: np.ndarray,
-    F_half: np.ndarray,
-    eta: float,
-    a_k: np.ndarray,
-    F_next: np.ndarray | None = None,
-    lipschitz: float | None = None,
-    cond_threshold: float = 1e8,
-    tol: float = 1e-8,
-) -> ReductionFrame:
-    """Canonical frame for one extragradient step on a cone through the origin.
-
-    The midpoint and endpoint normals are read off the projections
-    (``z_half - z_k + eta F_k`` and ``z_next - z_k + eta F_half``); together
-    with the supplied ``a_k`` they are rotated so that the endpoint normal
-    becomes ``(1,0,...)``, the midpoint normal ``(alpha,1,0,...)`` and ``a_k``
-    ``(beta1,beta2,1,0,...)``.  Frame properties (cone membership, hyperplane
-    incidence, co-direction, and the operator inequalities where the data to
-    check them was supplied) are verified on the rotated vectors.
-
-    Raises :class:`DegenerateFrameError` when the three normals are not
-    numerically independent; that case is outside this construction.
-    """
-    z_k = np.asarray(z_k, dtype=float)
-    z_half = np.asarray(z_half, dtype=float)
-    z_next = np.asarray(z_next, dtype=float)
-    F_k = np.asarray(F_k, dtype=float)
-    F_half = np.asarray(F_half, dtype=float)
-    a_k = np.asarray(a_k, dtype=float)
-    n = z_k.shape[0]
-
-    a_half = z_half - z_k + eta * F_k
-    a_next = z_next - z_k + eta * F_half
-    stack = np.vstack([a_next, a_half, a_k])
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > cond_threshold:
-        raise DegenerateFrameError(
-            f"normals are numerically dependent (condition {svals[0] / max(svals[-1], 1e-300):.3e})"
-        )
-
-    for name, a, z in (
-        ("incidence-k", a_k, z_k),
-        ("incidence-half", a_half, z_half),
-        ("incidence-next", a_next, z_next),
-    ):
-        val = float(a @ z)
-        scale = 1.0 + np.linalg.norm(a) * np.linalg.norm(z)
-        if abs(val) > tol * scale:
-            raise FrameCheckError(name, val)
-
-    Q = _gram_schmidt_rows([a_next, a_half, a_k], n)
-    # pivot signs: make the diagonal inner products positive
-    for i, a in enumerate((a_next, a_half, a_k)):
-        if Q[i] @ a < 0:
-            Q[i] = -Q[i]
-
-    ra_next = Q @ a_next
-    ra_half = Q @ a_half
-    ra_k = Q @ a_k
-    d, c, b = ra_next[0], ra_half[1], ra_k[2]
-    if min(d, c, b) <= 0:
-        raise DegenerateFrameError("Gram-Schmidt pivots are not positive")
-    alpha = float(ra_half[0] / c)
-    beta1 = float(ra_k[0] / b)
-    beta2 = float(ra_k[1] / b)
-
-    rz = {name: Q @ v for name, v in (("k", z_k), ("half", z_half), ("next", z_next))}
-    normals = {"k": ra_k / b, "half": ra_half / c, "next": ra_next / d}
-    for i, ai in normals.items():
-        for j, zj in rz.items():
-            val = float(ai @ zj)
-            if val < -tol * (1.0 + np.linalg.norm(zj)):
-                raise FrameCheckError(f"cone-membership a_{i}.z_{j}", val)
-
-    rF_k = Q @ F_k
-    val = float((ra_k / b) @ rF_k)
-    if val < -tol * (1.0 + np.linalg.norm(F_k)):
-        raise FrameCheckError("gradient-plane", val)
-
-    if F_next is not None:
-        rF_next = Q @ np.asarray(F_next, dtype=float)
-        rF_half = Q @ F_half
-        mono = float((rF_next - rF_k) @ (rz["next"] - rz["k"]))
-        if mono < -tol * (1.0 + np.linalg.norm(F_k) ** 2):
-            raise FrameCheckError("monotone", mono)
-        if lipschitz is not None:
-            lip = float(
-                lipschitz**2 * np.sum((rz["next"] - rz["half"]) ** 2)
-                - np.sum((rF_next - rF_half) ** 2)
-            )
-            if lip < -tol * (1.0 + np.linalg.norm(F_half) ** 2):
-                raise FrameCheckError("lipschitz", lip)
-
-    return ReductionFrame(
-        rotation=Q,
-        a_k=normals["k"],
-        a_half=normals["half"],
-        a_next=normals["next"],
-        alpha=alpha,
-        beta1=beta1,
-        beta2=beta2,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,13 @@ class BilinearGameSpec:
             raise DimensionMismatchError("x_box", f"expected bounds of shape ({ell},)")
         if yl.shape != (m,) or yu.shape != (m,):
             raise DimensionMismatchError("y_box", f"expected bounds of shape ({m},)")
-        if np.any(xl > xu) or np.any(yl > yu):
-            raise ValueError("box bounds must satisfy l <= u componentwise")
+        for name, lo, hi in (("x_box", xl, xu), ("y_box", yl, yu)):
+            if not np.all(lo < np.inf):  # false for nan too, as in Box
+                raise ValueError(f"{name} lower bounds must not be nan or +inf")
+            if not np.all(hi > -np.inf):
+                raise ValueError(f"{name} upper bounds must not be nan or -inf")
+            if np.any(lo > hi):
+                raise ValueError(f"{name} bounds must satisfy l <= u componentwise")
         for arr in (A, b, c, xl, xu, yl, yu):
             arr.flags.writeable = False
         return cls(A=A, b=b, c=c, x_box=(xl, xu), y_box=(yl, yu))
@@ -255,22 +260,6 @@ def make_bilinear(spec: BilinearGameSpec) -> VIInstance:
     lo = np.concatenate([spec.x_box[0], spec.y_box[0]])
     hi = np.concatenate([spec.x_box[1], spec.y_box[1]])
     return VIInstance.create(_bilinear_operator(spec.A, spec.b, spec.c), Box(lo, hi))
-
-
-def check_monotone_samples(
-    op: AffineOperator, samples: int, seed: int = 0, tol: float = 1e-10
-) -> bool:
-    """Sampled monotonicity test: ``<F(z)-F(z'), z-z'> >= -tol`` on random pairs."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = op.dimension
-    for _ in range(samples):
-        z = rng.standard_normal(n)
-        zp = rng.standard_normal(n)
-        if float((op(z) - op(zp)) @ (z - zp)) < -tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

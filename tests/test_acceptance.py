@@ -26,11 +26,10 @@ from egtan.measures import (
     gap,
     natural_residual,
     tangent_residual,
-    tangent_residual_orthant_closed_form,
-    tangent_residual_variants,
 )
 from egtan.sets import Box, NonnegativeOrthant
 from egtan.solvers import SolverConfig, eg_run, pp_run, pp_step, rate_report_pp, solve_reference
+from tests.oracles import tangent_residual_orthant_closed_form, tangent_residual_variants
 
 SUITE_SEED = 1234
 SUITE_SIZE = 100

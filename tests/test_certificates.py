@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,6 @@ from egtan.certificates import (
     BRANCHES,
     LHS_TERM_NAMES,
     CertificateAssignment,
-    DegenerateFrameError,
-    FrameCheckError,
     build_constrained_lhs,
     build_constrained_rhs,
     build_lhs_from_derivation,
@@ -24,11 +26,10 @@ from egtan.certificates import (
     p2_block_polynomial,
     prove_expansion_identities,
     prove_unconstrained_identity,
-    reduction_frame,
-    unconstrained_identity_terms,
     verification_report,
 )
 from egtan.exactpoly import SparsePoly, generators
+from tests.oracles import unconstrained_identity_terms
 
 
 def rational_vector(rng, dim):
@@ -228,11 +229,11 @@ class TestP2Block:
         assert check_p2_block_identity()
 
     def test_nonzero_without_substitution(self):
-        assert not p2_block_polynomial(substitute=False).is_zero()
+        assert not p2_block_polynomial().is_zero()
 
     def test_spot_evaluation_at_consistent_assignments(self):
         rng = np.random.default_rng(6)
-        block = p2_block_polynomial(substitute=False)
+        block = p2_block_polynomial()
         for _ in range(50):
             x0, y0, y1, y2 = (Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 8))) for _ in range(4))
             value = block.evaluate(
@@ -242,7 +243,7 @@ class TestP2Block:
 
     def test_partial_substitution_is_not_zero(self):
         g = generators(("x0", "x1", "x2", "y0", "y1", "y2"))
-        block = p2_block_polynomial(substitute=False).substitute({"x1": g["x0"] - g["y0"]})
+        block = p2_block_polynomial().substitute({"x1": g["x0"] - g["y0"]})
         assert not block.is_zero()
 
 
@@ -299,133 +300,6 @@ class TestNewSosClaim:
             assert lhs == rhs
 
 
-class TestReductionFrame:
-    def test_already_canonical_normals(self):
-        n = 5
-        alpha, b1, b2 = 0.7, -0.3, 1.2
-        eta = 0.5
-        a_k = np.zeros(n); a_k[:3] = (b1, b2, 1.0)
-        a_half = np.zeros(n); a_half[:2] = (alpha, 1.0)
-        a_next = np.zeros(n); a_next[0] = 1.0
-        z = np.zeros(n)
-        # choose operator values whose update residues point along the normals
-        F_k = a_half / eta
-        F_half = a_next / eta
-        frame = reduction_frame(z, z, z, F_k, F_half, eta, a_k)
-        assert frame.alpha == pytest.approx(alpha, abs=1e-10)
-        assert frame.beta1 == pytest.approx(b1, abs=1e-10)
-        assert frame.beta2 == pytest.approx(b2, abs=1e-10)
-        np.testing.assert_allclose(np.abs(frame.rotation), np.eye(n), atol=1e-10)
-
-    def test_rotation_is_orthonormal_and_preserves_geometry(self):
-        rng = np.random.default_rng(9)
-        n = 6
-        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        eta = 0.3
-        a_k = basis @ np.array([0.2, 0.4, 1.0, 0, 0, 0])
-        a_half = basis @ np.array([0.9, 1.1, 0, 0, 0, 0])
-        a_next = basis @ np.array([1.3, 0, 0, 0, 0, 0])
-        z = np.zeros(n)
-        frame = reduction_frame(z, z, z, a_half / eta, a_next / eta, eta, a_k)
-        Q = frame.rotation
-        np.testing.assert_allclose(Q @ Q.T, np.eye(n), atol=1e-12)
-        for _ in range(20):
-            u, v = rng.standard_normal(n), rng.standard_normal(n)
-            assert np.linalg.norm(Q @ u) == pytest.approx(np.linalg.norm(u), abs=1e-12)
-            assert float((Q @ u) @ (Q @ v)) == pytest.approx(float(u @ v), abs=1e-11)
-        np.testing.assert_allclose(frame.a_next[1:], 0, atol=1e-12)
-        assert frame.a_next[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(frame.a_half[2:], 0, atol=1e-12)
-        np.testing.assert_allclose(frame.a_k[3:], 0, atol=1e-12)
-        assert frame.alpha == pytest.approx(0.9 / 1.1, abs=1e-10)
-        assert frame.beta1 == pytest.approx(0.2, abs=1e-10)
-        assert frame.beta2 == pytest.approx(0.4, abs=1e-10)
-
-    def test_numeric_cone_step_with_distinct_facets(self):
-        # one EG step on the orthant cone {z >= 0}: z_k sits on facet 3, the
-        # midpoint projection clamps facets 2-3, the endpoint clamps facets
-        # 1 and 3; all data verified against the raw inequality definitions
-        eta = 0.5
-        z_k = np.array([1.0, 0.8, 0.0])
-        F_k = np.array([0.4, 2.2, 0.6])
-        z_half = np.maximum(z_k - eta * F_k, 0.0)
-        np.testing.assert_allclose(z_half, [0.8, 0.0, 0.0])
-        F_half = np.array([2.4, 1.0, 0.2])
-        z_next = np.maximum(z_k - eta * F_half, 0.0)
-        np.testing.assert_allclose(z_next, [0.0, 0.3, 0.0])
-        F_next = np.array([0.3, 2.2, 0.6])
-        # monotone on the observed pair and Lipschitz with L = 3
-        assert float((F_next - F_k) @ (z_next - z_k)) >= 0
-        assert np.linalg.norm(F_next - F_half) <= 3.0 * np.linalg.norm(z_next - z_half)
-        a_k = np.array([0.0, 0.0, 1.0])
-        assert F_k[2] >= 0
-        frame = reduction_frame(
-            z_k, z_half, z_next, F_k, F_half, eta, a_k,
-            F_next=F_next, lipschitz=3.0,
-        )
-        # rotated normals keep the canonical sparsity pattern
-        np.testing.assert_allclose(frame.a_next[1:], 0, atol=1e-12)
-        np.testing.assert_allclose(frame.a_half[2:], 0, atol=1e-12)
-        np.testing.assert_allclose(frame.a_k[3:], 0, atol=1e-12)
-        # the extracted parameters reproduce the raw normals up to scaling
-        a_half_raw = z_half - z_k + eta * F_k
-        a_next_raw = z_next - z_k + eta * F_half
-        Q = frame.rotation
-        np.testing.assert_allclose(
-            Q @ a_half_raw / (Q @ a_half_raw)[1], frame.a_half, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            Q @ a_next_raw / (Q @ a_next_raw)[0], frame.a_next, atol=1e-12
-        )
-
-    def test_equivariance_on_a_rotated_halfspace_cone(self):
-        # the same extragradient step, pushed through a rotated copy of the
-        # cone (a genuine HalfspaceIntersection, not the axis-aligned
-        # orthant), must give identical frame parameters
-        from egtan.sets import HalfspaceIntersection
-
-        eta = 0.5
-        z_k = np.array([1.0, 0.8, 0.0])
-        F_k = np.array([0.4, 2.2, 0.6])
-        F_half = np.array([2.4, 1.0, 0.2])
-        a_k = np.array([0.0, 0.0, 1.0])
-        z_half = np.maximum(z_k - eta * F_k, 0.0)
-        z_next = np.maximum(z_k - eta * F_half, 0.0)
-        base = reduction_frame(z_k, z_half, z_next, F_k, F_half, eta, a_k)
-
-        rng = np.random.default_rng(10)
-        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        cone = HalfspaceIntersection([(R[:, i], 0.0) for i in range(3)])
-        rz_k = R @ z_k
-        rF_k = R @ F_k
-        rz_half = cone.project(rz_k - eta * rF_k)
-        np.testing.assert_allclose(rz_half, R @ z_half, atol=1e-10)
-        rF_half = R @ F_half
-        rz_next = cone.project(rz_k - eta * rF_half)
-        np.testing.assert_allclose(rz_next, R @ z_next, atol=1e-10)
-
-        rotated = reduction_frame(rz_k, rz_half, rz_next, rF_k, rF_half, eta, R @ a_k)
-        assert rotated.alpha == pytest.approx(base.alpha, abs=1e-9)
-        assert rotated.beta1 == pytest.approx(base.beta1, abs=1e-9)
-        assert rotated.beta2 == pytest.approx(base.beta2, abs=1e-9)
-
-    def test_parallel_normals_are_degenerate(self):
-        n = 4
-        z = np.zeros(n)
-        a = np.array([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(DegenerateFrameError):
-            reduction_frame(z, z, z, a, a, 1.0, np.array([0.0, 1.0, 0.0, 0.0]))
-
-    def test_incidence_violation_is_named(self):
-        n = 3
-        a_k = np.array([0.0, 0.0, 1.0])
-        z_k = np.array([0.0, 0.0, 1.0])  # not on the a_k hyperplane
-        with pytest.raises(FrameCheckError) as err:
-            reduction_frame(z_k, np.zeros(n), np.zeros(n),
-                            np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 1.0, a_k)
-        assert "incidence-k" in err.value.name
-
-
 class TestVerificationReport:
     def test_clean_report_passes(self):
         report = verification_report(seed=0)
@@ -460,3 +334,18 @@ class TestVerificationReport:
                       lambda: check_constrained_identity("nonneg", mutate=mutate)):
             with pytest.raises(ValueError, match="mutate must be one of cons-1, .*sos-5"):
                 check()
+
+
+def test_certificates_run_without_numpy():
+    # a bare package in place of egtan/__init__, which imports the numeric modules
+    code = textwrap.dedent(f"""
+        import sys, types
+        package = types.ModuleType("egtan")
+        package.__path__ = [{str(Path(cert.__file__).parent)!r}]
+        sys.modules["egtan"] = package
+        from egtan.certificates import verification_report
+        assert verification_report()["all_pass"]
+        assert "numpy" not in sys.modules, "numpy was loaded"
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -149,3 +149,21 @@ def far_problems(draw):
 def test_far_points_project_onto_nonempty_sets(problem):
     A, b, p = problem
     assert_kkt(A, b, p, HalfspaceIntersection(list(zip(A, b))).project(p))
+
+
+def test_rotated_orthant_projection_is_the_rotated_clamp():
+    # {z : <R e_i, z> >= 0} is the orthant turned by the orthogonal R, so the
+    # projection of R p is R max(p, 0); one EG step's two projections
+    eta = 0.5
+    z_k = np.array([1.0, 0.8, 0.0])
+    F_k = np.array([0.4, 2.2, 0.6])
+    F_half = np.array([2.4, 1.0, 0.2])
+    R = np.linalg.qr(np.random.default_rng(10).standard_normal((3, 3)))[0]
+    cone = HalfspaceIntersection([(R[:, i], 0.0) for i in range(3)])
+    np.testing.assert_allclose(
+        cone.project(R @ z_k - eta * (R @ F_k)), R @ np.maximum(z_k - eta * F_k, 0.0), atol=1e-10
+    )
+    np.testing.assert_allclose(
+        cone.project(R @ z_k - eta * (R @ F_half)), R @ np.maximum(z_k - eta * F_half, 0.0),
+        atol=1e-10,
+    )

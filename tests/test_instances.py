@@ -5,12 +5,12 @@ from egtan.instances import (
     AffineOperator,
     BilinearGameSpec,
     DimensionMismatchError,
-    check_monotone_samples,
     instance_from_json,
     instance_to_json,
     make_bilinear,
     matrix_constants,
 )
+from tests.oracles import check_monotone_samples
 
 
 def bilinear_spec(A, b, c, lo=0.0, hi=10.0):
@@ -60,6 +60,19 @@ class TestMakeBilinear:
     def test_bad_box_bounds(self):
         with pytest.raises(ValueError, match="l <= u"):
             bilinear_spec(np.eye(2), [0, 0], [0, 0], lo=1.0, hi=0.0)
+
+    # Box rejects these too, but only later and naming l or u, not the field
+    @pytest.mark.parametrize("field", ["x_box", "y_box"])
+    @pytest.mark.parametrize("bounds, message", [
+        (([np.nan, 0.0], [1.0, 1.0]), "lower bounds must not be nan or \\+inf"),
+        (([np.inf, 0.0], [1.0, 1.0]), "lower bounds must not be nan or \\+inf"),
+        (([0.0, 0.0], [1.0, np.nan]), "upper bounds must not be nan or -inf"),
+        (([0.0, 0.0], [1.0, -np.inf]), "upper bounds must not be nan or -inf"),
+    ])
+    def test_non_finite_box_bound_names_field(self, field, bounds, message):
+        boxes = {"x_box": ([0.0, 0.0], [1.0, 1.0]), "y_box": ([0.0, 0.0], [1.0, 1.0]), field: bounds}
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
+            BilinearGameSpec.create(np.eye(2), np.zeros(2), np.zeros(2), **boxes)
 
 
 class TestEvalOperator:

@@ -7,11 +7,10 @@ from egtan.measures import (
     gap,
     natural_residual,
     tangent_residual,
-    tangent_residual_orthant_closed_form,
-    tangent_residual_variants,
     write_measures_csv,
 )
 from egtan.sets import Box, NonnegativeOrthant, WholeSpace
+from tests.oracles import tangent_residual_orthant_closed_form, tangent_residual_variants
 from tests.test_instances import bilinear_spec
 
 

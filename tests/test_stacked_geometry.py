@@ -1,5 +1,6 @@
 """A ``(k, n)`` stack of points gives, row for row, bit for bit, what the
-per-point calls give: for every set operation and every point measure."""
+per-point calls give: for every set operation and every point measure.  On the
+same draws, the measures keep the inequalities that tie them together."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from egtan.sets import (
     UnsupportedSetError,
     WholeSpace,
 )
+from egtan.solvers import SolverConfig, eg_run
 
 KINDS = ("box", "orthant", "rn", "ball", "halfspaces")
 
@@ -159,6 +161,30 @@ def test_measures_match_row_by_row(problem):
                          [np.linalg.norm(z - feasible.project(z - op(z))) for z in Z])
     assert_bitwise_equal([tangent_residual(inst, z) for z in Z],
                          [np.linalg.norm(feasible.project_tangent_cone(z, -op(z))) for z in Z])
+
+
+@settings(max_examples=300)
+@given(stacked_problems())
+@example(WALK_CASES)
+def test_measure_inequalities_hold_on_every_set(problem):
+    feasible, Z, V, _, D, op = problem
+    # Moreau decomposition: v splits into orthogonal tangent and normal parts
+    T, N = feasible.project_tangent_cone(Z, V), feasible.project_normal_cone(Z, V)
+    scale = 1.0 + np.abs(V).max()
+    np.testing.assert_allclose(T + N, V, rtol=0, atol=1e-9 * scale)
+    assert np.all(np.abs(np.vecdot(T, N)) <= 1e-9 * scale**2)
+    # the tangent residual dominates the natural residual and bounds the gap
+    inst = VIInstance.create(op, feasible)
+    r_tan = tangent_residual(inst, Z)
+    assert np.all(r_tan >= natural_residual(inst, Z) - 1e-10 * (1.0 + r_tan))
+    if has_gap_oracle(feasible):
+        assert np.all(gap(inst, Z, D) <= D * r_tan + 1e-10 * (1.0 + D * r_tan))
+    # and never rises along EG on a monotone operator at eta = 0.5 / L, up to
+    # 1e-8 of the starting residual (rounding near a solution)
+    monotone = AffineOperator.create(op.M - op.M.T + 0.1 * np.eye(len(op.q)), op.q)
+    config = SolverConfig(0.5 / monotone.lipschitz, 30)
+    r = eg_run(VIInstance.create(monotone, feasible), config, Z[0]).series("tangent-residual")
+    assert np.all(r[1:] <= r[:-1] + 1e-8 * r[0])
 
 
 @pytest.mark.parametrize("kind", KINDS)
