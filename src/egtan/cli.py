@@ -124,14 +124,14 @@ def cmd_counterexample(args) -> int:
 def cmd_verify_certificates(args) -> int:
     try:
         report = certificates.verification_report(seed=args.seed, mutate=args.mutate)
-    except ValueError as exc:
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            with open(out / "certificates.json", "w") as fh:
+                json.dump(report, fh, indent=2)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "certificates.json", "w") as fh:
-            json.dump(report, fh, indent=2)
     width = max(len(k) for k in report if k != "all_pass")
     for key, entry in report.items():
         if key == "all_pass":

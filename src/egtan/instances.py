@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .sets import point_or_rows, require_finite
+from .sets import Box, point_or_rows, require_finite, set_from_json, set_to_json
 
 EIG_TOL = 1e-8
 POWER_ITER_CAP = 10_000
@@ -87,6 +87,11 @@ def _spectral_norm(A: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.sqrt(max(_power_dominant_eig(A.T @ A, rng), 0.0)))
 
 
+def _require_square(M: np.ndarray) -> None:
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatchError("M", f"expected a nonempty square matrix, got {M.shape}")
+
+
 def matrix_constants(M: np.ndarray) -> tuple[float, float]:
     """(Lipschitz constant, strong-monotonicity modulus) of ``z -> Mz + q``.
 
@@ -97,8 +102,7 @@ def matrix_constants(M: np.ndarray) -> tuple[float, float]:
     of the Gershgorin-shifted reflection ``(lambda_max + shift) I - S``.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError("M", f"expected a square matrix, got {M.shape}")
+    _require_square(M)
     rng = np.random.default_rng(POWER_ITER_SEED)
     lipschitz = _spectral_norm(M, rng)
 
@@ -129,8 +133,7 @@ class AffineOperator:
     ) -> "AffineOperator":
         M = np.array(M, dtype=float)
         q = np.array(q, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatchError("M", f"expected square matrix, got {M.shape}")
+        _require_square(M)
         if q.shape != (M.shape[0],):
             raise DimensionMismatchError("q", f"expected shape ({M.shape[0]},), got {q.shape}")
         require_finite("M", M)
@@ -193,10 +196,6 @@ class BilinearGameSpec:
     def x_dim(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def y_dim(self) -> int:
-        return self.A.shape[1]
-
     def payoff(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         """``f(x, y)``; row-wise when ``x`` and ``y`` are stacks of points."""
         return point_or_rows(((x @ self.A) * y).sum(axis=-1) - x @ self.b - y @ self.c)
@@ -255,8 +254,6 @@ def _bilinear_operator(A, b, c) -> AffineOperator:
 
 def make_bilinear(spec: BilinearGameSpec) -> VIInstance:
     """VI instance of a bilinear game: the skew block operator on the product box."""
-    from .sets import Box  # local import to avoid a cycle
-
     lo = np.concatenate([spec.x_box[0], spec.y_box[0]])
     hi = np.concatenate([spec.x_box[1], spec.y_box[1]])
     return VIInstance.create(_bilinear_operator(spec.A, spec.b, spec.c), Box(lo, hi))
@@ -268,8 +265,6 @@ def make_bilinear(spec: BilinearGameSpec) -> VIInstance:
 
 
 def instance_to_json(inst: VIInstance) -> dict:
-    from .sets import set_to_json
-
     return {
         "operator": {
             "type": "affine",
@@ -281,17 +276,22 @@ def instance_to_json(inst: VIInstance) -> dict:
     }
 
 
-def instance_from_json(data: dict) -> VIInstance:
-    from .sets import set_from_json
+def _json_object(value, field_name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field_name} must be a JSON object, got {type(value).__name__}")
+    return value
 
-    op_data = data["operator"]
+
+def instance_from_json(data: dict) -> VIInstance:
+    data = _json_object(data, "instance")
+    op_data = _json_object(data["operator"], "operator")
     if op_data["type"] == "affine":
         op = AffineOperator.create(np.array(op_data["M"]), np.array(op_data["q"]))
     elif op_data["type"] == "bilinear":
         op = _bilinear_operator(op_data["A"], op_data["b"], op_data["c"])
     else:
         raise ValueError(f"unknown operator type {op_data['type']!r}")
-    feasible = set_from_json(data["set"])
+    feasible = set_from_json(_json_object(data["set"], "set"))
     inst = VIInstance.create(op, feasible)
     if "dimension" in data and int(data["dimension"]) != inst.dimension:
         raise DimensionMismatchError("dimension", "declared dimension disagrees with operator")

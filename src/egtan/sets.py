@@ -1,11 +1,14 @@
 """Feasible sets and the three projections the diagnostics need.
 
 Every set projects onto itself and onto the tangent cone at a feasible point;
-the normal cone follows by Moreau's decomposition.  Box-like sets also minimize
-a linear cost exactly over set ∩ ball, for the gap function, by a breakpoint
-walk.  Halfspace intersections project by least-distance programming: one
-Lawson–Hanson NNLS solve of its dual picks the active rows, exact and finite
-for any number of rows.
+every set takes its normal cone by Moreau's decomposition, ``v - T(v)``.  The
+nonnegative orthant and ``R^n`` are boxes with infinite bounds, and every box
+also minimizes a linear cost exactly over set ∩ ball, for the gap function,
+by a breakpoint walk.  Halfspace intersections project by least-distance
+programming: one Lawson–Hanson NNLS solve of its dual picks the active rows,
+exact and finite for any number of rows.  The two tolerances are module
+constants: a bound or row is active within ``ACTIVITY_TOL`` relative to it,
+and a point is feasible when it violates the set by at most ``FEASIBILITY_TOL``.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
@@ -14,8 +17,6 @@ rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +61,6 @@ class UnsupportedSetError(ValueError):
     """Operation not defined for this set variant (by design, not omission)."""
 
 
-@dataclass(frozen=True)
-class ConeActivity:
-    """Indices of rows active at a point, with the tolerance that decided them."""
-
-    active_rows: tuple[int, ...]
-    activity_tolerance: float
-
-
 class FeasibleSet:
     """Base type of the tagged union; concrete variants implement the geometry.
 
@@ -76,9 +69,6 @@ class FeasibleSet:
     """
 
     dimension: int
-
-    def contains(self, z: np.ndarray, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.infeasibility(z) <= tol
 
     def infeasibility(self, z: np.ndarray) -> float:
         raise NotImplementedError
@@ -106,31 +96,6 @@ class FeasibleSet:
         if gap > FEASIBILITY_TOL:
             raise InfeasiblePointError(gap)
         return z
-
-
-class WholeSpace(FeasibleSet):
-    def __init__(self, n: int):
-        self.dimension = int(n)
-
-    def infeasibility(self, z):
-        return 0.0
-
-    def project(self, p):
-        return np.asarray(p, dtype=float).copy()
-
-    def project_tangent_cone(self, z, v):
-        return np.asarray(v, dtype=float).copy()
-
-    def linear_min_over_ball(self, center, D, cost):
-        center = np.asarray(center, dtype=float)
-        cost = np.asarray(cost, dtype=float)
-        norm = row_norm(cost)[..., None]
-        zero = norm == 0.0  # a zero cost stays at the center
-        z = np.where(zero, center, center - D * cost / np.where(zero, 1.0, norm))
-        return z, point_or_rows(np.vecdot(cost, z))
-
-    def __repr__(self):
-        return f"WholeSpace({self.dimension})"
 
 
 class Box(FeasibleSet):
@@ -182,13 +147,6 @@ class Box(FeasibleSet):
         lo, hi = self._active_bounds(z)
         out = np.where(lo, np.maximum(v, 0.0), v)  # only inward directions at the floor
         return np.where(hi, np.minimum(out, 0.0), out)
-
-    def project_normal_cone(self, z, v):
-        z = self._require_feasible(z)
-        v = np.asarray(v, dtype=float)
-        lo, hi = self._active_bounds(z)
-        out = np.where(lo, np.minimum(v, 0.0), np.where(hi, np.maximum(v, 0.0), 0.0))
-        return np.where(lo & hi, v, out)  # pinned coordinate: normal cone is the whole line
 
     def linear_min_over_ball(self, center, D, cost):
         """Exact minimizer of ``<cost, z>`` over the box within distance D of ``center``.
@@ -250,6 +208,16 @@ class NonnegativeOrthant(Box):
 
     def __repr__(self):
         return f"NonnegativeOrthant({self.dimension})"
+
+
+class WholeSpace(Box):
+    """``R^n``: the box with every bound infinite."""
+
+    def __init__(self, n: int):
+        super().__init__(np.full(n, -np.inf), np.full(n, np.inf))
+
+    def __repr__(self):
+        return f"WholeSpace({self.dimension})"
 
 
 class Ball(FeasibleSet):
@@ -328,7 +296,7 @@ def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray)
     An empty set leaves a zero dual residual, so ``z`` comes back infeasible.
     """
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    if not np.min(a @ p - b, initial=0.0) < -1e-9 * scale:
+    if not np.min(a @ p - b, initial=0.0) < -FEASIBILITY_TOL * scale:
         return p.copy()  # also when there are no rows
     norms = row_norm(a)
     h = (b - a @ p) / norms
@@ -336,7 +304,7 @@ def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray)
                              np.eye(len(p) + 1)[-1]) > 0)
     z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
     # z carries the rounding of p, about eps ||p||, which a row scales by its norm
-    if np.min(a @ z - b) < -1e-9 * (scale + norms.max() * row_norm(p)):
+    if np.min(a @ z - b) < -FEASIBILITY_TOL * (scale + norms.max() * row_norm(p)):
         raise EmptySetError("halfspace intersection is empty")
     return z
 
@@ -368,17 +336,17 @@ class HalfspaceIntersection(FeasibleSet):
         rows = [_min_norm_point_over_halfspaces(self.a, self.b, row) for row in np.atleast_2d(p)]
         return np.array(rows).reshape(p.shape)
 
-    def activity(self, z: np.ndarray, tol: float = ACTIVITY_TOL) -> ConeActivity:
+    def activity(self, z: np.ndarray) -> np.ndarray:
+        """Indices of the rows with ``|<a_i, z> - b_i| <= ACTIVITY_TOL * (1 + |b_i|)``."""
         z = np.asarray(z, dtype=float)
-        active = np.flatnonzero(np.abs(self.a @ z - self.b) <= tol * (1.0 + np.abs(self.b)))
-        return ConeActivity(active_rows=tuple(active.tolist()), activity_tolerance=tol)
+        return np.flatnonzero(np.abs(self.a @ z - self.b) <= ACTIVITY_TOL * (1.0 + np.abs(self.b)))
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
         v = np.asarray(v, dtype=float)
         rows = []
         for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v)):
-            a = self.a[list(self.activity(z_row).active_rows)]
+            a = self.a[self.activity(z_row)]
             rows.append(_min_norm_point_over_halfspaces(a, np.zeros(len(a)), v_row))
         return np.array(rows).reshape(v.shape)
 
@@ -402,10 +370,10 @@ def _bound_array(values: list, sign: float) -> np.ndarray:
 def set_to_json(feasible_set: FeasibleSet) -> dict:
     if isinstance(feasible_set, NonnegativeOrthant):
         return {"type": "orthant", "n": feasible_set.dimension}
-    if isinstance(feasible_set, Box):
-        return {"type": "box", "l": _bound_list(feasible_set.l), "u": _bound_list(feasible_set.u)}
     if isinstance(feasible_set, WholeSpace):
         return {"type": "rn", "n": feasible_set.dimension}
+    if isinstance(feasible_set, Box):
+        return {"type": "box", "l": _bound_list(feasible_set.l), "u": _bound_list(feasible_set.u)}
     if isinstance(feasible_set, Ball):
         return {"type": "ball", "center": feasible_set.center.tolist(), "radius": feasible_set.radius}
     if isinstance(feasible_set, HalfspaceIntersection):

@@ -7,11 +7,13 @@ defined once, in :meth:`Trajectory.series`, as one array call: the point
 measures and the set geometry take a ``(k, n)`` stack of iterates with their
 cached operator values as they take a single point.  The rate reports
 evaluate each convergence theorem as an array inequality over the step index
-with an explicit signed slack.  A negative slack beyond tolerance means a
-theorem was violated numerically, which for a correct implementation on a
-genuinely monotone instance should never happen.  A check the instance cannot
-support (no gap oracle on the set, or no strong monotonicity) is listed in
-``RateReport.skipped`` with the reason.
+with an explicit signed slack.  A negative slack beyond :data:`REPORT_TOL`
+means a theorem was violated numerically, which for a correct implementation
+on a genuinely monotone instance should never happen.  A check the instance
+cannot support (no gap oracle on the set, or no strong monotonicity) is listed
+in ``RateReport.skipped`` with the reason.
+
+Every tolerance and iteration budget is a module constant, read at call time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ import numpy as np
 from .instances import VIInstance, instance_to_json
 from .measures import gap, natural_residual, tangent_residual
 from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite
+
+INNER_TOL = 1e-12  # Picard step size that ends a proximal inner solve
+INNER_MAX = 10_000  # Picard iterations allowed per proximal step
+REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
+REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
+REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
 
 
 class StepSizeError(ValueError):
@@ -62,8 +70,6 @@ def _require_step_size(eta: float) -> None:
 class SolverConfig:
     eta: float
     T: int
-    inner_tol: float = 1e-12
-    inner_max: int = 10_000
 
     def __post_init__(self):
         _require_step_size(self.eta)
@@ -216,18 +222,13 @@ def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray, strict: bool 
     return traj
 
 
-def pp_step(
-    inst: VIInstance,
-    eta: float,
-    z_k: np.ndarray,
-    inner_tol: float = 1e-12,
-    inner_max: int = 10_000,
-) -> np.ndarray:
+def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
     """One proximal-point update ``z+ = proj(z - eta F(z+))`` by Picard iteration.
 
     The fixed-point map ``w -> proj(z - eta F(w))`` contracts with factor
     ``eta * L``, so ``eta * L < 1`` is a hard requirement here, not just a
-    theory assumption.
+    theory assumption.  Stops once a step moves ``w`` by at most
+    :data:`INNER_TOL`; raises :class:`InnerSolveError` after :data:`INNER_MAX`.
     """
     _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
@@ -238,13 +239,13 @@ def pp_step(
     z_k = np.asarray(z_k, dtype=float)
     w = z_k.copy()
     residual = math.inf
-    for _ in range(inner_max):
+    for _ in range(INNER_MAX):
         w_new = inst.set.project(z_k - eta * inst.operator(w))
         residual = float(np.linalg.norm(w_new - w))
         w = w_new
-        if residual <= inner_tol:
+        if residual <= INNER_TOL:
             return w
-    raise InnerSolveError(residual, inner_max)
+    raise InnerSolveError(residual, INNER_MAX)
 
 
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
@@ -252,38 +253,35 @@ def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory
     traj = _start(inst, config, z0, halves=False)
     zs, Fs = traj.iterates, traj.operator_values
     for k in range(config.T):
-        zs[k + 1] = pp_step(inst, config.eta, zs[k], config.inner_tol, config.inner_max)
+        zs[k + 1] = pp_step(inst, config.eta, zs[k])
         Fs[k + 1] = inst.operator(zs[k + 1])
     return traj
 
 
-def solve_reference(
-    inst: VIInstance,
-    eta: float,
-    tol: float = 1e-11,
-    max_iter: int = 2_000_000,
-    z0: np.ndarray | None = None,
-) -> np.ndarray:
+def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) -> np.ndarray:
     """High-accuracy solution by running EG until the natural residual is tiny.
 
-    Returns the first EG iterate ``z`` with ``||z - proj(z - F z)|| <= tol``.
-    That check costs a third projection, so it runs only once the half step is
-    short: by the projection-arc lemma (Gafni & Bertsekas 1984; Calamai & Moré,
-    *Math. Programming* 39, 1987, Lemma 2.2) ``||z - proj(z - tF z)||`` is
-    nondecreasing in ``t`` and its quotient by ``t`` nonincreasing, so
+    Returns the first EG iterate ``z`` with ``||z - proj(z - F z)|| <= tol``,
+    ``tol`` = :data:`REFERENCE_TOL`.  That check costs a third projection, so
+    it runs only once the half step is short: by the projection-arc lemma
+    (Gafni & Bertsekas 1984; Calamai & Moré, *Math. Programming* 39, 1987,
+    Lemma 2.2) ``||z - proj(z - tF z)||`` is nondecreasing in ``t`` and its
+    quotient by ``t`` nonincreasing, so
     ``r_nat(z) >= min(1, 1/eta) * ||z - z_half||``.  While that bound exceeds
     ``2 * tol`` (the factor absorbs rounding) the check could not pass, and an
-    iteration makes two projections.  A run that exhausts ``max_iter`` raises
-    :class:`ReferenceSolveError` with the smallest residual it evaluated, at the
-    last iterate if the check never ran.
+    iteration makes two projections.  A run that exhausts its
+    :data:`REFERENCE_MAX_ITER` iterations raises :class:`ReferenceSolveError`
+    with the smallest residual it evaluated, at the last iterate if the check
+    never ran.
     """
     _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError("solve_reference needs eta * L < 1")
     z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else require_finite("z0", z0)
+    tol = REFERENCE_TOL
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         F_z = inst.operator(z)
         z_half = inst.set.project(z - eta * F_z)
         if np.linalg.norm(z - z_half) <= gate:
@@ -397,11 +395,7 @@ def _gap_at_steps(
 
 
 def rate_report_eg(
-    trajectory: Trajectory,
-    z_star: np.ndarray,
-    D: float | None = None,
-    tolerance: float = 1e-8,
-    gap_stride: int = 1,
+    trajectory: Trajectory, z_star: np.ndarray, D: float | None = None, gap_stride: int = 1
 ) -> RateReport:
     """Check every EG rate theorem along a recorded run.
 
@@ -453,15 +447,11 @@ def rate_report_eg(
         else:
             reason = f"operator is not strongly monotone (gamma = {gamma:.3g} <= 0)"
             skipped.update(dict.fromkeys(strong, reason))
-    return RateReport({c.name: c for c in checks}, tolerance, skipped, series)
+    return RateReport({c.name: c for c in checks}, REPORT_TOL, skipped, series)
 
 
 def rate_report_pp(
-    trajectory: Trajectory,
-    z_star: np.ndarray,
-    D: float | None = None,
-    tolerance: float = 1e-8,
-    gap_stride: int = 1,
+    trajectory: Trajectory, z_star: np.ndarray, D: float | None = None, gap_stride: int = 1
 ) -> RateReport:
     """Check the proximal-point theorems along a recorded run.
 
@@ -477,12 +467,10 @@ def rate_report_pp(
     steps = trajectory.series("full-step-dist")
     r_tan = trajectory.series("tangent-residual")
 
-    # inexact prox: each step may be off by inner_tol/(1 - eta L), and errors
+    # inexact prox: each step may be off by INNER_TOL/(1 - eta L), and errors
     # accumulate linearly along the run
-    slack_per_step = trajectory.config.inner_tol / max(
-        1.0 - eta * trajectory.instance.operator.lipschitz, 1e-6
-    )
-    tol = tolerance + 10.0 * slack_per_step * max(T, 1)
+    slack_per_step = INNER_TOL / max(1.0 - eta * trajectory.instance.operator.lipschitz, 1e-6)
+    tol = REPORT_TOL + 10.0 * slack_per_step * max(T, 1)
 
     checks = [
         RateCheck("best_iterate_descent", dist[1:] ** 2 + steps**2, dist[:-1] ** 2),
@@ -534,8 +522,6 @@ def trajectory_to_json(trajectory: Trajectory) -> dict:
         "config": {
             "eta": trajectory.config.eta,
             "T": trajectory.config.T,
-            "inner_tol": trajectory.config.inner_tol,
-            "inner_max": trajectory.config.inner_max,
         },
         "iterates": trajectory.iterates.tolist(),
         "half_iterates": None

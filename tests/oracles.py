@@ -10,6 +10,8 @@ different route so that a test can compare the two:
   for box-like sets and are ``None`` elsewhere.
 * ``tangent_residual_orthant_closed_form`` is the tangent residual on the
   nonnegative orthant in closed form.
+* ``whole_space_linear_min_over_ball`` minimizes a linear cost over a ball in
+  ``R^n`` in closed form.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -30,6 +32,21 @@ from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, WholeSpace
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
+
+
+def whole_space_linear_min_over_ball(
+    center: np.ndarray, D: float, cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``z = center - D cost / ||cost||`` row by row, and ``<cost, z>``.
+
+    A zero cost stays at ``center``.
+    """
+    center = np.asarray(center, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    norm = np.linalg.norm(cost, axis=-1, keepdims=True)
+    zero = norm == 0.0
+    z = np.where(zero, center, center - D * cost / np.where(zero, 1.0, norm))
+    return z, np.sum(cost * z, axis=-1)
 
 
 def tangent_residual_orthant_closed_form(F_z: np.ndarray, z: np.ndarray) -> float:
@@ -93,7 +110,10 @@ def tangent_residual_variants(inst: VIInstance, z: np.ndarray) -> TangentResidua
     norm_F = float(np.linalg.norm(F_z))
 
     max_form = min_norm_form = None
-    if isinstance(feasible_set, Box):
+    if isinstance(feasible_set, WholeSpace):  # a Box too; kept on its own route
+        max_form = norm_F
+        min_norm_form = norm_F
+    elif isinstance(feasible_set, Box):
         blocked = _box_blocked_mask(feasible_set, z, F_z)
         blocked_norm = float(np.linalg.norm(F_z[blocked]))
         if blocked_norm == 0.0:
@@ -109,9 +129,6 @@ def tangent_residual_variants(inst: VIInstance, z: np.ndarray) -> TangentResidua
             # every coordinate is blocked
             max_form = float(np.sqrt(np.sum(F_z[~blocked] ** 2)))
             min_norm_form = float(np.linalg.norm(F_z - inner * a))
-    elif isinstance(feasible_set, WholeSpace):
-        max_form = norm_F
-        min_norm_form = norm_F
 
     tangent_projection = float(np.linalg.norm(feasible_set.project_tangent_cone(z, -F_z)))
 
@@ -135,14 +152,14 @@ def tangent_residual_variants(inst: VIInstance, z: np.ndarray) -> TangentResidua
 
 def _project_shifted_cone(feasible_set, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Project ``w`` onto ``{z} + T(z)`` directly (not via the tangent map)."""
+    if isinstance(feasible_set, WholeSpace):  # a Box too; kept on its own route
+        return w.astype(float).copy()
     if isinstance(feasible_set, Box):
         lo, hi = feasible_set._active_bounds(z)
         out = w.astype(float).copy()
         out[lo] = np.maximum(out[lo], z[lo])
         out[hi] = np.minimum(out[hi], z[hi])
         return out
-    if isinstance(feasible_set, WholeSpace):
-        return w.astype(float).copy()
     # generic: shift to the origin and reuse the tangent projection
     return z + feasible_set.project_tangent_cone(z, w - z)
 

@@ -76,6 +76,12 @@ class TestVerifyCertificatesCommand:
         assert all(term in captured.err for term in ALL_TERM_NAMES)
         assert captured.out == "" and not (tmp_path / "certificates.json").exists()
 
+    def test_out_under_a_regular_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["verify-certificates", "--out", str(blocker / "sub")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_seed_changes_nothing(self, tmp_path, capsys):
         blobs = []
         for seed in ("0", "3"):
@@ -216,6 +222,22 @@ class TestSolveCommand:
         ])
         assert code == 1
         assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, data",
+        [
+            ("instance", [1, 2]),
+            ("operator", {"operator": "affine", "set": {"type": "orthant", "n": 2}}),
+            ("set", {"operator": {"type": "affine", "M": [[1.0, 0.0], [0.0, 1.0]],
+                                  "q": [0.0, 0.0]}, "set": None}),
+        ],
+    )
+    def test_non_object_field_exits_one_naming_field(self, tmp_path, capsys, field, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["rates", "--instance", str(path), "--eta", "0.1", "--T", "3"])
+        assert code == 1
+        assert f"error: {field} must be a JSON object" in capsys.readouterr().err
 
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded

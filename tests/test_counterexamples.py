@@ -29,7 +29,7 @@ class TestGapDomainResolution:
         assert resolution.resolved_box == (0.0, 10.0)
         # the struck [0,1]^2 candidate is off by a factor of ten
         assert resolution.deviations["[0,1]"] > 0.5
-        assert resolution.max_resolved_deviation <= 3e-8
+        assert resolution.deviations["[0,10]"] <= 3e-8
 
     def test_print_rounding_explains_the_residual_deviation(self):
         """An O(5e-9) start perturbation reproduces the gap series exactly.

@@ -100,6 +100,17 @@ class TestEvalOperator:
             op(np.zeros(3))
 
 
+class TestEmptyOperator:
+    @pytest.mark.parametrize("build", [
+        lambda: AffineOperator.create(np.zeros((0, 0)), np.zeros(0)),
+        lambda: matrix_constants(np.zeros((0, 0))),
+    ], ids=["create", "matrix_constants"])
+    def test_empty_matrix_names_M(self, build):
+        with pytest.raises(DimensionMismatchError, match="nonempty square matrix") as err:
+            build()
+        assert err.value.field_name == "M"
+
+
 class TestCreateRejectsNonFinite:
     # a NaN in M used to surface as a PowerIterationError, an inf in q not at all
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from egtan.sets import (
     Ball,
     Box,
-    ConeActivity,
     EmptySetError,
     HalfspaceIntersection,
     InfeasiblePointError,
@@ -14,6 +13,7 @@ from egtan.sets import (
     UnsupportedSetError,
     WholeSpace,
 )
+from tests.oracles import whole_space_linear_min_over_ball
 
 
 def cone(*rows):
@@ -218,16 +218,12 @@ class TestNormalCone:
 class TestConeActivity:
     def test_activity_tolerance_rule(self):
         feasible = cone([1.0, 0.0], [0.0, 1.0])
-        act = feasible.activity(np.array([0.0, 0.5]))
-        assert isinstance(act, ConeActivity)
-        assert act.active_rows == (0,)
-        act = feasible.activity(np.array([5e-10, 0.5]))
-        assert act.active_rows == (0,)  # within 1e-9 * (1 + |b|)
-        act = feasible.activity(np.array([1e-3, 0.5]))
-        assert act.active_rows == ()
+        assert feasible.activity(np.array([0.0, 0.5])).tolist() == [0]
+        assert feasible.activity(np.array([5e-10, 0.5])).tolist() == [0]  # within 1e-9 * (1 + |b|)
+        assert feasible.activity(np.array([1e-3, 0.5])).tolist() == []
         # the tolerance grows with |b|: 5e-7 off a row with b = 1000 is active
         shifted = HalfspaceIntersection([([1.0, 0.0], 1000.0), ([0.0, 1.0], 0.0)])
-        assert shifted.activity(np.array([1000.0 + 5e-7, 0.5])).active_rows == (0,)
+        assert shifted.activity(np.array([1000.0 + 5e-7, 0.5])).tolist() == [0]
 
 
 class TestLinearMinOverBall:
@@ -238,6 +234,24 @@ class TestLinearMinOverBall:
         z, value = feasible.linear_min_over_ball(center, 2.0, cost)
         assert value == pytest.approx(float(cost @ center) - 2.0 * 5.0, abs=1e-12)
         assert np.linalg.norm(z - center) == pytest.approx(2.0, abs=1e-12)
+
+    def test_whole_space_walk_matches_closed_form(self):
+        # R^n takes the box breakpoint walk; it must agree with
+        # center - D cost / ||cost|| to rounding, zero-cost rows included
+        rng = np.random.default_rng(45)
+        for n in range(1, 9):
+            for _ in range(25):
+                k = int(rng.integers(1, 6))
+                center = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((k, n))
+                cost = 10.0 ** rng.uniform(-3, 3, (k, 1)) * rng.standard_normal((k, n))
+                cost[rng.random(k) < 0.25] = 0.0
+                D = 10.0 ** rng.uniform(-3, 3)
+                z, value = WholeSpace(n).linear_min_over_ball(center, D, cost)
+                z_ref, value_ref = whole_space_linear_min_over_ball(center, D, cost)
+                scale = np.abs(center).max(axis=1, keepdims=True) + D
+                assert np.all(np.abs(z - z_ref) <= 1e-13 * scale)
+                bound = 1e-13 * np.linalg.norm(cost, axis=1) * scale[:, 0]
+                assert np.all(np.abs(value - value_ref) <= bound)
 
     def test_zero_cost(self):
         box = Box(np.zeros(2), np.ones(2))
@@ -465,6 +479,15 @@ class TestSetOperations:
 
 
 class TestJsonSchema:
+    def test_whole_space_is_a_box_written_as_rn(self):
+        from egtan.sets import set_from_json, set_to_json
+
+        for n in (1, 3):
+            assert isinstance(WholeSpace(n), Box)
+            assert set_to_json(WholeSpace(n)) == {"type": "rn", "n": n}
+            back = set_from_json(set_to_json(WholeSpace(n)))
+            assert type(back) is WholeSpace and back.dimension == n
+
     def test_round_trips(self):
         from egtan.sets import set_from_json, set_to_json
 

@@ -223,18 +223,20 @@ class TestPpStep:
         with pytest.raises(StepSizeError):
             pp_step(inst, 1.0, np.array([1.0]))
 
-    def test_scalar_fixed_point(self):
+    def test_scalar_fixed_point(self, monkeypatch):
         inst = scalar_identity_instance()
-        z1 = pp_step(inst, 0.5, np.array([1.0]), inner_tol=1e-14)
+        monkeypatch.setattr("egtan.solvers.INNER_TOL", 1e-14)
+        z1 = pp_step(inst, 0.5, np.array([1.0]))
         assert z1[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_orthant_fixed_point_matches_bisection_oracle(self):
+    def test_orthant_fixed_point_matches_bisection_oracle(self, monkeypatch):
         # F(z) = z - 2 on the orthant from z0 = 0: per coordinate w solves
         # w = max(0, -0.5 (w - 2))
         n = 3
         op = AffineOperator.create(np.eye(n), np.full(n, -2.0))
         inst = VIInstance.create(op, NonnegativeOrthant(n))
-        got = pp_step(inst, 0.5, np.zeros(n), inner_tol=1e-14)
+        monkeypatch.setattr("egtan.solvers.INNER_TOL", 1e-14)
+        got = pp_step(inst, 0.5, np.zeros(n))
 
         def oracle():
             lo, hi = 0.0, 10.0
@@ -249,10 +251,12 @@ class TestPpStep:
         w = oracle()
         np.testing.assert_allclose(got, np.full(n, w), rtol=0, atol=1e-10)
 
-    def test_inner_budget_error_carries_residual(self):
+    def test_inner_budget_error_carries_residual(self, monkeypatch):
         inst = scalar_identity_instance()
+        monkeypatch.setattr("egtan.solvers.INNER_TOL", 1e-30)
+        monkeypatch.setattr("egtan.solvers.INNER_MAX", 5)
         with pytest.raises(InnerSolveError) as err:
-            pp_step(inst, 0.9, np.array([1.0]), inner_tol=1e-30, inner_max=5)
+            pp_step(inst, 0.9, np.array([1.0]))
         assert err.value.residual > 0
 
 
@@ -307,12 +311,14 @@ class TestSolveReference:
         oracle = np.array([0.0, 1.0, 0.33167168030075256, 0.6683283196992464])
         np.testing.assert_allclose(z, oracle, rtol=0, atol=1e-8)
 
-    def test_budget_error_carries_best_residual(self):
+    def test_budget_error_carries_best_residual(self, monkeypatch):
         # the residual check never runs in 50 steps here, so the error reports
         # the residual at the last iterate, not "stalled at inf"
         inst = make_bilinear(bilinear_spec([[1.0, 2.0], [1.0, 1.0]], [1, 1], [1, 1]))
+        monkeypatch.setattr("egtan.solvers.REFERENCE_TOL", 1e-16)
+        monkeypatch.setattr("egtan.solvers.REFERENCE_MAX_ITER", 50)
         with pytest.raises(ReferenceSolveError) as err:
-            solve_reference(inst, eta=0.1, tol=1e-16, max_iter=50)
+            solve_reference(inst, eta=0.1)
         assert 0 < err.value.best_residual < np.inf
         assert "inf" not in str(err.value)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from egtan.instances import AffineOperator, DimensionMismatchError, VIInstance
 from egtan.measures import gap, natural_residual, tangent_residual
 from egtan.sets import (
+    FEASIBILITY_TOL,
     Ball,
     Box,
     HalfspaceIntersection,
@@ -91,7 +92,7 @@ def stacked_problems(draw):
         z0 = rng.standard_normal(n)
         feasible = HalfspaceIntersection(list(zip(a, a @ z0 - rng.uniform(0.0, 0.5, m))))
         projected = [feasible.project(p) for p in rng.uniform(-3.0, 3.0, (k, n))]  # on faces
-        Z = np.array([p if feasible.contains(p) else z0 for p in projected])
+        Z = np.array([p if feasible.infeasibility(p) <= FEASIBILITY_TOL else z0 for p in projected])
     entry = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
     V = np.array([[0.0] * n if draw(st.integers(0, 4)) == 0 else [draw(entry) for _ in range(n)]
                   for _ in range(k)])
