@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 operational or usage error, 2 a check or slack failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -85,7 +86,7 @@ def _run_and_report(args, write) -> int:
 def _write_rates(out: Path, report) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rates.json", "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
+        fh.write(json.dumps(report.to_json(), indent=2))
 
 
 def cmd_solve(args) -> int:
@@ -128,7 +129,7 @@ def cmd_verify_certificates(args) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "certificates.json", "w") as fh:
-                json.dump(report, fh, indent=2)
+                fh.write(json.dumps(report, indent=2))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -168,6 +169,7 @@ def cmd_rates(args) -> int:
     return _run_and_report(args, write)
 
 
+@functools.cache  # parse_args starts each call from a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="egtan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

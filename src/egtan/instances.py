@@ -306,8 +306,9 @@ def load_instance(fp: TextIO | str) -> VIInstance:
 
 
 def save_instance(inst: VIInstance, fp: TextIO | str) -> None:
+    text = json.dumps(instance_to_json(inst), indent=2)
     if isinstance(fp, str):
         with open(fp, "w") as fh:
-            json.dump(instance_to_json(inst), fh, indent=2)
+            fh.write(text)
     else:
-        json.dump(instance_to_json(inst), fp, indent=2)
+        fp.write(text)

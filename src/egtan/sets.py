@@ -6,9 +6,13 @@ nonnegative orthant and ``R^n`` are boxes with infinite bounds, and every box
 also minimizes a linear cost exactly over set ∩ ball, for the gap function,
 by a breakpoint walk.  Halfspace intersections project by least-distance
 programming: one Lawson–Hanson NNLS solve of its dual picks the active rows,
-exact and finite for any number of rows.  The two tolerances are module
-constants: a bound or row is active within ``ACTIVITY_TOL`` relative to it,
-and a point is feasible when it violates the set by at most ``FEASIBILITY_TOL``.
+exact and finite for any number of rows.  When the projection onto the most
+violated row alone lands in the set, that point is the answer, and the NNLS
+would stop there too: its next optimality test is made in closed form first,
+so a projection with one active row makes no NNLS call.  The two tolerances
+are module constants: a bound or row is active within ``ACTIVITY_TOL``
+relative to it, and a point is feasible when it violates the set by at most
+``FEASIBILITY_TOL``.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
@@ -90,8 +94,8 @@ class FeasibleSet:
             f"linear minimization over set-and-ball is not supported for {type(self).__name__}"
         )
 
-    def _require_feasible(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+    def _require_feasible(self, z: np.ndarray, name: str = "z") -> np.ndarray:
+        z = require_finite(name, z)
         gap = self.infeasibility(z)
         if gap > FEASIBILITY_TOL:
             raise InfeasiblePointError(gap)
@@ -143,7 +147,7 @@ class Box(FeasibleSet):
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
-        v = np.asarray(v, dtype=float)
+        v = require_finite("v", v)
         lo, hi = self._active_bounds(z)
         out = np.where(lo, np.maximum(v, 0.0), v)  # only inward directions at the floor
         return np.where(hi, np.minimum(out, 0.0), out)
@@ -156,7 +160,7 @@ class Box(FeasibleSet):
         and solve the piece that reaches D in closed form.  O(n log n) per row, no
         iteration.
         """
-        center = self._require_feasible(require_finite("center", center))
+        center = self._require_feasible(center, "center")
         cost = require_finite("cost", cost)
         if not 0 < D < np.inf:
             raise ValueError("D must be finite and positive")
@@ -243,7 +247,7 @@ class Ball(FeasibleSet):
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
-        v = np.asarray(v, dtype=float)
+        v = require_finite("v", v)
         d = z - self.center
         norm = row_norm(d)[..., None]
         interior = norm < self.radius * (1.0 - ACTIVITY_TOL)
@@ -255,9 +259,15 @@ class Ball(FeasibleSet):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
 
+def _nnls_stop(rows: int, cols: int) -> float:
+    """The gradient entry below which ``_nnls`` admits no more columns of a ``rows x cols`` E."""
+    return 10 * np.finfo(float).eps * (rows + cols)
+
+
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Lawson–Hanson NNLS, ``argmin ||E x - f||`` over ``x >= 0``, in bounded passes."""
     m = E.shape[1]
+    stop = _nnls_stop(*E.shape)
     x, passive, skip = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
 
     def solve():
@@ -267,7 +277,7 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     for _ in range(3 * m + 3):
         w = np.where(passive | skip, -np.inf, E.T @ (f - E @ x))
-        if not w.max() > 10 * np.finfo(float).eps * sum(E.shape):
+        if not w.max() > stop:
             return x
         t = w.argmax()
         passive[t] = True
@@ -294,15 +304,31 @@ def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray)
     ``[a^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23; unit rows, ``max h = 1``),
     picks the rows with positive multipliers, and ``z`` meets them as equalities.
     An empty set leaves a zero dual residual, so ``z`` comes back infeasible.
+
+    NNLS first admits the most violated row ``i``, at the projection
+    ``z = p + h_i u_i`` onto its own halfspace (``u`` the unit rows, ``h`` the
+    violations along them).  Its next gradient is ``w_j = -s_j / (2 h_i)``,
+    where ``s_j = h_i <u_j, u_i> - h_j`` is row j's slack at ``z`` along
+    ``u_j``, and it stops there when no ``w_j`` exceeds its threshold.  That
+    test is made here in closed form first.  When it passes, ``z`` lies in
+    the set, and a point of the set nearest ``p`` in the larger halfspace
+    ``i`` is the projection: the answer NNLS would give, without it.  Only
+    two or more active rows reach the NNLS.
     """
+    r = a @ p - b
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    if not np.min(a @ p - b, initial=0.0) < -FEASIBILITY_TOL * scale:
+    if not np.min(r, initial=0.0) < -FEASIBILITY_TOL * scale:
         return p.copy()  # also when there are no rows
     norms = row_norm(a)
-    h = (b - a @ p) / norms
-    S = np.flatnonzero(_nnls(np.vstack(((a / norms[:, None]).T, h / h.max())),
-                             np.eye(len(p) + 1)[-1]) > 0)
-    z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
+    h = -r / norms
+    i = h.argmax()
+    slack = h[i] * ((a @ a[i]) / (norms * norms[i])) - h
+    if np.all(slack >= -2.0 * h[i] * _nnls_stop(len(p) + 1, len(b))):
+        z = p + (h[i] / norms[i]) * a[i]
+    else:
+        S = np.flatnonzero(_nnls(np.vstack(((a / norms[:, None]).T, h / h[i])),
+                                 np.eye(len(p) + 1)[-1]) > 0)
+        z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
     # z carries the rounding of p, about eps ||p||, which a row scales by its norm
     if np.min(a @ z - b) < -FEASIBILITY_TOL * (scale + norms.max() * row_norm(p)):
         raise EmptySetError("halfspace intersection is empty")
@@ -343,7 +369,7 @@ class HalfspaceIntersection(FeasibleSet):
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
-        v = np.asarray(v, dtype=float)
+        v = require_finite("v", v)
         rows = []
         for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v)):
             a = self.a[self.activity(z_row)]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .instances import VIInstance, instance_to_json
 from .measures import gap, natural_residual, tangent_residual
-from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite
+from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite, row_norm
 
 INNER_TOL = 1e-12  # Picard step size that ends a proximal inner solve
 INNER_MAX = 10_000  # Picard iterations allowed per proximal step
@@ -241,7 +241,7 @@ def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
     residual = math.inf
     for _ in range(INNER_MAX):
         w_new = inst.set.project(z_k - eta * inst.operator(w))
-        residual = float(np.linalg.norm(w_new - w))
+        residual = float(row_norm(w_new - w))
         w = w_new
         if residual <= INNER_TOL:
             return w
@@ -284,8 +284,8 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     for _ in range(REFERENCE_MAX_ITER):
         F_z = inst.operator(z)
         z_half = inst.set.project(z - eta * F_z)
-        if np.linalg.norm(z - z_half) <= gate:
-            residual = float(np.linalg.norm(z - inst.set.project(z - F_z)))
+        if row_norm(z - z_half) <= gate:
+            residual = float(row_norm(z - inst.set.project(z - F_z)))
             best = min(best, residual)
             if residual <= tol:
                 return z

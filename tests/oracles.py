@@ -12,6 +12,8 @@ different route so that a test can compare the two:
   nonnegative orthant in closed form.
 * ``whole_space_linear_min_over_ball`` minimizes a linear cost over a ball in
   ``R^n`` in closed form.
+* ``min_norm_point_by_enumeration`` projects onto a halfspace intersection
+  by solving every active set of rows and keeping the nearest feasible point.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from egtan.certificates import _unconstrained_terms
 from egtan.exactpoly import Rational
 from egtan.instances import AffineOperator, VIInstance
-from egtan.sets import Box, WholeSpace
+from egtan.sets import Box, EmptySetError, WholeSpace
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
 
@@ -162,6 +165,39 @@ def _project_shifted_cone(feasible_set, z: np.ndarray, w: np.ndarray) -> np.ndar
         return out
     # generic: shift to the origin and reuse the tangent projection
     return z + feasible_set.project_tangent_cone(z, w - z)
+
+
+def min_norm_point_by_enumeration(
+    rows_a: np.ndarray, rows_b: np.ndarray, p: np.ndarray, tol: float = 1e-10
+) -> np.ndarray:
+    """Projection of ``p`` onto ``{z : A z >= b}`` by active-set enumeration.
+
+    A feasible ``p`` is its own projection.  Otherwise every nonempty subset of
+    rows is solved as an equality-constrained least-squares problem; among
+    feasible candidates the closest wins, with ties broken by smaller active
+    set, then lexicographic subset order (enumeration order already realizes
+    that tie-break).
+    """
+    scale = 1.0 + np.abs(rows_b).max()
+    if not np.min(rows_a @ p - rows_b, initial=0.0) < -1e-9 * scale:
+        return p.copy()  # at distance 0, no other candidate is strictly closer
+    m = rows_a.shape[0]
+    best: tuple[float, np.ndarray] | None = None
+    for size in range(1, m + 1):
+        for S in combinations(range(m), size):
+            A, b = rows_a[list(S)], rows_b[list(S)]
+            lam = np.linalg.lstsq(A @ A.T, b - A @ p, rcond=None)[0]
+            z = p + A.T @ lam
+            if np.max(np.abs(A @ z - b)) > 1e-8 * scale:
+                continue  # subset is inconsistent
+            if np.min(rows_a @ z - rows_b, initial=0.0) < -1e-9 * scale:
+                continue
+            d = float(np.sum((z - p) ** 2))
+            if best is None or d < best[0] - tol * (1.0 + best[0]):
+                best = (d, z)
+    if best is None:
+        raise EmptySetError("halfspace intersection appears to be empty")
+    return best[1]
 
 
 def check_monotone_samples(

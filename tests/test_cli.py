@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from egtan import sets
 from egtan.certificates import ALL_TERM_NAMES
 from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
-from egtan.sets import Ball, Box
+from egtan.sets import Ball, Box, HalfspaceIntersection
 
 
 def counted(method, calls):
-    """``method`` wrapped to append its name to ``calls`` on each call."""
+    """``method`` (or a plain function) wrapped to append its name to ``calls`` on each call."""
 
     def wrapper(self, *args):
         calls.append(method.__name__)
@@ -404,3 +405,40 @@ class TestOneRunAndReportPath:
             counts.append(len(calls))
             assert calls.count("project_tangent_cone") == 1
         assert counts[0] == counts[1] <= 3
+
+    def test_one_row_halfspace_solve_never_reaches_the_nnls(self, tmp_path, monkeypatch):
+        # every projection and tangent-cone projection onto one row is closed form
+        op = AffineOperator.create(np.array([[0.2, -1.0], [1.0, 0.2]]), np.array([1.0, 1.0]))
+        inst = VIInstance.create(op, HalfspaceIntersection([(np.array([1.0, 1.0]), 1.0)]))
+        path = tmp_path / "instance.json"
+        save_instance(inst, str(path))
+        calls = []
+        monkeypatch.setattr(sets, "_nnls", counted(sets._nnls, calls))
+        out_dir = tmp_path / "out"
+        assert main([
+            "solve", "--instance", str(path), "--eta", "0.3", "--T", "50", "--z0", "2,2",
+            "--out", str(out_dir),
+        ]) == 0
+        assert calls == []
+        last = (out_dir / "trajectory.csv").read_text().strip().splitlines()[-1].split(",")
+        assert abs(float(last[1]) + float(last[2]) - 1.0) < 1e-6  # the run ends on the row
+
+
+class TestRepeatedCallsInOneProcess:
+    """The parser is built once per process; no option carries over to the next call."""
+
+    def test_rates_radius_returns_to_the_default(self, tmp_path):
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        flags = ["rates", "--instance", str(path), "--eta", "0.3", "--T", "20", "--z0", "1,1"]
+        assert main([*flags, "--out", str(tmp_path / "before")]) == 0
+        assert main([*flags, "--D", "3", "--out", str(tmp_path / "D3")]) == 0
+        assert main([*flags, "--out", str(tmp_path / "after")]) == 0
+        before, D3, after = (
+            (tmp_path / d / "rates.json").read_bytes() for d in ("before", "D3", "after")
+        )
+        assert D3 != before
+        assert after == before
+
+    def test_mutation_does_not_carry_over(self):
+        assert main(["verify-certificates", "--mutate", "sos-2"]) == 2
+        assert main(["verify-certificates"]) == 0

@@ -1,47 +1,16 @@
 """Property tests of the halfspace projection: a KKT certificate for every
 draw, agreement with exhaustive active-set enumeration on few rows, and no
-false empty set for points far from a nonempty one."""
-
-from itertools import combinations
+false empty set for points far from a nonempty one.  With one active row the
+projection is closed form and never reaches the NNLS; with two it does."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egtan.sets import EmptySetError, HalfspaceIntersection, _nnls
-
-
-def _min_norm_point_over_halfspaces(
-    rows_a: np.ndarray, rows_b: np.ndarray, p: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """Projection of ``p`` onto ``{z : A z >= b}`` by active-set enumeration.
-
-    A feasible ``p`` is its own projection.  Otherwise every nonempty subset of
-    rows is solved as an equality-constrained least-squares problem; among
-    feasible candidates the closest wins, with ties broken by smaller active
-    set, then lexicographic subset order (enumeration order already realizes
-    that tie-break).
-    """
-    scale = 1.0 + np.abs(rows_b).max()
-    if not np.min(rows_a @ p - rows_b, initial=0.0) < -1e-9 * scale:
-        return p.copy()  # at distance 0, no other candidate is strictly closer
-    m = rows_a.shape[0]
-    best: tuple[float, np.ndarray] | None = None
-    for size in range(1, m + 1):
-        for S in combinations(range(m), size):
-            A, b = rows_a[list(S)], rows_b[list(S)]
-            lam = np.linalg.lstsq(A @ A.T, b - A @ p, rcond=None)[0]
-            z = p + A.T @ lam
-            if np.max(np.abs(A @ z - b)) > 1e-8 * scale:
-                continue  # subset is inconsistent
-            if np.min(rows_a @ z - rows_b, initial=0.0) < -1e-9 * scale:
-                continue
-            d = float(np.sum((z - p) ** 2))
-            if best is None or d < best[0] - tol * (1.0 + best[0]):
-                best = (d, z)
-    if best is None:
-        raise EmptySetError("halfspace intersection appears to be empty")
-    return best[1]
+from egtan import sets
+from egtan.sets import HalfspaceIntersection, _nnls
+from tests.oracles import min_norm_point_by_enumeration
 
 
 @st.composite
@@ -122,7 +91,7 @@ def test_halfspace_projection_kkt_and_enumeration(problem):
     assert_kkt(A, b, p, z)
     if len(b) <= 6:
         np.testing.assert_allclose(
-            z, _min_norm_point_over_halfspaces(A, b, p), rtol=0, atol=1e-11
+            z, min_norm_point_by_enumeration(A, b, p), rtol=0, atol=1e-11
         )
     if not b.any():  # a cone is its own tangent cone at the apex
         np.testing.assert_array_equal(feasible.project_tangent_cone(np.zeros_like(p), p), z)
@@ -167,3 +136,57 @@ def test_rotated_orthant_projection_is_the_rotated_clamp():
         cone.project(R @ z_k - eta * (R @ F_half)), R @ np.maximum(z_k - eta * F_half, 0.0),
         atol=1e-10,
     )
+
+
+def _no_nnls(*args):
+    raise AssertionError("the NNLS ran on a one-row projection")
+
+
+@pytest.mark.parametrize(
+    "rows, p, expected",
+    [
+        ([([1.0, 2.0], 3.0)], [0.0, 0.0], [0.6, 1.2]),
+        ([([1.0, 0.0], 1.0), ([0.0, 1.0], -5.0)], [-1.0, 0.0], [1.0, 0.0]),
+        ([([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)], [0.0, 0.0], [1.0, 1.0]),
+        ([([1.0, -1.0], 1.0), ([-1.0, 1.0], -1.0)], [0.0, 0.0], [0.5, -0.5]),
+        ([([1.0, -1.0], 1.0), ([-1.0, 1.0], -1.0)], [2.0, 0.0], [1.5, 0.5]),
+        # the second row passes through the answer: active, with zero multiplier
+        ([([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)], [0.0, -1.0], [0.0, 0.0]),
+    ],
+    ids=["one-row", "slack-second-row", "duplicate-rows", "hyperplane-below",
+         "hyperplane-above", "zero-multiplier"],
+)
+def test_one_active_row_is_closed_form(rows, p, expected, monkeypatch):
+    feasible = HalfspaceIntersection([(np.array(a), b) for a, b in rows])
+    monkeypatch.setattr(sets, "_nnls", _no_nnls)
+    z = feasible.project(np.array(p))
+    np.testing.assert_allclose(z, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        z, min_norm_point_by_enumeration(feasible.a, feasible.b, np.array(p)), rtol=0, atol=1e-15
+    )
+    # at the answer's face the tangent cone is the same halfspaces through 0
+    active = feasible.activity(z)
+    v = np.array(p) - z
+    np.testing.assert_allclose(feasible.project_tangent_cone(z, v), np.zeros(2), atol=1e-15)
+    w = -feasible.a[active[0]]  # straight out of the first active row
+    assert np.all(feasible.a[active] @ feasible.project_tangent_cone(z, w) >= -1e-15)
+
+
+def test_two_active_rows_reach_the_nnls(monkeypatch):
+    # the wedge x + y >= 1, -x/2 + y >= 1 has its vertex at (0, 1); p is the
+    # vertex minus both normals, so both rows hold with positive multipliers
+    A, b = np.array([[1.0, 1.0], [-0.5, 1.0]]), np.array([1.0, 1.0])
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    calls = []
+    nnls = sets._nnls
+
+    def counted(*args):
+        calls.append(args)
+        return nnls(*args)
+
+    monkeypatch.setattr(sets, "_nnls", counted)
+    p = np.array([0.0, 1.0]) - A.sum(axis=0)
+    z = feasible.project(p)
+    assert len(calls) == 1
+    np.testing.assert_allclose(z, [0.0, 1.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(z, min_norm_point_by_enumeration(A, b, p), rtol=0, atol=1e-15)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -171,6 +173,24 @@ class TestTangentCone:
         with pytest.raises(InfeasiblePointError) as err:
             NonnegativeOrthant(2).project_tangent_cone([-1.0, 0.0], [1.0, 1.0])
         assert err.value.magnitude == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "feasible, z",
+        [
+            (Box([0.0, 0.0], [1.0, 1.0]), [np.nan, 0.5]),
+            (Ball([0.0, 0.0], 1.0), [np.nan, 0.0]),
+            (HalfspaceIntersection([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]), [np.nan, 0.5]),
+            (NonnegativeOrthant(2), [np.inf, 0.0]),
+        ],
+        ids=["box", "ball", "halfspaces", "orthant-inf"],
+    )
+    def test_non_finite_point_or_direction_is_named(self, feasible, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            with pytest.raises(ValueError, match="^z must be finite"):
+                feasible.project_tangent_cone(z, [1.0, 1.0])
+            with pytest.raises(ValueError, match="^v must be finite"):
+                feasible.project_tangent_cone([0.0, 0.0], [1.0, z[0]])
 
     def test_contraction(self):
         rng = np.random.default_rng(32)
