@@ -18,9 +18,20 @@ Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
 equals the per-point calls bit for bit.  Halfspace projections loop over the
 rows.
+
+Every set also solves the affine variational inequality of ``w -> H w + g``
+exactly, for any ``H`` with ``x^T H x > 0`` (:meth:`FeasibleSet.solve_affine_vi`,
+the proximal-point step).  Boxes and halfspace intersections are
+``{w : A w >= b}`` and solve its dual linear complementarity problem by
+Lemke's method, whose pivot tolerance is :func:`_pivot_tol`; the ball solves
+the trust-region secular equation by safeguarded Newton steps.  Both are
+finite, and both take a hint from a previous, nearby solve.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -87,6 +98,18 @@ class FeasibleSet:
         """Moreau complement: ``v - tangent_projection(v)``."""
         return np.asarray(v, dtype=float) - self.project_tangent_cone(z, v)
 
+    def solve_affine_vi(self, H: np.ndarray, g: np.ndarray, hint=None) -> tuple[np.ndarray, object]:
+        """The unique ``w`` in the set with ``-(H w + g)`` in its normal cone at ``w``.
+
+        ``H`` must satisfy ``x^T H x > 0`` for ``x != 0``; it need not be
+        symmetric.  Returns ``w`` and a hint, the active rows (polyhedra) or the
+        multiplier grid point (ball), for a following call whose solution is
+        near.  The hint is used only when it passes the solve's own
+        termination test; ``w`` is the same function of the accepted hint
+        whichever route found it.
+        """
+        raise NotImplementedError
+
     def linear_min_over_ball(
         self, center: np.ndarray, D: float, cost: np.ndarray
     ) -> tuple[np.ndarray, float | np.ndarray]:
@@ -139,6 +162,17 @@ class Box(FeasibleSet):
         stack may differ from clip in the sign of a zero that ties a zero bound.
         """
         return np.minimum(np.maximum(p, self.l), self.u)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The finite bounds as rows ``z_i >= l_i`` and ``-z_i >= -u_i``."""
+        lo, hi = np.flatnonzero(np.isfinite(self.l)), np.flatnonzero(np.isfinite(self.u))
+        eye = np.eye(self.dimension)
+        return np.vstack((eye[lo], -eye[hi])), np.concatenate((self.l[lo], -self.u[hi]))
+
+    def solve_affine_vi(self, H, g, hint=None):
+        """Lemke's method on the finite bounds as rows."""
+        return _polyhedral_vi(*self._rows, H, g, hint)
 
     def _active_bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo = np.isfinite(self.l) & (np.abs(z - self.l) <= ACTIVITY_TOL * (1.0 + np.abs(self.l)))
@@ -255,6 +289,38 @@ class Ball(FeasibleSet):
         coeff = np.vecdot(v, outward)[..., None]
         return np.where(interior | (coeff <= 0), v, v - coeff * outward)
 
+    def solve_affine_vi(self, H, g, hint=None):
+        """The trust-region secular equation (Moré & Sorensen 1983).
+
+        KKT: ``w = c + d`` with ``(H + mu I) d = -r``, ``r = g + H c``,
+        ``mu >= 0``, and ``mu = 0`` or ``||d|| = R``.  ``phi(mu) = ||d(mu)||``
+        strictly decreases (``d phi^2 / d mu = -2 d^T (H + mu I)^{-1} d < 0``),
+        so ``1/phi - 1/R`` has one root, which :func:`_secular_newton` finds.
+
+        The cold route tests ``mu = 0`` (``w`` inside the ball) and otherwise
+        runs Newton from 0.  Whatever route finds the root, ``w`` is the
+        Newton run from the root's label :func:`_mu_grid`, put on the sphere,
+        so two routes differ only when the root lies within rounding of a
+        label's cell edge.  The hint is the previous label: the run from it is
+        the answer when it ends in the same cell, the run from the new label
+        when it ends elsewhere, and the cold route when it leaves ``mu > 0``.
+        """
+        r = g + H @ self.center
+        R = self.radius
+        start = hint
+        run = _secular_newton(H, r, R, start, cold=False) if start and r.any() else None
+        if run is None:
+            d = -np.linalg.solve(H, r)
+            if row_norm(d) <= R:
+                return self.center + d, 0.0
+            start = 0.0
+            run = _secular_newton(H, r, R, start, cold=True)
+        label = _mu_grid(run[0])
+        if label != start:
+            run = _secular_newton(H, r, R, label, cold=True)
+        d = run[1]
+        return self.center + R * d / row_norm(d), label
+
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
@@ -294,6 +360,11 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
             passive &= x > 0
             s = solve()
         x = s
+    # rounding can keep admitting columns at a zero residual, which no x >= 0
+    # improves on: that x is optimal (and, in the least-distance dual, the
+    # certificate of an empty set)
+    if row_norm(E @ x - f) <= stop * row_norm(np.abs(E) @ x):
+        return x
     raise np.linalg.LinAlgError(f"NNLS did not settle in {3 * m + 3} passes")
 
 
@@ -335,6 +406,131 @@ def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray)
     return z
 
 
+def _pivot_tol(m: int) -> float:
+    """Lemke's rounding floor for ``m`` rows: :func:`_nnls_stop` of its ``m x (2m + 1)`` tableau.
+
+    Relative to the largest entry of the LCP matrix (at least 1), it is the
+    column entry at or below which the ratio test passes over a row; relative
+    to the largest ``|q_i|``, the value at or below which ``z0`` counts as 0.
+    """
+    return _nnls_stop(m, 2 * m + 1)
+
+
+def _lemke(M: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Indices of the basic ``lam_i`` of a solution of LCP(q, M) by Lemke's method.
+
+    ``s = q + M lam >= 0``, ``lam >= 0``, ``s^T lam = 0``.  The covering vector
+    is ``e``.  The lexicographic ratio test keeps every row of (right side,
+    basis inverse) lexicographically positive, so no basis repeats and the
+    method ends in finitely many pivots (Cottle, Pang & Stone, *The Linear
+    Complementarity Problem*, 1992, ch. 4).  For a copositive-plus ``M`` it
+    ends on a solution whenever one exists; a secondary ray raises
+    ``LinAlgError``.  The run ends when ``z0`` leaves the basis or, in a
+    degenerate problem, once it is 0 to rounding: either way the basic
+    ``lam`` solve the LCP.  Tableau columns: the right side, ``s`` (whose
+    columns carry the basis inverse), ``lam``, and the artificial ``z0``.
+    """
+    m = len(q)
+    if not np.any(q < 0):
+        return np.arange(0)
+    tableau = np.hstack((q[:, None], np.eye(m), -M, -np.ones((m, 1))))
+    basis = np.arange(1, m + 1)
+    tol = _pivot_tol(m) * max(1.0, np.abs(M).max())
+    small = _pivot_tol(m) * max(1.0, np.abs(q).max())
+    z0 = entering = 2 * m + 1
+    row = m - 1 - np.argmin(q[::-1])  # ties to the last row keep every row lexico-positive
+    for pivots in range(1, 10 * m + 11):  # a guard against cycling by rounding only
+        pivot = tableau[row] / tableau[row, entering]
+        tableau -= np.outer(tableau[:, entering], pivot)
+        tableau[row] = pivot
+        leaving, basis[row] = basis[row], entering
+        if leaving == z0 or not tableau[basis == z0, 0] > small:  # z0 left, or reached 0
+            return np.sort(basis[(basis > m) & (basis < z0)] - m - 1)
+        entering = leaving + m if leaving <= m else leaving - m
+        col = tableau[:, entering]
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
+            raise np.linalg.LinAlgError(f"Lemke's method ended on a ray after {pivots} pivots")
+        for k in range(m + 1):  # lexicographic minimum of (rhs, basis inverse) / col
+            ratio = tableau[rows, k] / col[rows]
+            rows = rows[ratio == ratio.min()]
+            if len(rows) == 1:
+                break
+        row = rows[0]
+    raise np.linalg.LinAlgError(f"Lemke's method did not end in {10 * m + 10} pivots")
+
+
+def _polyhedral_vi(A: np.ndarray, b: np.ndarray, H: np.ndarray, g: np.ndarray, hint):
+    """The affine VI ``H w + g`` over ``{w : A w >= b}``, through its dual LCP.
+
+    KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w - b >= 0``,
+    ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is LCP(q, M),
+    ``M = A H^{-1} A^T``, ``q = -(A H^{-1} g + b)``.  ``x^T M x =
+    (A^T x)^T H^{-1} (A^T x) >= 0``, so ``M`` is positive semidefinite, hence
+    copositive-plus, and Lemke's method ends on the solution.  Given the
+    basic rows ``S``, ``lam_S`` solves ``M_SS lam_S = -q_S`` and ``w`` follows;
+    a hint ``S`` is accepted when ``lam_S >= 0`` and every other slack is
+    ``>= 0``, otherwise :func:`_lemke` finds ``S``.
+    """
+    X = np.linalg.solve(H, np.column_stack((A.T, g)))
+    Y, u = X[:, :-1], X[:, -1]
+    M = A @ Y
+    q = -(A @ u + b)
+
+    def at(S):
+        lam = np.linalg.solve(M[S][:, S], -q[S])
+        slack = q + M[:, S] @ lam
+        slack[S] = 0.0
+        return Y[:, S] @ lam - u, lam.min(initial=0.0) >= 0.0 and slack.min(initial=0.0) >= 0.0
+
+    if hint is not None:
+        w, accepted = at(hint)
+        if accepted:
+            return w, hint
+    S = _lemke(M, q)
+    return at(S)[0], S
+
+
+def _mu_grid(mu: float) -> float:
+    """``mu`` rounded to 20 significant bits: the label of its grid cell."""
+    mantissa, exponent = math.frexp(mu)
+    return math.ldexp(round(mantissa * 2**20), exponent - 20)
+
+
+def _secular_newton(H, r, R, mu, cold):
+    """Safeguarded Newton steps on ``psi(mu) = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
+
+    ``psi`` increases, with ``psi' = d^T (H + mu I)^{-1} d / ||d||^3``; its root
+    lies in ``[0, ||r|| / R]``, as ``x^T (H + mu I) x > mu ||x||^2``.  Steps
+    that leave the bracket bisect it.  ``cold`` says ``psi(0) < 0`` is known;
+    without it a step to ``mu <= 0`` with no evaluation left of the root
+    returns ``None``.  Ends, with ``mu`` and its ``d``, when the Newton step
+    from ``mu`` is at most ``_nnls_stop(n, n)`` relative.
+    """
+    n = len(r)
+    eye = np.eye(n)
+    lo, hi = 0.0, float(row_norm(r)) / R
+    stop = _nnls_stop(n, n)
+    for _ in range(100):  # a guard: bisection alone shrinks the bracket to rounding in under 60
+        K_inv = np.linalg.inv(H + mu * eye)
+        d = -(K_inv @ r)
+        phi = float(row_norm(d))
+        if phi > R:
+            lo = max(lo, mu)
+        else:
+            hi = min(hi, mu)
+        step = (1.0 / phi - 1.0 / R) * phi**3 / float(d @ (K_inv @ d))
+        if abs(step) <= stop * mu:
+            break
+        new = mu - step
+        if not lo < new < hi:
+            if not cold and lo == 0.0 and new <= 0.0:
+                return None
+            new = 0.5 * (lo + hi)
+        mu = new
+    return mu, d
+
+
 class HalfspaceIntersection(FeasibleSet):
     """``{z : <a_i, z> >= b_i for all i}``; finite rows, nonzero normals."""
 
@@ -361,6 +557,16 @@ class HalfspaceIntersection(FeasibleSet):
         p = np.asarray(p, dtype=float)
         rows = [_min_norm_point_over_halfspaces(self.a, self.b, row) for row in np.atleast_2d(p)]
         return np.array(rows).reshape(p.shape)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows scaled to unit normals."""
+        norms = row_norm(self.a)
+        return self.a / norms[:, None], self.b / norms
+
+    def solve_affine_vi(self, H, g, hint=None):
+        """Lemke's method on the rows scaled to unit normals."""
+        return _polyhedral_vi(*self._rows, H, g, hint)
 
     def activity(self, z: np.ndarray) -> np.ndarray:
         """Indices of the rows with ``|<a_i, z> - b_i| <= ACTIVITY_TOL * (1 + |b_i|)``."""

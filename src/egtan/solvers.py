@@ -13,6 +13,12 @@ on a genuinely monotone instance should never happen.  A check the instance
 cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
+Proximal-point steps are exact and finite: each is one call of
+:meth:`FeasibleSet.solve_affine_vi` (Lemke's method on polyhedral sets, with
+pivot tolerance ``sets._pivot_tol``; the secular equation on the ball), and a
+run hands each step's active set to the next as a hint.  No projection is
+made.
+
 Every tolerance and iteration budget is a module constant, read at call time.
 """
 
@@ -30,26 +36,13 @@ from .instances import VIInstance, instance_to_json
 from .measures import gap, natural_residual, tangent_residual
 from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite, row_norm
 
-INNER_TOL = 1e-12  # Picard step size that ends a proximal inner solve
-INNER_MAX = 10_000  # Picard iterations allowed per proximal step
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
 REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
 
 
 class StepSizeError(ValueError):
-    """eta * L >= 1 where the theory (or the inner solve) requires less."""
-
-
-class InnerSolveError(RuntimeError):
-    """Picard iteration for the proximal step ran out of budget."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"proximal inner solve did not reach tolerance in {iterations} iterations "
-            f"(last residual {residual:.3e})"
-        )
-        self.residual = residual
+    """eta * L >= 1 where the theory (or the proximal step) requires less."""
 
 
 class ReferenceSolveError(RuntimeError):
@@ -222,38 +215,51 @@ def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray, strict: bool 
     return traj
 
 
-def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
-    """One proximal-point update ``z+ = proj(z - eta F(z+))`` by Picard iteration.
+def _prox_matrix(inst: VIInstance, eta: float) -> np.ndarray:
+    """``H = I + eta M`` of the proximal subproblem, once ``eta * L < 1`` is checked.
 
-    The fixed-point map ``w -> proj(z - eta F(w))`` contracts with factor
-    ``eta * L``, so ``eta * L < 1`` is a hard requirement here, not just a
-    theory assumption.  Stops once a step moves ``w`` by at most
-    :data:`INNER_TOL`; raises :class:`InnerSolveError` after :data:`INNER_MAX`.
+    ``x^T H x >= (1 - eta L) ||x||^2`` for any ``M`` with ``||M|| = L``, monotone
+    or not, so ``eta * L < 1`` makes ``H`` positive definite and the prox point
+    unique.
     """
     _require_step_size(eta)
     if eta * inst.operator.lipschitz >= 1.0:
         raise StepSizeError(
-            f"pp_step needs eta * L < 1 for the inner contraction "
+            f"pp_step needs eta * L < 1 for a unique prox point "
             f"(got {eta * inst.operator.lipschitz:.6g})"
         )
-    z_k = np.asarray(z_k, dtype=float)
-    w = z_k.copy()
-    residual = math.inf
-    for _ in range(INNER_MAX):
-        w_new = inst.set.project(z_k - eta * inst.operator(w))
-        residual = float(row_norm(w_new - w))
-        w = w_new
-        if residual <= INNER_TOL:
-            return w
-    raise InnerSolveError(residual, INNER_MAX)
+    return np.eye(inst.dimension) + eta * inst.operator.M
+
+
+def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
+    """One exact proximal-point update: the ``z+`` with ``z+ = proj(z_k - eta F(z+))``.
+
+    That is the affine VI of ``w -> H w + g`` with ``H = I + eta M`` and
+    ``g = eta q - z_k``, which :meth:`FeasibleSet.solve_affine_vi` solves in
+    finitely many steps, with no projection (Lemke's method, pivot tolerance
+    ``sets._pivot_tol``, or the ball's secular equation).  Needs
+    ``eta * L < 1`` (see :func:`_prox_matrix`).
+    """
+    H = _prox_matrix(inst, eta)
+    return inst.set.solve_affine_vi(H, eta * inst.operator.q - np.asarray(z_k, dtype=float))[0]
 
 
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
-    """Run PP for ``config.T`` steps; trajectories carry no half iterates."""
+    """Run PP for ``config.T`` steps; trajectories carry no half iterates.
+
+    Each step hands its active rows (or ball multiplier label) to the next as
+    a hint.  A hint changes only how the step is found, not its value, so the
+    run equals successive :func:`pp_step` calls bit for bit (on the ball,
+    unless a multiplier lies within rounding of its label's cell edge; see
+    ``Ball.solve_affine_vi``).
+    """
     traj = _start(inst, config, z0, halves=False)
-    zs, Fs = traj.iterates, traj.operator_values
+    zs, Fs, eta = traj.iterates, traj.operator_values, config.eta
+    if config.T:
+        H = _prox_matrix(inst, eta)
+    hint = None
     for k in range(config.T):
-        zs[k + 1] = pp_step(inst, config.eta, zs[k])
+        zs[k + 1], hint = inst.set.solve_affine_vi(H, eta * inst.operator.q - zs[k], hint)
         Fs[k + 1] = inst.operator(zs[k + 1])
     return traj
 
@@ -457,20 +463,16 @@ def rate_report_pp(
 
     Per step: the descent inequality, monotone consecutive distances, the
     ``1/sqrt(k)`` distance drop, the ``1/k`` squared-residual drop, and the
-    gap rate.  The tolerance grows with the inner-solve tolerance since the
-    theorems assume exact proximal steps.
+    gap rate.  The theorems assume exact proximal steps, which
+    :func:`pp_step` takes to rounding (``FeasibleSet.solve_affine_vi``: Lemke's
+    method with pivot tolerance ``sets._pivot_tol``, or the ball's secular
+    equation), so the tolerance is :data:`REPORT_TOL`, as for EG.
     """
     dist, D = _distances_and_radius(trajectory, z_star, D)
     eta = trajectory.config.eta
-    T = len(trajectory.iterates) - 1
-    k = np.arange(1, T + 1)
+    k = np.arange(1, len(trajectory.iterates))
     steps = trajectory.series("full-step-dist")
     r_tan = trajectory.series("tangent-residual")
-
-    # inexact prox: each step may be off by INNER_TOL/(1 - eta L), and errors
-    # accumulate linearly along the run
-    slack_per_step = INNER_TOL / max(1.0 - eta * trajectory.instance.operator.lipschitz, 1e-6)
-    tol = REPORT_TOL + 10.0 * slack_per_step * max(T, 1)
 
     checks = [
         RateCheck("best_iterate_descent", dist[1:] ** 2 + steps**2, dist[:-1] ** 2),
@@ -485,7 +487,7 @@ def rate_report_pp(
         series["gap"] = gaps
         ks, g = gaps
         checks.append(RateCheck("gap_rate", g, D * dist[0] / (eta * np.sqrt(ks))))
-    return RateReport({c.name: c for c in checks}, tol, skipped, series)
+    return RateReport({c.name: c for c in checks}, REPORT_TOL, skipped, series)
 
 
 def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:

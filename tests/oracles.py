@@ -14,6 +14,8 @@ different route so that a test can compare the two:
   ``R^n`` in closed form.
 * ``min_norm_point_by_enumeration`` projects onto a halfspace intersection
   by solving every active set of rows and keeping the nearest feasible point.
+* ``prox_point_by_picard`` takes a proximal-point step by iterating the
+  projection ``w -> proj(z - eta F(w))``, a contraction when ``eta L < 1``.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -198,6 +200,27 @@ def min_norm_point_by_enumeration(
     if best is None:
         raise EmptySetError("halfspace intersection appears to be empty")
     return best[1]
+
+
+def prox_point_by_picard(
+    inst: VIInstance, eta: float, z_k: np.ndarray, tol: float = 1e-14, max_iter: int = 100_000
+) -> np.ndarray:
+    """The ``w`` with ``w = proj(z_k - eta F(w))``, by Picard iteration from ``z_k``.
+
+    The map contracts with factor ``eta L``; the loop ends once a step moves
+    ``w`` by at most ``tol (1 + ||w||)``, which leaves ``w`` within that times
+    ``eta L / (1 - eta L)`` of the fixed point, and raises after ``max_iter``
+    steps.
+    """
+    if not eta * inst.operator.lipschitz < 1.0:
+        raise ValueError("Picard iteration needs eta * L < 1")
+    w = np.asarray(z_k, dtype=float)
+    for _ in range(max_iter):
+        w_new = inst.set.project(z_k - eta * inst.operator(w))
+        if np.linalg.norm(w_new - w) <= tol * (1.0 + np.linalg.norm(w)):
+            return w_new
+        w = w_new
+    raise RuntimeError(f"Picard iteration did not settle in {max_iter} steps")
 
 
 def check_monotone_samples(

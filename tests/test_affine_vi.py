@@ -1,0 +1,219 @@
+"""Property tests of ``FeasibleSet.solve_affine_vi``, the exact proximal-point
+kernel: on all five set types, for monotone and non-monotone operators with
+``eta L < 1``, the step is the fixed point of ``w -> proj(z - eta F(w))`` to
+rounding, agrees with Picard iteration, and is the same bits whether a hint
+found it or a cold solve did.  A run takes its steps warm: no projection, and
+only a few cold solves."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from egtan import sets
+from egtan.instances import AffineOperator, VIInstance
+from egtan.sets import Ball, Box, EmptySetError, HalfspaceIntersection, NonnegativeOrthant, WholeSpace
+from egtan.solvers import SolverConfig, pp_run, pp_step
+from tests.oracles import min_norm_point_by_enumeration, prox_point_by_picard
+from tests.test_halfspace_projection import assert_kkt, halfspace_problems
+
+SET_KINDS = ("box", "orthant", "rn", "ball", "halfspaces")
+
+
+def random_set(rng, kind, n):
+    """A set of the named kind and a point inside it."""
+    if kind == "box":
+        lo = rng.uniform(-1.0, 0.0, n)
+        hi = lo + rng.uniform(0.5, 2.5, n)
+        return Box(lo, hi), rng.uniform(lo, hi)
+    if kind == "orthant":
+        return NonnegativeOrthant(n), rng.uniform(0.0, 1.5, n)
+    if kind == "rn":
+        return WholeSpace(n), rng.standard_normal(n)
+    if kind == "ball":
+        center, radius, d = rng.standard_normal(n), rng.uniform(0.5, 2.0), rng.standard_normal(n)
+        return Ball(center, radius), center + rng.uniform(0.0, 0.9) * radius * d / np.linalg.norm(d)
+    z = rng.standard_normal(n)
+    a = rng.standard_normal((4, n))
+    return HalfspaceIntersection(list(zip(a, a @ z - rng.uniform(0.0, 0.5, 4)))), z
+
+
+def random_operator(rng, n, monotone):
+    """A skew part, a PSD part and a shift of the identity (monotone), or any matrix."""
+    if monotone:
+        skew, G = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        skew -= skew.T  # zero when n = 1
+        M = 1.5 * skew / (np.linalg.norm(skew, 2) or 1.0) + 0.3 * G.T @ G / np.linalg.norm(G.T @ G, 2)
+        M += 0.5 * np.eye(n)
+    else:
+        M = rng.standard_normal((n, n))
+    return AffineOperator.create(M, rng.standard_normal(n))
+
+
+@st.composite
+def prox_problems(draw):
+    """An instance, a step size with ``eta L`` in [0.1, 0.9] and a start ``z``.
+
+    ``z`` is a point of the set or one moved off it by up to 3 in each
+    coordinate.
+    """
+    kind = draw(st.sampled_from(SET_KINDS))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feasible, z = random_set(rng, kind, n)
+    op = random_operator(rng, n, monotone=draw(st.booleans()))
+    if draw(st.booleans()):
+        z = z + rng.uniform(-3.0, 3.0, n)
+    eta = draw(st.floats(0.1, 0.9)) / op.lipschitz
+    return VIInstance.create(op, feasible), eta, z
+
+
+def fixed_point_residual(inst, eta, z, w):
+    return float(np.linalg.norm(inst.set.project(z - eta * inst.operator(w)) - w))
+
+
+@settings(max_examples=250)
+@given(prox_problems())
+def test_step_is_the_fixed_point_and_matches_picard(problem):
+    inst, eta, z = problem
+    w = pp_step(inst, eta, z)
+    scale = 1.0 + np.linalg.norm(z) + np.linalg.norm(w)
+    assert fixed_point_residual(inst, eta, z, w) <= 1e-13 * scale
+    np.testing.assert_allclose(w, prox_point_by_picard(inst, eta, z), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=150)
+@given(prox_problems())
+def test_warm_and_cold_steps_are_the_same_bits(problem):
+    inst, eta, z = problem
+    H = np.eye(inst.dimension) + eta * inst.operator.M
+    w, hint = inst.set.solve_affine_vi(H, eta * inst.operator.q - z)
+    w_again, hint_again = inst.set.solve_affine_vi(H, eta * inst.operator.q - z, hint)
+    np.testing.assert_array_equal(w_again, w)
+    np.testing.assert_array_equal(hint_again, hint)
+    # the next step, cold and with this step's hint; then a run against its steps
+    g = eta * inst.operator.q - w
+    np.testing.assert_array_equal(inst.set.solve_affine_vi(H, g, hint)[0], inst.set.solve_affine_vi(H, g)[0])
+    traj = pp_run(inst, SolverConfig(eta=eta, T=8), inst.set.project(z))
+    for k in range(8):
+        np.testing.assert_array_equal(traj.iterates[k + 1], pp_step(inst, eta, traj.iterates[k]))
+
+
+# the degenerate cases of the one-row closed form in test_halfspace_projection.py,
+# and a two-row vertex: with H = I the step is the projection
+DEGENERATE = {
+    "duplicate-rows": ([([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)], [0.0, 0.0], [1.0, 1.0]),
+    "hyperplane-below": ([([1.0, -1.0], 1.0), ([-1.0, 1.0], -1.0)], [0.0, 0.0], [0.5, -0.5]),
+    "hyperplane-above": ([([1.0, -1.0], 1.0), ([-1.0, 1.0], -1.0)], [2.0, 0.0], [1.5, 0.5]),
+    # the second row passes through the answer: active, with zero multiplier
+    "zero-multiplier": ([([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)], [0.0, -1.0], [0.0, 0.0]),
+    # the wedge x + y >= 1, -x/2 + y >= 1 at its vertex, both multipliers positive
+    "wedge-vertex": ([([1.0, 1.0], 1.0), ([-0.5, 1.0], 1.0)], [-0.5, -1.0], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("rows, p, expected", DEGENERATE.values(), ids=DEGENERATE.keys())
+def test_degenerate_halfspace_cases(rows, p, expected):
+    feasible = HalfspaceIntersection([(np.array(a), b) for a, b in rows])
+    p = np.array(p)
+    w, hint = feasible.solve_affine_vi(np.eye(2), -p)
+    np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, min_norm_point_by_enumeration(feasible.a, feasible.b, p), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(feasible.solve_affine_vi(np.eye(2), -p, hint)[0], w)
+    # a skew operator, monotone and not, at eta L = 0.5 and 0.9
+    for M, etaL in (([[0.2, -1.0], [1.0, 0.2]], 0.5), ([[-0.3, 2.0], [0.4, 0.1]], 0.9)):
+        inst = VIInstance.create(AffineOperator.create(np.array(M), np.array([0.5, -0.25])), feasible)
+        eta = etaL / inst.operator.lipschitz
+        step = pp_step(inst, eta, p)
+        assert fixed_point_residual(inst, eta, p, step) <= 1e-14
+        np.testing.assert_allclose(step, prox_point_by_picard(inst, eta, p), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=300)
+@given(halfspace_problems(), st.integers(0, 2**32 - 1))
+# a cone with one row nine times over and its opposite: degenerate pivots
+# bring z0 to 0 only to rounding, and past that point the next column is a ray
+@example(
+    (np.array([[1.0, 0, 0], [3, 1, 1], [4, 1, 1], *[[1, 0, 0]] * 4, [-8, -2, -2], *[[1, 0, 0]] * 3,
+               [0, -3, -2], [1, 0, 0]]), np.zeros(13), np.zeros(3)),
+    2171,
+)
+# an 18-row cone with one row twelve times over: Lemke ends on a basis with
+# multipliers up to 40, and the step carries their rounding, 1.3e-12
+@example(
+    (np.array([*[[0.0, -2, 3, -2, -1]] * 3, [3, 1, -2, -3, -2], *[[0, -2, 3, -2, -1]] * 2,
+               [3, 1, -1, -2, 0], *[[0, -2, 3, -2, -1]] * 2, [-6, -2, 2, 4, 0],
+               *[[0, -2, 3, -2, -1]] * 5, [1, -1, 2, 1, 2], [-2, 3, -2, 2, 3], [0, -2, 3, -2, -1]]),
+     np.zeros(18), np.zeros(5)),
+    21,
+)
+def test_lemke_on_structured_halfspace_sets(problem, seed):
+    """Repeated, parallel, opposite and redundant rows, and cones, up to 20 rows.
+
+    With ``H = I`` the step is the projection (which returns a point that
+    violates the set by at most ``FEASIBILITY_TOL`` as it is); with a
+    non-symmetric ``H`` it is the fixed point, and a second call with the
+    first one's hint returns it again.
+    """
+    A, b, p = problem
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    n = len(p)
+    scale = 1.0 + np.abs(b).max() + np.abs(p).max()
+    w, hint = feasible.solve_affine_vi(np.eye(n), -p)
+    assert_kkt(A, b, p, w)
+    np.testing.assert_allclose(w, feasible.project(p), rtol=0, atol=sets.FEASIBILITY_TOL * scale)
+    inst = VIInstance.create(random_operator(np.random.default_rng(seed), n, monotone=False), feasible)
+    eta = 0.7 / inst.operator.lipschitz
+    H = np.eye(n) + eta * inst.operator.M
+    w, hint = feasible.solve_affine_vi(H, eta * inst.operator.q - p)
+    assert fixed_point_residual(inst, eta, p, w) <= 1e-11 * scale
+    np.testing.assert_array_equal(feasible.solve_affine_vi(H, eta * inst.operator.q - p, hint)[0], w)
+
+
+def test_empty_halfspace_sets_raise_empty_set_error():
+    # a row repeated, negated and moved 1e-3 past itself; the NNLS used to run
+    # out of passes on a few of these and raise LinAlgError instead
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        a, b, i = rng.standard_normal((4, 4)), rng.standard_normal(4), rng.integers(4)
+        rows = list(zip(np.vstack((a, -a[i])), np.append(b, 1e-3 - b[i])))
+        with pytest.raises(EmptySetError):
+            HalfspaceIntersection(rows)
+
+
+def _no_projection(*args):
+    raise AssertionError("a proximal-point step made a projection")
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
+    """``pp_run`` with T = 100: no projection, and only a few cold solves.
+
+    A cold solve is a Lemke call on a polyhedral set, or a secular-equation
+    run from ``mu = 0`` on the ball.
+    """
+    rng = np.random.default_rng(SET_KINDS.index(kind))
+    cold = []
+    if kind == "ball":
+        newton = sets._secular_newton
+
+        def counted(H, r, R, mu, **flags):
+            if mu == 0.0:
+                cold.append(mu)
+            return newton(H, r, R, mu, **flags)
+
+        monkeypatch.setattr(sets, "_secular_newton", counted)
+    else:
+        lemke = sets._lemke
+        monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
+    for n in (3, 4, 5):
+        feasible, z0 = random_set(rng, kind, n)
+        inst = VIInstance.create(random_operator(rng, n, monotone=True), feasible)
+        eta = 0.5 / inst.operator.lipschitz
+        cold.clear()
+        with pytest.MonkeyPatch.context() as no_projection:
+            no_projection.setattr(type(feasible), "project", _no_projection)
+            traj = pp_run(inst, SolverConfig(eta=eta, T=100), z0)
+        assert len(cold) <= 4  # 1 to 4 on these runs
+        last = prox_point_by_picard(inst, eta, traj.iterates[-2])
+        np.testing.assert_allclose(traj.iterates[-1], last, rtol=0, atol=1e-10)

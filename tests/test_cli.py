@@ -424,6 +424,24 @@ class TestOneRunAndReportPath:
         assert abs(float(last[1]) + float(last[2]) - 1.0) < 1e-6  # the run ends on the row
 
 
+    def test_near_contradictory_halfspaces_name_the_empty_set(self, tmp_path, capsys):
+        # the first of the 300 systems in tests/test_affine_vi.py on which the
+        # NNLS used to run out of passes and raise LinAlgError
+        rng = np.random.default_rng(0)
+        for _ in range(18):
+            a, b, i = rng.standard_normal((4, 4)), rng.standard_normal(4), rng.integers(4)
+        rows = [{"a": r.tolist(), "b": float(c)}
+                for r, c in zip(np.vstack((a, -a[i])), np.append(b, 1e-3 - b[i]))]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "operator": {"type": "affine", "M": np.eye(4).tolist(), "q": [0.0] * 4},
+            "set": {"type": "halfspaces", "rows": rows},
+        }))
+        assert main(["solve", "--instance", str(path), "--solver", "pp", "--eta", "0.5", "--T", "5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "error: halfspace intersection is empty" in capsys.readouterr().err
+
+
 class TestRepeatedCallsInOneProcess:
     """The parser is built once per process; no option carries over to the next call."""
 
