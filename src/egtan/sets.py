@@ -4,15 +4,17 @@ Every set projects onto itself and onto the tangent cone at a feasible point;
 every set takes its normal cone by Moreau's decomposition, ``v - T(v)``.  The
 nonnegative orthant and ``R^n`` are boxes with infinite bounds, and every box
 also minimizes a linear cost exactly over set ∩ ball, for the gap function,
-by a breakpoint walk.  Halfspace intersections project by least-distance
-programming: one Lawson–Hanson NNLS solve of its dual picks the active rows,
-exact and finite for any number of rows.  When the projection onto the most
-violated row alone lands in the set, that point is the answer, and the NNLS
-would stop there too: its next optimality test is made in closed form first,
-so a projection with one active row makes no NNLS call.  The two tolerances
-are module constants: a bound or row is active within ``ACTIVITY_TOL``
-relative to it, and a point is feasible when it violates the set by at most
-``FEASIBILITY_TOL``.
+by a breakpoint walk.  Halfspace intersections project by an active-set
+iteration from the point itself (:class:`_Polyhedron`): starting from the
+rows the point violates, each candidate face is solved in closed form, and
+the first whose multipliers are nonnegative and whose point violates no
+other row is the answer.  Only a repeated candidate hands the choice of rows
+to one Lawson–Hanson NNLS solve of the least-distance dual.  The two
+tolerances are module constants: a halfspace row, or the ball's sphere, is
+active within ``ACTIVITY_TOL`` relative to it (a box's bound only at or past
+it), and a point is feasible when it violates the set by at most
+``FEASIBILITY_TOL`` relative to the set's and its own scale
+(:meth:`FeasibleSet.feasibility_tol`).
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
@@ -22,10 +24,11 @@ rows.
 Every set also solves the affine variational inequality of ``w -> H w + g``
 exactly, for any ``H`` with ``x^T H x > 0`` (:meth:`FeasibleSet.solve_affine_vi`,
 the proximal-point step).  Boxes and halfspace intersections are
-``{w : A w >= b}`` and solve its dual linear complementarity problem by
-Lemke's method, whose pivot tolerance is :func:`_pivot_tol`; the ball solves
-the trust-region secular equation by safeguarded Newton steps.  Both are
-finite, and both take a hint from a previous, nearby solve.
+``{w : A w >= b}`` and run the projection's active-set iteration with ``H``
+in place of the identity; its cold route is Lemke's method on the dual
+linear complementarity problem, whose pivot tolerance is :func:`_pivot_tol`.
+The ball solves the trust-region secular equation by safeguarded Newton
+steps.  All are finite, and all take a hint from a previous, nearby solve.
 """
 
 from __future__ import annotations
@@ -85,7 +88,15 @@ class FeasibleSet:
 
     dimension: int
 
+    _offset = 0.0  # the largest |right-hand side| of a constraint, for feasibility_tol
+    _normal = 1.0  # the largest constraint normal
+
     def infeasibility(self, z: np.ndarray) -> float:
+        """How far the point (or the worst row of a stack) violates the set."""
+        return float(np.max(self._violation(np.asarray(z, dtype=float)), initial=0.0))
+
+    def _violation(self, z: np.ndarray) -> float | np.ndarray:
+        """The violation of a point (0-d) or of each row of a stack, at least 0."""
         raise NotImplementedError
 
     def project(self, p: np.ndarray) -> np.ndarray:
@@ -117,11 +128,23 @@ class FeasibleSet:
             f"linear minimization over set-and-ball is not supported for {type(self).__name__}"
         )
 
+    def feasibility_tol(self, z: np.ndarray) -> float | np.ndarray:
+        """The violation a point of the set may show: ``FEASIBILITY_TOL`` relative to both.
+
+        ``FEASIBILITY_TOL * (1 + offset + normal * ||z||)``, where ``offset``
+        is the set's largest right-hand side and ``normal`` its largest
+        constraint normal: the rounding that computing ``<a, z> - b`` leaves,
+        scaled up.  One float for a point, one per row for a stack.  A point
+        is feasible when :meth:`infeasibility` is at most this; the halfspace
+        projection's emptiness test uses the same rule at the projected point.
+        """
+        return point_or_rows(FEASIBILITY_TOL * (1.0 + self._offset + self._normal * row_norm(z)))
+
     def _require_feasible(self, z: np.ndarray, name: str = "z") -> np.ndarray:
         z = require_finite(name, z)
-        gap = self.infeasibility(z)
-        if gap > FEASIBILITY_TOL:
-            raise InfeasiblePointError(gap)
+        gap = self._violation(z)
+        if np.any(gap > self.feasibility_tol(z)):
+            raise InfeasiblePointError(float(np.max(gap)))
         return z
 
 
@@ -144,13 +167,11 @@ class Box(FeasibleSet):
         self.l = l
         self.u = u
         self.dimension = l.shape[0]
+        bounds = np.concatenate((l, u))
+        self._offset = float(np.abs(bounds[np.isfinite(bounds)]).max(initial=0.0))
 
-    def infeasibility(self, z):
-        z = np.asarray(z, dtype=float)
-        return float(
-            max(np.max(np.maximum(self.l - z, 0.0), initial=0.0),
-                np.max(np.maximum(z - self.u, 0.0), initial=0.0))
-        )
+    def _violation(self, z):
+        return np.max(np.maximum(np.maximum(self.l - z, z - self.u), 0.0), axis=-1, initial=0.0)
 
     def project(self, p):
         """Nearest point of the box to ``p``, or to each row of a stack.
@@ -164,20 +185,26 @@ class Box(FeasibleSet):
         return np.minimum(np.maximum(p, self.l), self.u)
 
     @functools.cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+    def _polyhedron(self) -> _Polyhedron:
         """The finite bounds as rows ``z_i >= l_i`` and ``-z_i >= -u_i``."""
         lo, hi = np.flatnonzero(np.isfinite(self.l)), np.flatnonzero(np.isfinite(self.u))
         eye = np.eye(self.dimension)
-        return np.vstack((eye[lo], -eye[hi])), np.concatenate((self.l[lo], -self.u[hi]))
+        rows = np.vstack((eye[lo], -eye[hi]))
+        return _Polyhedron(rows, np.concatenate((self.l[lo], -self.u[hi])))
 
     def solve_affine_vi(self, H, g, hint=None):
-        """Lemke's method on the finite bounds as rows."""
-        return _polyhedral_vi(*self._rows, H, g, hint)
+        """The active-set iteration on the finite bounds as rows; Lemke's method cold."""
+        return self._polyhedron.solve_vi(H, g, hint)
 
     def _active_bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.isfinite(self.l) & (np.abs(z - self.l) <= ACTIVITY_TOL * (1.0 + np.abs(self.l)))
-        hi = np.isfinite(self.u) & (np.abs(z - self.u) <= ACTIVITY_TOL * (1.0 + np.abs(self.u)))
-        return lo, hi
+        """The bounds ``z`` is at or past: exact, with no ``ACTIVITY_TOL`` band.
+
+        A box's own points sit exactly on its bounds: ``project`` clamps, and
+        a face of the bounds as rows has an exact SVD.  A band would only
+        take a point just inside a bound for one on it, where the tangent
+        residual then falls below the natural residual.
+        """
+        return z <= self.l, z >= self.u
 
     def project_tangent_cone(self, z, v):
         z = self._require_feasible(z)
@@ -267,10 +294,10 @@ class Ball(FeasibleSet):
         self.center = center
         self.radius = float(radius)
         self.dimension = center.shape[0]
+        self._offset = float(row_norm(center)) + self.radius
 
-    def infeasibility(self, z):
-        z = np.asarray(z, dtype=float)
-        return float(np.max(row_norm(z - self.center) - self.radius, initial=0.0))
+    def _violation(self, z):
+        return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
@@ -368,44 +395,6 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(f"NNLS did not settle in {3 * m + 3} passes")
 
 
-def _min_norm_point_over_halfspaces(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Projection of ``p`` onto ``{z : a z >= b}`` by least-distance programming.
-
-    ``z - p`` is the shortest ``y`` with ``a y >= h = b - a p``.  NNLS on its dual,
-    ``[a^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23; unit rows, ``max h = 1``),
-    picks the rows with positive multipliers, and ``z`` meets them as equalities.
-    An empty set leaves a zero dual residual, so ``z`` comes back infeasible.
-
-    NNLS first admits the most violated row ``i``, at the projection
-    ``z = p + h_i u_i`` onto its own halfspace (``u`` the unit rows, ``h`` the
-    violations along them).  Its next gradient is ``w_j = -s_j / (2 h_i)``,
-    where ``s_j = h_i <u_j, u_i> - h_j`` is row j's slack at ``z`` along
-    ``u_j``, and it stops there when no ``w_j`` exceeds its threshold.  That
-    test is made here in closed form first.  When it passes, ``z`` lies in
-    the set, and a point of the set nearest ``p`` in the larger halfspace
-    ``i`` is the projection: the answer NNLS would give, without it.  Only
-    two or more active rows reach the NNLS.
-    """
-    r = a @ p - b
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    if not np.min(r, initial=0.0) < -FEASIBILITY_TOL * scale:
-        return p.copy()  # also when there are no rows
-    norms = row_norm(a)
-    h = -r / norms
-    i = h.argmax()
-    slack = h[i] * ((a @ a[i]) / (norms * norms[i])) - h
-    if np.all(slack >= -2.0 * h[i] * _nnls_stop(len(p) + 1, len(b))):
-        z = p + (h[i] / norms[i]) * a[i]
-    else:
-        S = np.flatnonzero(_nnls(np.vstack(((a / norms[:, None]).T, h / h[i])),
-                                 np.eye(len(p) + 1)[-1]) > 0)
-        z = p + np.linalg.lstsq(a[S], b[S] - a[S] @ p, rcond=None)[0]
-    # z carries the rounding of p, about eps ||p||, which a row scales by its norm
-    if np.min(a @ z - b) < -FEASIBILITY_TOL * (scale + norms.max() * row_norm(p)):
-        raise EmptySetError("halfspace intersection is empty")
-    return z
-
-
 def _pivot_tol(m: int) -> float:
     """Lemke's rounding floor for ``m`` rows: :func:`_nnls_stop` of its ``m x (2m + 1)`` tableau.
 
@@ -460,35 +449,178 @@ def _lemke(M: np.ndarray, q: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(f"Lemke's method did not end in {10 * m + 10} pivots")
 
 
-def _polyhedral_vi(A: np.ndarray, b: np.ndarray, H: np.ndarray, g: np.ndarray, hint):
-    """The affine VI ``H w + g`` over ``{w : A w >= b}``, through its dual LCP.
+class _Polyhedron:
+    """``{w : A w >= b}`` with unit rows, solved on its faces by an active-set iteration.
 
-    KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w - b >= 0``,
-    ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is LCP(q, M),
-    ``M = A H^{-1} A^T``, ``q = -(A H^{-1} g + b)``.  ``x^T M x =
-    (A^T x)^T H^{-1} (A^T x) >= 0``, so ``M`` is positive semidefinite, hence
-    copositive-plus, and Lemke's method ends on the solution.  Given the
-    basic rows ``S``, ``lam_S`` solves ``M_SS lam_S = -q_S`` and ``w`` follows;
-    a hint ``S`` is accepted when ``lam_S >= 0`` and every other slack is
-    ``>= 0``, otherwise :func:`_lemke` finds ``S``.
+    A face is a set ``S`` of rows held as equalities.  On it, the point of
+    the face for the affine VI of ``w -> H w + g`` is found in null-space
+    form, with ``x = -H^{-1} g`` the unconstrained solution, ``P =
+    pinv(A_S)`` and ``Z`` an orthonormal basis of the null space of ``A_S``:
+
+    * ``w0 = P b_S`` is the face's point nearest the origin;
+    * ``Z^T H Z y = -Z^T (H w0 + g) = Z^T H (x - w0)`` moves it along the
+      face: ``w = w0 + G (x - w0)`` with ``G = Z (Z^T H Z)^{-1} Z^T H``;
+    * the multipliers are ``lam_S = P^T H (w - x)``, so ``H w + g = A_S^T lam_S``.
+
+    With ``H = I`` (given as ``None``), ``G = Z Z^T`` and ``w = P b_S + Z Z^T
+    x`` is the projection of ``x`` onto the face, ``p + P (b_S - A_S p)`` at
+    ``p = x``, with ``lam_S = P^T (w - x)``.  The null-space form takes
+    nothing from ``x`` across the face, so the rows of ``S`` hold to the
+    rounding of ``w``, however far ``x`` is.  ``P`` and ``Z`` come from one
+    SVD of ``A_S``, never from ``A_S A_S^T``, which would square its
+    conditioning.  They are memoised by the global indices of ``S`` (the
+    tangent cone uses a subset of the rows), and for the last ``H`` seen, so
+    are ``H^{-1}``, ``G`` and ``P^T H``.  Every entry is a function of the rows
+    and ``H`` alone, so no result depends on the calls made before it.
+
+    ``S`` is accepted when ``lam_S >= 0``, its rows hold to rounding and no
+    other row is violated beyond rounding: the floor ``_nnls_stop(n + 1, m)``
+    relative to ``max |b|``, ``||x||`` and ``||w||``.  These are the KKT
+    conditions, so an accepted ``S`` gives the unique solution.  The
+    iteration starts from the rows violated at ``x``.  Otherwise it keeps the
+    rows of ``S`` with positive multipliers that ``w`` holds as equalities
+    (on a full-rank face it holds them all), adds the rows ``w`` violates,
+    and repeats; at the first repeated ``S`` a cold route picks ``S``:
+    :func:`_nnls` for a projection, :func:`_lemke` for a VI.  Whatever route
+    finds ``S``, ``w`` is the same function of it (:meth:`on_face`).
     """
-    X = np.linalg.solve(H, np.column_stack((A.T, g)))
-    Y, u = X[:, :-1], X[:, -1]
-    M = A @ Y
-    q = -(A @ u + b)
 
-    def at(S):
-        lam = np.linalg.solve(M[S][:, S], -q[S])
-        slack = q + M[:, S] @ lam
-        slack[S] = 0.0
-        return Y[:, S] @ lam - u, lam.min(initial=0.0) >= 0.0 and slack.min(initial=0.0) >= 0.0
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.norms = row_norm(a)
+        self.A, self.b = a / self.norms[:, None], b / self.norms
+        self.offset = float(np.abs(self.b).max(initial=0.0))
+        self._faces = {}
+        self._metric = (b"", None, {})  # H's bytes, H^{-1}, and (G, P^T H) of each face for H
 
-    if hint is not None:
-        w, accepted = at(hint)
-        if accepted:
-            return w, hint
-    S = _lemke(M, q)
-    return at(S)[0], S
+    def face(self, S: np.ndarray) -> tuple:
+        """``A_S``, ``P``, ``Z Z^T``, whether ``A_S`` is rank deficient, and ``Z``; memoised."""
+        key = S.tobytes()
+        entry = self._faces.get(key)
+        if entry is None:
+            A_S = self.A[S]
+            U, s, Vt = np.linalg.svd(A_S)
+            rank = np.count_nonzero(s > s.max(initial=0.0) * max(A_S.shape) * np.finfo(float).eps)
+            Z = Vt[rank:].T
+            entry = self._faces[key] = (A_S, (Vt[:rank].T / s[:rank]) @ U[:, :rank].T,
+                                        Z @ Z.T, rank < len(S), Z)
+        return entry
+
+    def _for(self, H: np.ndarray) -> tuple[np.ndarray, dict]:
+        """``H^{-1}`` and the per-face maps for ``H``, kept while ``H`` stays the same."""
+        key = H.tobytes()
+        if key != self._metric[0]:
+            self._metric = (key, np.linalg.inv(H), {})
+        return self._metric[1:]
+
+    def on_face(self, S, b_S, x, H):
+        """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient."""
+        _, P, G, deficient, Z = self.face(S)
+        PtH = P.T
+        if H is not None:
+            maps = self._for(H)[1]
+            key = S.tobytes()
+            entry = maps.get(key)
+            if entry is None:
+                ZtH = Z.T @ H
+                entry = maps[key] = (Z @ np.linalg.solve(ZtH @ Z, ZtH), P.T @ H)
+            G, PtH = entry
+        w0 = P @ b_S
+        w = w0 + G @ (x - w0)
+        return w, PtH @ (w - x), deficient
+
+    def iterate(self, rows, b, x, H, r, S=None):
+        """The accepted ``S`` (indices into ``rows``) and its point, or ``None``.
+
+        ``rows`` are the global indices of the rows in play (``None``: all),
+        ``b`` their right-hand sides, and ``r = A_rows x - b``.  The iteration
+        starts from the rows violated at ``x`` and ends at the first repeated
+        ``S``; a given ``S`` is tested alone.
+        """
+        A = self.A if rows is None else self.A[rows]
+        stop = _nnls_stop(len(x) + 1, len(b))
+        offset = self.offset if rows is None else np.abs(b).max(initial=0.0)
+        x_norm = row_norm(x)
+        tries = 1
+        if S is None:
+            S = (r < -stop * (offset + 2.0 * x_norm)).nonzero()[0]
+            tries = len(b) + 2  # a guard; a repeated S ends the iteration first
+        seen = set()
+        for _ in range(tries):
+            key = S.tobytes()
+            if key in seen:
+                return None
+            seen.add(key)
+            w, lam, deficient = self.on_face(S if rows is None else rows[S], b[S], x, H)
+            slack = A @ w - b
+            floor = stop * (offset + x_norm + row_norm(w))
+            violated = slack < -floor
+            accept = not violated.any() and lam.min(initial=0.0) >= 0.0
+            keep = lam > 0.0
+            if deficient:  # w may miss rows of S, and a row it satisfies strictly is not active
+                held = slack[S] <= floor
+                accept = accept and held.all()
+                keep &= held
+            if accept:
+                return S, w
+            violated[S[keep]] = True
+            S = violated.nonzero()[0]
+        return None
+
+    def project(self, rows, b, p, early):
+        """Projection of ``p`` onto ``{w : A_rows w >= b}``, and whether the NNLS ran.
+
+        ``p`` itself when no row is violated by more than ``early`` (per
+        row).  The cold route is least-distance programming: ``z - p`` is the
+        shortest ``y`` with ``A_rows y >= h = b - A_rows p``, and Lawson–Hanson
+        NNLS on its dual, ``[A_rows^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson
+        1974, ch. 23; ``max h = 1``), picks the rows with positive
+        multipliers.  An empty set leaves a zero dual residual, and ``z``
+        comes back infeasible; an accepted ``S`` never does.
+        """
+        A = self.A if rows is None else self.A[rows]
+        r = A @ p - b
+        if not (r < -early).any():
+            return p, False
+        found = self.iterate(rows, b, p, None, r)
+        if found is not None:
+            return found[1], False
+        S = (_nnls(np.vstack((A.T, r / r.min())), np.eye(len(p) + 1)[-1]) > 0).nonzero()[0]
+        return self.on_face(S if rows is None else rows[S], b[S], p, None)[0], True
+
+    def solve_vi(self, H, g, hint):
+        """The affine VI of ``H w + g``, and its ``S`` as the next call's hint.
+
+        A hint is tested alone, by the iteration's own test; when it fails,
+        the iteration runs from the rows violated at ``x``.  The cold route is
+        the dual LCP.  KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w - b
+        >= 0``, ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is
+        LCP(q, M), ``M = A H^{-1} A^T``, ``q = A x - b``.  ``x^T M x = (A^T
+        x)^T H^{-1} (A^T x) >= 0``, so ``M`` is positive semidefinite, hence
+        copositive-plus, and :func:`_lemke` ends on the solution, unless
+        rounding makes ``M`` singular; that raises and names the nearest
+        pair of rows to parallel.
+        """
+        H_inv = self._for(H)[0]
+        x = -(H_inv @ g)
+        r = self.A @ x - self.b
+        found = None if hint is None else self.iterate(None, self.b, x, H, r, hint)
+        if found is None:
+            found = self.iterate(None, self.b, x, H, r)
+        if found is not None:
+            return found[1], found[0]
+        try:
+            S = _lemke(self.A @ H_inv @ self.A.T, r)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"{exc}, though the step has a solution: "
+                                        f"{self._most_parallel()}") from None
+        return self.on_face(S, self.b[S], x, H)[0], S
+
+    def _most_parallel(self) -> str:
+        """The two rows nearest to parallel, by the largest ``|cos|`` between them."""
+        cos = np.abs(self.A @ self.A.T)
+        np.fill_diagonal(cos, -1.0)
+        i, j = np.unravel_index(cos.argmax(), cos.shape)
+        return f"rows {i} and {j} are nearly parallel (|cos| = 1 - {1.0 - cos[i, j]:.1e})"
 
 
 def _mu_grid(mu: float) -> float:
@@ -532,7 +664,11 @@ def _secular_newton(H, r, R, mu, cold):
 
 
 class HalfspaceIntersection(FeasibleSet):
-    """``{z : <a_i, z> >= b_i for all i}``; finite rows, nonzero normals."""
+    """``{z : <a_i, z> >= b_i for all i}``; finite rows, nonzero normals.
+
+    Projections and the proximal-point step run on the rows scaled to unit
+    normals (:class:`_Polyhedron`), whose faces are memoised as they are met.
+    """
 
     def __init__(self, rows: list[tuple[np.ndarray, float]]):
         if not rows:
@@ -547,26 +683,38 @@ class HalfspaceIntersection(FeasibleSet):
         self.a.flags.writeable = False
         self.b.flags.writeable = False
         self.dimension = self.a.shape[1]
+        self._offset = float(np.abs(self.b).max())
+        self._normal = float(row_norm(self.a).max())
+        self._polyhedron = _Polyhedron(self.a, self.b)
+        # the violation, along each unit row, past which a point is projected
+        self._early = FEASIBILITY_TOL * (1.0 + self._offset) / self._polyhedron.norms
         self.project(np.zeros(self.dimension))  # raises EmptySetError on an empty set
 
-    def infeasibility(self, z):
-        z = np.asarray(z, dtype=float)
-        return float(np.max(np.maximum(self.b - (self.a @ z.T).T, 0.0), initial=0.0))
+    def _violation(self, z):
+        return np.max(np.maximum(self.b - (self.a @ z.T).T, 0.0), axis=-1, initial=0.0)
 
     def project(self, p):
-        p = np.asarray(p, dtype=float)
-        rows = [_min_norm_point_over_halfspaces(self.a, self.b, row) for row in np.atleast_2d(p)]
-        return np.array(rows).reshape(p.shape)
+        """Nearest point of the set, row by row (see :class:`_Polyhedron`).
 
-    @functools.cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows scaled to unit normals."""
-        norms = row_norm(self.a)
-        return self.a / norms[:, None], self.b / norms
+        A point that violates no row by more than ``FEASIBILITY_TOL * (1 +
+        max |b|)`` is its own projection.  A projection that violates the set
+        beyond :meth:`feasibility_tol` at ``p`` proves the set empty: ``z``
+        carries the rounding of ``p``, which a row scales by its norm.
+        """
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            return np.array(self._nearest(p))
+        return np.array([self._nearest(row) for row in p]).reshape(p.shape)
+
+    def _nearest(self, p):
+        z, cold = self._polyhedron.project(None, self._polyhedron.b, p, self._early)
+        if cold and (self.a @ z - self.b).min() < -self.feasibility_tol(p):
+            raise EmptySetError("halfspace intersection is empty")
+        return z
 
     def solve_affine_vi(self, H, g, hint=None):
-        """Lemke's method on the rows scaled to unit normals."""
-        return _polyhedral_vi(*self._rows, H, g, hint)
+        """The active-set iteration on the rows scaled to unit normals; Lemke's method cold."""
+        return self._polyhedron.solve_vi(H, g, hint)
 
     def activity(self, z: np.ndarray) -> np.ndarray:
         """Indices of the rows with ``|<a_i, z> - b_i| <= ACTIVITY_TOL * (1 + |b_i|)``."""
@@ -574,13 +722,19 @@ class HalfspaceIntersection(FeasibleSet):
         return np.flatnonzero(np.abs(self.a @ z - self.b) <= ACTIVITY_TOL * (1.0 + np.abs(self.b)))
 
     def project_tangent_cone(self, z, v):
+        """Projection onto the cone of the rows active at ``z``, through 0, row by row.
+
+        A direction that no active row sees pointing out by more than
+        ``FEASIBILITY_TOL`` is its own projection.
+        """
         z = self._require_feasible(z)
         v = require_finite("v", v)
-        rows = []
+        poly, out = self._polyhedron, []
         for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v)):
-            a = self.a[self.activity(z_row)]
-            rows.append(_min_norm_point_over_halfspaces(a, np.zeros(len(a)), v_row))
-        return np.array(rows).reshape(v.shape)
+            active = self.activity(z_row)
+            early = FEASIBILITY_TOL / poly.norms[active]
+            out.append(poly.project(active, np.zeros(len(active)), v_row, early)[0])
+        return np.array(out).reshape(v.shape)
 
     def __repr__(self):
         return f"HalfspaceIntersection({len(self.b)} rows, dim {self.dimension})"

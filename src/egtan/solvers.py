@@ -14,10 +14,10 @@ cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
 Proximal-point steps are exact and finite: each is one call of
-:meth:`FeasibleSet.solve_affine_vi` (Lemke's method on polyhedral sets, with
-pivot tolerance ``sets._pivot_tol``; the secular equation on the ball), and a
-run hands each step's active set to the next as a hint.  No projection is
-made.
+:meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
+polyhedral set, with Lemke's method as its cold route; the secular equation
+on the ball), and a run hands each step's active set to the next as a hint.
+No projection is made.
 
 Every tolerance and iteration budget is a module constant, read at call time.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .instances import VIInstance, instance_to_json
 from .measures import gap, natural_residual, tangent_residual
-from .sets import FEASIBILITY_TOL, UnsupportedSetError, require_finite, row_norm
+from .sets import UnsupportedSetError, require_finite, row_norm
 
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
@@ -187,7 +187,7 @@ def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
     """A trajectory holding only ``z0``, with rows allocated for ``config.T`` steps."""
     z = require_finite("z0", z0)
-    if inst.set.infeasibility(z) > FEASIBILITY_TOL:
+    if inst.set.infeasibility(z) > inst.set.feasibility_tol(z):
         raise ValueError("starting point is infeasible")
     F_z = inst.operator(z)
     T, n = config.T, inst.dimension
@@ -236,8 +236,8 @@ def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
 
     That is the affine VI of ``w -> H w + g`` with ``H = I + eta M`` and
     ``g = eta q - z_k``, which :meth:`FeasibleSet.solve_affine_vi` solves in
-    finitely many steps, with no projection (Lemke's method, pivot tolerance
-    ``sets._pivot_tol``, or the ball's secular equation).  Needs
+    finitely many steps, with no projection (an active-set iteration with
+    Lemke's method as its cold route, or the ball's secular equation).  Needs
     ``eta * L < 1`` (see :func:`_prox_matrix`).
     """
     H = _prox_matrix(inst, eta)
@@ -464,9 +464,8 @@ def rate_report_pp(
     Per step: the descent inequality, monotone consecutive distances, the
     ``1/sqrt(k)`` distance drop, the ``1/k`` squared-residual drop, and the
     gap rate.  The theorems assume exact proximal steps, which
-    :func:`pp_step` takes to rounding (``FeasibleSet.solve_affine_vi``: Lemke's
-    method with pivot tolerance ``sets._pivot_tol``, or the ball's secular
-    equation), so the tolerance is :data:`REPORT_TOL`, as for EG.
+    :func:`pp_step` takes to rounding (``FeasibleSet.solve_affine_vi``), so
+    the tolerance is :data:`REPORT_TOL`, as for EG.
     """
     dist, D = _distances_and_radius(trajectory, z_star, D)
     eta = trajectory.config.eta

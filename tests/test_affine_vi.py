@@ -99,8 +99,8 @@ def test_warm_and_cold_steps_are_the_same_bits(problem):
         np.testing.assert_array_equal(traj.iterates[k + 1], pp_step(inst, eta, traj.iterates[k]))
 
 
-# the degenerate cases of the one-row closed form in test_halfspace_projection.py,
-# and a two-row vertex: with H = I the step is the projection
+# the degenerate one-row cases of test_halfspace_projection.py, and a two-row
+# vertex: with H = I the step is the projection
 DEGENERATE = {
     "duplicate-rows": ([([1.0, 1.0], 2.0), ([1.0, 1.0], 2.0)], [0.0, 0.0], [1.0, 1.0]),
     "hyperplane-below": ([([1.0, -1.0], 1.0), ([-1.0, 1.0], -1.0)], [0.0, 0.0], [0.5, -0.5]),
@@ -181,6 +181,39 @@ def test_empty_halfspace_sets_raise_empty_set_error():
             HalfspaceIntersection(rows)
 
 
+def narrow_wedge(eps):
+    """``{x + eps y >= 1, -x + eps y >= 1}``, whose point nearest 0 is ``(0, 1/eps)``."""
+    return HalfspaceIntersection([([1.0, eps], 1.0), ([-1.0, eps], 1.0)])
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_narrow_wedge_steps(eps):
+    # the face's point comes from an SVD of its rows, never from the normal
+    # equations A H^-1 A^T, which at eps = 1e-8 are singular to rounding
+    feasible = narrow_wedge(eps)
+    vertex = np.array([0.0, 1.0 / eps])
+    tol = 1e-9 * np.linalg.norm(vertex)  # 1e-9 relative
+    w, hint = feasible.solve_affine_vi(np.eye(2), np.zeros(2))
+    np.testing.assert_allclose(w, vertex, rtol=0, atol=tol)
+    assert hint.tolist() == [0, 1]
+    inst = VIInstance.create(AffineOperator.create(np.array([[0.2, -1.0], [1.0, 0.2]]),
+                                                   np.array([0.5, -0.25])), feasible)
+    eta = 0.5 / inst.operator.lipschitz
+    for z in (np.zeros(2), vertex + 3.0):
+        step = pp_step(inst, eta, z)
+        np.testing.assert_allclose(step, prox_point_by_picard(inst, eta, z), rtol=0, atol=tol)
+        np.testing.assert_allclose(step, vertex, rtol=0, atol=tol)
+
+
+def test_a_lemke_ray_on_a_nonempty_set_names_the_parallel_rows(monkeypatch):
+    # with the iteration made to repeat, the cold route is Lemke's method on
+    # A H^-1 A^T, which rounding makes singular at eps = 1e-8: it ends on a
+    # ray, though the step has a solution, and the error says why
+    monkeypatch.setattr(sets._Polyhedron, "iterate", lambda *args: None)
+    with pytest.raises(np.linalg.LinAlgError, match="rows 0 and 1 are nearly parallel"):
+        narrow_wedge(1e-8).solve_affine_vi(np.eye(2), np.zeros(2))
+
+
 def _no_projection(*args):
     raise AssertionError("a proximal-point step made a projection")
 
@@ -189,8 +222,8 @@ def _no_projection(*args):
 def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     """``pp_run`` with T = 100: no projection, and only a few cold solves.
 
-    A cold solve is a Lemke call on a polyhedral set, or a secular-equation
-    run from ``mu = 0`` on the ball.
+    A cold solve is an active-set iteration from scratch or a Lemke call on a
+    polyhedral set, or a secular-equation run from ``mu = 0`` on the ball.
     """
     rng = np.random.default_rng(SET_KINDS.index(kind))
     cold = []
@@ -204,8 +237,15 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
 
         monkeypatch.setattr(sets, "_secular_newton", counted)
     else:
-        lemke = sets._lemke
+        lemke, iterate = sets._lemke, sets._Polyhedron.iterate
+
+        def counted_iterate(poly, rows, b, x, H, r, S=None):
+            if S is None:
+                cold.append(x)
+            return iterate(poly, rows, b, x, H, r, S)
+
         monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
+        monkeypatch.setattr(sets._Polyhedron, "iterate", counted_iterate)
     for n in (3, 4, 5):
         feasible, z0 = random_set(rng, kind, n)
         inst = VIInstance.create(random_operator(rng, n, monotone=True), feasible)

@@ -407,7 +407,7 @@ class TestOneRunAndReportPath:
         assert counts[0] == counts[1] <= 3
 
     def test_one_row_halfspace_solve_never_reaches_the_nnls(self, tmp_path, monkeypatch):
-        # every projection and tangent-cone projection onto one row is closed form
+        # every projection and tangent-cone projection onto one row is one face solve
         op = AffineOperator.create(np.array([[0.2, -1.0], [1.0, 0.2]]), np.array([1.0, 1.0]))
         inst = VIInstance.create(op, HalfspaceIntersection([(np.array([1.0, 1.0]), 1.0)]))
         path = tmp_path / "instance.json"
@@ -423,6 +423,45 @@ class TestOneRunAndReportPath:
         last = (out_dir / "trajectory.csv").read_text().strip().splitlines()[-1].split(",")
         assert abs(float(last[1]) + float(last[2]) - 1.0) < 1e-6  # the run ends on the row
 
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_eg_solve_on_halfspaces_never_reaches_the_nnls(self, rows, tmp_path, monkeypatch):
+        # an instance drawn as the cli-mixed benchmark draws its halfspace
+        # items: the active-set iteration answers every projection of the run,
+        # of its tangent-cone and natural-residual series and of its reference solve
+        rng = np.random.default_rng(rows)
+        n = 4
+        skew, G = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        M = (1.5 * (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+             + 0.3 * G.T @ G / np.linalg.norm(G.T @ G, 2) + 0.5 * np.eye(n))
+        op = AffineOperator.create(M, rng.standard_normal(n))
+        z0, a = rng.standard_normal(n), rng.standard_normal((rows, n))
+        feasible = HalfspaceIntersection(list(zip(a, a @ z0 - rng.uniform(0.0, 0.5, rows))))
+        path = tmp_path / "instance.json"
+        save_instance(VIInstance.create(op, feasible), str(path))
+        calls = []
+        monkeypatch.setattr(sets, "_nnls", counted(sets._nnls, calls))
+        assert main([
+            "solve", "--instance", str(path), "--solver", "eg", "--eta", repr(0.5 / op.lipschitz),
+            "--T", "100", f"--z0={','.join(map(repr, z0.tolist()))}", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert calls == []
+
+    def test_pp_solve_on_a_narrow_wedge(self, tmp_path, monkeypatch, capsys):
+        # {x + 1e-8 y >= 1, -x + 1e-8 y >= 1}: the run ends at the vertex
+        # (0, 1e8); when Lemke's method is made the route, it ends on a ray of
+        # the rounded LCP, and the error names the two rows
+        op = AffineOperator.create(np.array([[0.2, -1.0], [1.0, 0.2]]), np.array([0.5, -0.25]))
+        wedge = HalfspaceIntersection([(np.array([1.0, 1e-8]), 1.0), (np.array([-1.0, 1e-8]), 1.0)])
+        path = tmp_path / "instance.json"
+        save_instance(VIInstance.create(op, wedge), str(path))
+        flags = ["solve", "--instance", str(path), "--solver", "pp", "--eta", "0.4", "--T", "5",
+                 "--z0=0,1e8"]
+        assert main([*flags, "--out", str(tmp_path / "out")]) == 0
+        last = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()[-1].split(",")
+        np.testing.assert_allclose([float(last[1]), float(last[2])], [0.0, 1e8], rtol=0, atol=1e-1)
+        monkeypatch.setattr(sets._Polyhedron, "iterate", lambda *args: None)
+        assert main([*flags, "--out", str(tmp_path / "ray")]) == 1
+        assert "rows 0 and 1 are nearly parallel" in capsys.readouterr().err
 
     def test_near_contradictory_halfspaces_name_the_empty_set(self, tmp_path, capsys):
         # the first of the 300 systems in tests/test_affine_vi.py on which the

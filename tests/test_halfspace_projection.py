@@ -1,7 +1,9 @@
 """Property tests of the halfspace projection: a KKT certificate for every
 draw, agreement with exhaustive active-set enumeration on few rows, and no
-false empty set for points far from a nonempty one.  With one active row the
-projection is closed form and never reaches the NNLS; with two it does."""
+false empty set for points far from a nonempty one.  The active-set iteration
+answers one active row and a wedge vertex without the NNLS; a degenerate
+vertex, where it repeats an active set, reaches the NNLS once.  A set's
+memoised faces never change a result."""
 
 import numpy as np
 import pytest
@@ -139,7 +141,7 @@ def test_rotated_orthant_projection_is_the_rotated_clamp():
 
 
 def _no_nnls(*args):
-    raise AssertionError("the NNLS ran on a one-row projection")
+    raise AssertionError("the NNLS ran")
 
 
 @pytest.mark.parametrize(
@@ -172,21 +174,48 @@ def test_one_active_row_is_closed_form(rows, p, expected, monkeypatch):
     assert np.all(feasible.a[active] @ feasible.project_tangent_cone(z, w) >= -1e-15)
 
 
-def test_two_active_rows_reach_the_nnls(monkeypatch):
+def test_wedge_vertex_makes_no_nnls_call(monkeypatch):
     # the wedge x + y >= 1, -x/2 + y >= 1 has its vertex at (0, 1); p is the
     # vertex minus both normals, so both rows hold with positive multipliers
     A, b = np.array([[1.0, 1.0], [-0.5, 1.0]]), np.array([1.0, 1.0])
     feasible = HalfspaceIntersection(list(zip(A, b)))
-    calls = []
-    nnls = sets._nnls
-
-    def counted(*args):
-        calls.append(args)
-        return nnls(*args)
-
-    monkeypatch.setattr(sets, "_nnls", counted)
+    monkeypatch.setattr(sets, "_nnls", _no_nnls)
     p = np.array([0.0, 1.0]) - A.sum(axis=0)
     z = feasible.project(p)
-    assert len(calls) == 1
     np.testing.assert_allclose(z, [0.0, 1.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(z, min_norm_point_by_enumeration(A, b, p), rtol=0, atol=1e-15)
+
+
+def test_degenerate_vertex_reaches_the_nnls_once(monkeypatch):
+    # rows 1, 3 and 5 all pass through the answer (-1, 2): from the three rows
+    # violated at p the iteration goes {2, 3, 5}, {4, 5}, {1, 5}, {} and back
+    # to {2, 3, 5}, and at that repeat the NNLS picks the rows
+    A = np.array([[-1.0, 1.0], [-2.0, -1.0], [1.0, 2.0], [1.0, 0.0], [-2.0, 3.0], [3.0, 2.0]])
+    b = np.array([2.0, 0.0, 2.0, -1.0, 7.0, 1.0])
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    calls, nnls = [], sets._nnls
+    monkeypatch.setattr(sets, "_nnls", lambda *args: calls.append(args) or nnls(*args))
+    p = np.array([-7.0, 1.0])
+    z = feasible.project(p)
+    assert len(calls) == 1
+    np.testing.assert_allclose(z, [-1.0, 2.0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(z, min_norm_point_by_enumeration(A, b, p), rtol=0, atol=1e-14)
+
+
+def test_a_fresh_set_projects_as_a_heavily_used_one():
+    # the faces a set memoises are functions of its rows alone: after 2000
+    # projections and tangent-cone projections, a new set built from the same
+    # rows gives the same bits, in either order of calls
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 3))
+    rows = list(zip(a, a @ rng.standard_normal(3) - rng.uniform(0.0, 0.5, 5)))
+    used = HalfspaceIntersection(rows)
+    for p in rng.standard_normal((1000, 3)) * 3.0:
+        z = used.project(p)
+        used.project_tangent_cone(z, rng.standard_normal(3))
+    P, V = rng.standard_normal((200, 3)) * 3.0, rng.standard_normal((200, 3))
+    fresh = HalfspaceIntersection(rows)
+    Z = fresh.project(P)
+    np.testing.assert_array_equal(Z, used.project(P))
+    np.testing.assert_array_equal(fresh.project_tangent_cone(Z, V), used.project_tangent_cone(Z, V))
+    assert len(used._polyhedron._faces) > 1  # the used set did memoise faces

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egtan.sets import (
+    FEASIBILITY_TOL,
     Ball,
     Box,
     EmptySetError,
@@ -173,6 +174,31 @@ class TestTangentCone:
         with pytest.raises(InfeasiblePointError) as err:
             NonnegativeOrthant(2).project_tangent_cone([-1.0, 0.0], [1.0, 1.0])
         assert err.value.magnitude == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "feasible, near, far",
+        [
+            (Box([0.0, -np.inf], [np.inf, np.inf]), [-1e-3, 1.0], [-1e-3, 1e9]),
+            (HalfspaceIntersection([([2.0, 0.0], 0.0)]), [-1e-3, 1.0], [-1e-3, 1e9]),
+            (Ball([0.0, 0.0], 1.0), [1.0 + 1e-3, 0.0], None),
+            (Ball([0.0, 0.0], 1e9), None, [1e9 + 1e-3, 0.0]),
+        ],
+        ids=["box", "halfspaces", "unit-ball", "large-ball"],
+    )
+    def test_feasibility_is_relative_to_the_point_and_the_set(self, feasible, near, far):
+        # 1e-3 outside is beyond FEASIBILITY_TOL of a point and set at scale 1,
+        # and within it at scale 1e9
+        for z, feasible_z in ((near, False), (far, True)):
+            if z is None:
+                continue
+            z = np.array(z)
+            tol = FEASIBILITY_TOL * (1.0 + feasible._offset + feasible._normal * np.linalg.norm(z))
+            assert feasible.feasibility_tol(z) == pytest.approx(tol, rel=1e-15)
+            if feasible_z:
+                feasible.project_tangent_cone(z, np.ones(2))
+            else:
+                with pytest.raises(InfeasiblePointError):
+                    feasible.project_tangent_cone(z, np.ones(2))
 
     @pytest.mark.parametrize(
         "feasible, z",

@@ -18,7 +18,14 @@ from egtan.solvers import (
     trajectory_to_json,
     write_trajectory_csv,
 )
-from egtan.sets import Ball, Box, NonnegativeOrthant, WholeSpace
+from egtan.sets import (
+    Ball,
+    Box,
+    HalfspaceIntersection,
+    InfeasiblePointError,
+    NonnegativeOrthant,
+    WholeSpace,
+)
 from tests.test_instances import bilinear_spec
 
 
@@ -463,6 +470,37 @@ class TestStartValidation:
             eg_run(inst, SolverConfig(eta=0.1, T=1), bad)
         with pytest.raises(ValueError, match="infeasible"):
             pp_run(inst, SolverConfig(eta=0.1, T=1), bad)
+
+    def test_projections_of_far_points_are_feasible_starts(self):
+        # points at scale 1e7 projected onto a 6-row set; when the projection
+        # carried their rounding across the face, an absolute 1e-9 refused 93
+        # of these 100
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 3))
+        feasible = HalfspaceIntersection([(row, -1.0) for row in a])
+        inst = VIInstance.create(AffineOperator.create(np.eye(3), np.zeros(3)), feasible)
+        config = SolverConfig(eta=0.5, T=2)
+        for p in 1e7 * rng.standard_normal((100, 3)):
+            z = feasible.project(p)
+            eg_run(inst, config, z)
+            pp_run(inst, config, z)
+            feasible.project_tangent_cone(z, -p)
+
+    @pytest.mark.parametrize("kind", ["box", "ball", "halfspaces"])
+    def test_a_start_just_outside_a_unit_set_is_refused(self, kind):
+        # 1e-6 past the boundary of [0, 1]^2, the unit disc, or x >= 0
+        feasible, z = {
+            "box": (Box(np.zeros(2), np.ones(2)), np.array([-1e-6, 0.5])),
+            "ball": (Ball(np.zeros(2), 1.0), np.array([1.0 + 1e-6, 0.0])),
+            "halfspaces": (HalfspaceIntersection([(np.array([1.0, 0.0]), 0.0)]),
+                           np.array([-1e-6, 0.5])),
+        }[kind]
+        inst = VIInstance.create(AffineOperator.create(np.eye(2), np.zeros(2)), feasible)
+        for run in (eg_run, pp_run):
+            with pytest.raises(ValueError, match="infeasible"):
+                run(inst, SolverConfig(eta=0.5, T=1), z)
+        with pytest.raises(InfeasiblePointError):
+            feasible.project_tangent_cone(z, np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected_naming_z0(self, bad):
