@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import certificates, counterexamples
-from .instances import load_instance
+from .instances import _render_json, load_instance
 from .solvers import (
     SolverConfig,
     StepSizeError,
@@ -86,7 +85,7 @@ def _run_and_report(args, write) -> int:
 def _write_rates(out: Path, report) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "rates.json", "w") as fh:
-        fh.write(json.dumps(report.to_json(), indent=2))
+        fh.write(_render_json(report.to_json()))
 
 
 def cmd_solve(args) -> int:
@@ -129,7 +128,7 @@ def cmd_verify_certificates(args) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "certificates.json", "w") as fh:
-                fh.write(json.dumps(report, indent=2))
+                fh.write(_render_json(report))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -21,6 +21,7 @@ EIG_TOL = 1e-8
 POWER_ITER_CAP = 10_000
 POWER_ITER_TOL = 1e-10
 POWER_ITER_SEED = 0
+_FLOAT64 = np.dtype(float)
 
 
 class DimensionMismatchError(ValueError):
@@ -151,9 +152,10 @@ class AffineOperator:
         return self.M.shape[0]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dimension,):
-            raise DimensionMismatchError("z", f"expected shape ({self.dimension},), got {z.shape}")
+        if type(z) is not np.ndarray or z.dtype is not _FLOAT64:  # else asarray is a no-op
+            z = np.asarray(z, dtype=float)
+        if z.shape != self.q.shape:
+            raise DimensionMismatchError("z", f"expected shape {self.q.shape}, got {z.shape}")
         return self.M @ z + self.q
 
     @property
@@ -305,8 +307,36 @@ def load_instance(fp: TextIO | str) -> VIInstance:
     return instance_from_json(json.load(fp))
 
 
+def _render_json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python encoder.
+
+    With ``indent`` the stdlib encodes every value in Python.  Here a list of
+    floats goes through the C encoder in one call and is split at ``", "``,
+    which no float's repr contains; dicts and other lists recurse.  Keys and
+    scalars go through ``json.dumps``, so NaN, escapes and ``ensure_ascii``
+    match.  ``indent`` is the newline and indentation of ``obj``'s own line.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        body = ("," + inner).join(
+            # a non-string key is written as its JSON scalar, quoted
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _render_json(v, inner)
+            for k, v in obj.items()
+        )
+        return "{" + inner + body + indent + "}"
+    if all(isinstance(x, float) for x in obj):
+        body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join(_render_json(v, inner) for v in obj)
+    return "[" + inner + body + indent + "]"
+
+
 def save_instance(inst: VIInstance, fp: TextIO | str) -> None:
-    text = json.dumps(instance_to_json(inst), indent=2)
+    text = _render_json(instance_to_json(inst))
     if isinstance(fp, str):
         with open(fp, "w") as fh:
             fh.write(text)

@@ -16,7 +16,6 @@ columns of :meth:`egtan.solvers.Trajectory.measure_series`.
 
 from __future__ import annotations
 
-import csv
 from typing import TextIO
 
 import numpy as np
@@ -88,16 +87,33 @@ def duality_gap_bilinear(spec: BilinearGameSpec, z: np.ndarray) -> float | np.nd
     return spec.payoff(x, best_y) - spec.payoff(best_x, y)
 
 
+def _csv_text(header: list[str], columns: list[list[float]], rows: int) -> str:
+    """CSV text as ``csv.writer`` writes it: ``header``, then ``rows`` rows.
+
+    Row ``k`` holds ``k`` and each column's ``k``-th value as ``%.17g``, or a
+    blank cell where the column is shorter.  Rows with the same blanks share
+    one format string; every row ends in CRLF.
+    """
+    lines = [",".join(header)]
+    start = 0
+    for stop in sorted({min(len(c), rows) for c in columns} | {rows}):
+        if stop > start:
+            full = [c[start:stop] for c in columns if len(c) >= stop]
+            fmt = "%d" + "".join(",%.17g" if len(c) >= stop else "," for c in columns)
+            lines += [fmt % row for row in zip(range(start, stop), *full)]
+            start = stop
+    lines.append("")
+    return "\r\n".join(lines)
+
+
 def write_measures_csv(fp: TextIO, columns: dict[str, np.ndarray | None]) -> None:
     """CSV columns ``k, r_nat, r_tan, gap, dist_half, dist_full`` at 17 digits.
 
-    ``columns`` is :meth:`egtan.solvers.Trajectory.measure_series`: one row per
-    iterate, blank where a column is ``None`` or shorter (the step distances
-    have no entry at the last iterate).
+    ``columns`` is :meth:`egtan.solvers.Trajectory.measure_series`: a header,
+    then one row per iterate with each value as ``%.17g``, blank where a
+    column is ``None`` or shorter (the step distances have no entry at the
+    last iterate).  Rows end in CRLF, as Python's ``csv`` module writes them.
+    The file is written with one ``fp.write``.
     """
-    writer = csv.writer(fp)
-    writer.writerow(["k", *columns])
-    for k in range(len(columns["r_nat"])):
-        writer.writerow(
-            [k] + ["" if v is None or k >= len(v) else f"{v[k]:.17g}" for v in columns.values()]
-        )
+    values = [[] if v is None else v.tolist() for v in columns.values()]
+    fp.write(_csv_text(["k", *columns], values, len(columns["r_nat"])))

@@ -24,7 +24,6 @@ Every tolerance and iteration budget is a module constant, read at call time.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from typing import TextIO
 import numpy as np
 
 from .instances import VIInstance, instance_to_json
-from .measures import gap, natural_residual, tangent_residual
+from .measures import _csv_text, gap, natural_residual, tangent_residual
 from .sets import UnsupportedSetError, require_finite, row_norm
 
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
@@ -503,18 +502,21 @@ def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:
 
 
 def write_trajectory_csv(fp: TextIO, trajectory: Trajectory) -> None:
+    """The run as CSV: a header ``k,z0,...`` (then ``zhalf0,...`` for EG), one row per iterate.
+
+    Row ``k`` holds ``k``, the iterate and, for EG, the half iterate, each
+    value as ``%.17g``.  The last EG row has no half step, so it ends in
+    ``n`` blank ``zhalf`` cells.  Rows end in CRLF, as Python's ``csv`` module
+    writes them.  The file is written with one ``fp.write``.
+    """
     n = trajectory.instance.dimension
     halfs = trajectory.half_iterates
-    writer = csv.writer(fp)
     header = ["k"] + [f"z{i}" for i in range(n)]
+    columns = trajectory.iterates.T.tolist()
     if halfs is not None:
         header += [f"zhalf{i}" for i in range(n)]
-    writer.writerow(header)
-    for k, z in enumerate(trajectory.iterates):
-        row = [k] + [f"{x:.17g}" for x in z]
-        if halfs is not None:
-            row += [f"{x:.17g}" for x in halfs[k]] if k < len(halfs) else [""] * n
-        writer.writerow(row)
+        columns += halfs.T.tolist()
+    fp.write(_csv_text(header, columns, len(trajectory)))
 
 
 def trajectory_to_json(trajectory: Trajectory) -> dict:

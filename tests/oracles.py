@@ -20,10 +20,16 @@ different route so that a test can compare the two:
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
   unconstrained identity at one rational point.
+* ``json_by_stdlib``, ``trajectory_csv_by_stdlib`` and
+  ``measures_csv_by_stdlib`` render the output files through the stdlib:
+  ``json.dumps(..., indent=2)`` and ``csv.writer``, one value at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -250,3 +256,38 @@ def unconstrained_identity_terms(
     if not (len(f_k) == len(f_half) == len(f_next)):
         raise ValueError("operator value vectors must share a dimension")
     return _unconstrained_terms(*([Fraction(x) for x in f] for f in (f_k, f_half, f_next)))
+
+
+def json_by_stdlib(obj) -> str:
+    """``rates.json``, ``certificates.json`` and saved instances as the stdlib writes them."""
+    return json.dumps(obj, indent=2)
+
+
+def trajectory_csv_by_stdlib(trajectory) -> str:
+    """``trajectory.csv`` through ``csv.writer``, each value formatted on its own."""
+    n = trajectory.instance.dimension
+    halfs = trajectory.half_iterates
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    header = ["k"] + [f"z{i}" for i in range(n)]
+    if halfs is not None:
+        header += [f"zhalf{i}" for i in range(n)]
+    writer.writerow(header)
+    for k, z in enumerate(trajectory.iterates):
+        row = [k] + [f"{x:.17g}" for x in z]
+        if halfs is not None:
+            row += [f"{x:.17g}" for x in halfs[k]] if k < len(halfs) else [""] * n
+        writer.writerow(row)
+    return fh.getvalue()
+
+
+def measures_csv_by_stdlib(columns: dict) -> str:
+    """``measures.csv`` through ``csv.writer``: blank where a column is ``None`` or shorter."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["k", *columns])
+    for k in range(len(columns["r_nat"])):
+        writer.writerow(
+            [k] + ["" if v is None or k >= len(v) else f"{v[k]:.17g}" for v in columns.values()]
+        )
+    return fh.getvalue()

@@ -99,6 +99,18 @@ class TestEvalOperator:
         with pytest.raises(DimensionMismatchError):
             op(np.zeros(3))
 
+    def test_other_inputs_are_converted_or_refused_by_name(self):
+        op = AffineOperator.create(np.array([[0.5, -1.0], [1.0, 0.5]]), np.array([0.1, 0.2]))
+        z = np.array([3.0, -2.0])
+        want = op.M @ z + op.q
+        for other in ([3.0, -2.0], (3, -2), np.array([3, -2]), z.astype(np.float32),
+                      z.astype(">f8"), np.array([3.0, 9.0, -2.0])[::2]):
+            got = op(other)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for bad in (np.zeros(3), np.zeros((4, 2)), [1.0], 1.0):
+            with pytest.raises(DimensionMismatchError, match=r"in z: expected shape \(2,\)"):
+                op(bad)
+
 
 class TestEmptyOperator:
     @pytest.mark.parametrize("build", [
