@@ -25,7 +25,6 @@ from . import certificates, counterexamples
 from .instances import _render_json, load_instance
 from .solvers import (
     SolverConfig,
-    StepSizeError,
     eg_run,
     pp_run,
     rate_report_eg,
@@ -76,7 +75,7 @@ def _run_and_report(args, write) -> int:
         rate_report = rate_report_eg if args.solver == "eg" else rate_report_pp
         report = rate_report(traj, z_star, D=D)
         write(traj, D, report)
-    except (OSError, ValueError, KeyError, StepSizeError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

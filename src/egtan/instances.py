@@ -117,7 +117,11 @@ def matrix_constants(M: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AffineOperator:
-    """``F(z) = M z + q`` with cached Lipschitz and monotonicity constants."""
+    """``F(z) = M z + q`` with cached Lipschitz and monotonicity constants.
+
+    Called on a point or on a ``(k, n)`` stack of points; a stack gives, row
+    for row and bit for bit, what the per-point calls give.
+    """
 
     M: np.ndarray
     q: np.ndarray
@@ -155,7 +159,11 @@ class AffineOperator:
         if type(z) is not np.ndarray or z.dtype is not _FLOAT64:  # else asarray is a no-op
             z = np.asarray(z, dtype=float)
         if z.shape != self.q.shape:
-            raise DimensionMismatchError("z", f"expected shape {self.q.shape}, got {z.shape}")
+            if z.ndim == 2 and z.shape[1:] == self.q.shape:
+                # one matrix-vector product per row: z @ M.T would sum in another order
+                return np.matmul(self.M, z[..., None])[..., 0] + self.q
+            raise DimensionMismatchError(
+                "z", f"expected shape {self.q.shape} or (k, {len(self.q)}), got {z.shape}")
         return self.M @ z + self.q
 
     @property

@@ -27,9 +27,7 @@ from .sets import point_or_rows, require_finite, row_norm
 def _operator_values(inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None) -> np.ndarray:
     """``F_z`` as given, or ``F`` at the point ``z`` or at each row of the stack."""
     if F_z is None:
-        if z.ndim == 1:
-            return inst.operator(z)
-        return np.array([inst.operator(row) for row in z]).reshape(z.shape)
+        return inst.operator(z)
     F_z = np.asarray(F_z, dtype=float)
     if F_z.shape != z.shape:
         raise DimensionMismatchError("F_z", f"expected shape {z.shape}, got {F_z.shape}")

@@ -9,12 +9,18 @@ iteration from the point itself (:class:`_Polyhedron`): starting from the
 rows the point violates, each candidate face is solved in closed form, and
 the first whose multipliers are nonnegative and whose point violates no
 other row is the answer.  Only a repeated candidate hands the choice of rows
-to one Lawson–Hanson NNLS solve of the least-distance dual.  The two
-tolerances are module constants: a halfspace row, or the ball's sphere, is
-active within ``ACTIVITY_TOL`` relative to it (a box's bound only at or past
-it), and a point is feasible when it violates the set by at most
-``FEASIBILITY_TOL`` relative to the set's and its own scale
-(:meth:`FeasibleSet.feasibility_tol`).
+to one Lawson–Hanson NNLS solve of the least-distance dual.
+
+Two tolerances decide what holds.  A point that comes from outside (a
+starting point, an argument, the projection that proves a set empty) is
+feasible when it violates the set by at most ``FEASIBILITY_TOL`` relative
+to the set's and its own scale (:meth:`FeasibleSet.feasibility_tol`).
+Whether a constraint is active at a point of the set is decided by the
+active-set iteration's own rounding floor, :func:`_floor`: a halfspace row,
+or the ball's sphere taken as one row, is active when the point is at,
+past or within the floor of it.  The same floor ends the iteration's
+search, so a row a projection holds reads as active at its result.  A
+box's bound is active only at or past it, the floor of an exact clamp.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
@@ -38,8 +44,8 @@ import math
 
 import numpy as np
 
-ACTIVITY_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def require_finite(name: str, value) -> np.ndarray:
@@ -197,7 +203,7 @@ class Box(FeasibleSet):
         return self._polyhedron.solve_vi(H, g, hint)
 
     def _active_bounds(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The bounds ``z`` is at or past: exact, with no ``ACTIVITY_TOL`` band.
+        """The bounds ``z`` is at or past: a halfspace row's activity rule with a floor of 0.
 
         A box's own points sit exactly on its bounds: ``project`` clamps, and
         a face of the bounds as rows has an exact SVD.  A band would only
@@ -311,8 +317,10 @@ class Ball(FeasibleSet):
         v = require_finite("v", v)
         d = z - self.center
         norm = row_norm(d)[..., None]
-        interior = norm < self.radius * (1.0 - ACTIVITY_TOL)
-        outward = d / np.where(interior, 1.0, norm)
+        z_norm = row_norm(z)[..., None]
+        # the sphere as one row, R - ||z - c|| >= 0, active within its floor
+        interior = self.radius - norm > _floor(self.dimension, 1, self._offset, z_norm, z_norm)
+        outward = d / np.where(norm == 0.0, 1.0, norm)  # the center is interior however small R is
         coeff = np.vecdot(v, outward)[..., None]
         return np.where(interior | (coeff <= 0), v, v - coeff * outward)
 
@@ -354,7 +362,21 @@ class Ball(FeasibleSet):
 
 def _nnls_stop(rows: int, cols: int) -> float:
     """The gradient entry below which ``_nnls`` admits no more columns of a ``rows x cols`` E."""
-    return 10 * np.finfo(float).eps * (rows + cols)
+    return 10 * _EPS * (rows + cols)
+
+
+def _floor(n: int, m: int, offset: float, x_norm, w_norm):
+    """The rounding floor of ``m`` unit rows ``<a_i, w> >= b_i`` in ``R^n`` at ``w``, found from ``x``.
+
+    ``_nnls_stop(n + 1, m)`` relative to 1, to ``offset`` (the rows' largest
+    ``|b_i|``) and to ``||x||`` and ``||w||``.  A row whose slack at ``w`` is
+    at most the floor holds there; one below minus the floor is violated.
+    With ``w = x`` it reads the rows at a point itself.  The 1, as in
+    :meth:`FeasibleSet.feasibility_tol`, covers the rounding a point carries
+    at a cone's apex, where ``offset`` is 0 and ``||w||`` may be that
+    rounding alone.
+    """
+    return _nnls_stop(n + 1, m) * (1.0 + offset + x_norm + w_norm)
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -464,25 +486,25 @@ class _Polyhedron:
 
     With ``H = I`` (given as ``None``), ``G = Z Z^T`` and ``w = P b_S + Z Z^T
     x`` is the projection of ``x`` onto the face, ``p + P (b_S - A_S p)`` at
-    ``p = x``, with ``lam_S = P^T (w - x)``.  The null-space form takes
-    nothing from ``x`` across the face, so the rows of ``S`` hold to the
-    rounding of ``w``, however far ``x`` is.  ``P`` and ``Z`` come from one
-    SVD of ``A_S``, never from ``A_S A_S^T``, which would square its
+    ``p = x``, with ``lam_S = P^T (w - x)``.  The null-space form moves ``w``
+    only along the face, so the rows of ``S`` hold at ``w`` to the rounding
+    of ``x`` and ``w``, which :func:`_floor` covers.  ``P`` and ``Z`` come
+    from one SVD of ``A_S``, never from ``A_S A_S^T``, which would square its
     conditioning.  They are memoised by the global indices of ``S`` (the
     tangent cone uses a subset of the rows), and for the last ``H`` seen, so
-    are ``H^{-1}``, ``G`` and ``P^T H``.  Every entry is a function of the rows
-    and ``H`` alone, so no result depends on the calls made before it.
+    are ``H^{-1}``, ``G`` and ``P^T H``.  Every entry is a function of the
+    rows and ``H`` alone, so no result depends on the calls made before it.
 
     ``S`` is accepted when ``lam_S >= 0``, its rows hold to rounding and no
-    other row is violated beyond rounding: the floor ``_nnls_stop(n + 1, m)``
-    relative to ``max |b|``, ``||x||`` and ``||w||``.  These are the KKT
-    conditions, so an accepted ``S`` gives the unique solution.  The
-    iteration starts from the rows violated at ``x``.  Otherwise it keeps the
-    rows of ``S`` with positive multipliers that ``w`` holds as equalities
-    (on a full-rank face it holds them all), adds the rows ``w`` violates,
-    and repeats; at the first repeated ``S`` a cold route picks ``S``:
-    :func:`_nnls` for a projection, :func:`_lemke` for a VI.  Whatever route
-    finds ``S``, ``w`` is the same function of it (:meth:`on_face`).
+    other row is violated beyond rounding: beyond :func:`_floor` at ``w``.
+    These are the KKT conditions, so an accepted ``S`` gives the unique
+    solution.  The iteration starts from the rows violated at ``x``, beyond
+    the floor at ``w = x``.  Otherwise it keeps the rows of ``S`` with
+    positive multipliers that ``w`` holds as equalities (on a full-rank face
+    it holds them all), adds the rows ``w`` violates, and repeats; at the
+    first repeated ``S`` a cold route picks ``S``: :func:`_nnls` for a
+    projection, :func:`_lemke` for a VI.  Whatever route finds ``S``, ``w``
+    is the same function of it (:meth:`on_face`).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -493,15 +515,15 @@ class _Polyhedron:
         self._metric = (b"", None, {})  # H's bytes, H^{-1}, and (G, P^T H) of each face for H
 
     def face(self, S: np.ndarray) -> tuple:
-        """``A_S``, ``P``, ``Z Z^T``, whether ``A_S`` is rank deficient, and ``Z``; memoised."""
+        """``P``, ``Z Z^T``, whether ``A_S`` is rank deficient, and ``Z``; memoised."""
         key = S.tobytes()
         entry = self._faces.get(key)
         if entry is None:
             A_S = self.A[S]
             U, s, Vt = np.linalg.svd(A_S)
-            rank = np.count_nonzero(s > s.max(initial=0.0) * max(A_S.shape) * np.finfo(float).eps)
+            rank = np.count_nonzero(s > s.max(initial=0.0) * max(A_S.shape) * _EPS)
             Z = Vt[rank:].T
-            entry = self._faces[key] = (A_S, (Vt[:rank].T / s[:rank]) @ U[:, :rank].T,
+            entry = self._faces[key] = ((Vt[:rank].T / s[:rank]) @ U[:, :rank].T,
                                         Z @ Z.T, rank < len(S), Z)
         return entry
 
@@ -514,7 +536,7 @@ class _Polyhedron:
 
     def on_face(self, S, b_S, x, H):
         """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient."""
-        _, P, G, deficient, Z = self.face(S)
+        P, G, deficient, Z = self.face(S)
         PtH = P.T
         if H is not None:
             maps = self._for(H)[1]
@@ -528,22 +550,30 @@ class _Polyhedron:
         w = w0 + G @ (x - w0)
         return w, PtH @ (w - x), deficient
 
-    def iterate(self, rows, b, x, H, r, S=None):
+    def in_play(self, rows) -> tuple[np.ndarray, np.ndarray, float]:
+        """``A``, ``b`` and the largest ``|b_i|`` of the rows in play.
+
+        ``rows`` ``None`` is the polyhedron itself; global row indices are
+        its cone of those rows through 0, ``{w : A_rows w >= 0}``.
+        """
+        if rows is None:
+            return self.A, self.b, self.offset
+        return self.A[rows], np.zeros(len(rows)), 0.0
+
+    def iterate(self, rows, x, x_norm, H, r, S=None):
         """The accepted ``S`` (indices into ``rows``) and its point, or ``None``.
 
-        ``rows`` are the global indices of the rows in play (``None``: all),
-        ``b`` their right-hand sides, and ``r = A_rows x - b``.  The iteration
-        starts from the rows violated at ``x`` and ends at the first repeated
-        ``S``; a given ``S`` is tested alone.
+        ``rows`` picks the rows in play (:meth:`in_play`), ``x_norm`` is
+        ``||x||`` and ``r = A_rows x - b``.  The iteration starts from the
+        rows violated at ``x`` and ends at the first repeated ``S``; a given
+        ``S`` is tested alone.
         """
-        A = self.A if rows is None else self.A[rows]
-        stop = _nnls_stop(len(x) + 1, len(b))
-        offset = self.offset if rows is None else np.abs(b).max(initial=0.0)
-        x_norm = row_norm(x)
+        A, b, offset = self.in_play(rows)
+        n, m = len(x), len(b)
         tries = 1
         if S is None:
-            S = (r < -stop * (offset + 2.0 * x_norm)).nonzero()[0]
-            tries = len(b) + 2  # a guard; a repeated S ends the iteration first
+            S = (r < -_floor(n, m, offset, x_norm, x_norm)).nonzero()[0]
+            tries = m + 2  # a guard; a repeated S ends the iteration first
         seen = set()
         for _ in range(tries):
             key = S.tobytes()
@@ -552,7 +582,7 @@ class _Polyhedron:
             seen.add(key)
             w, lam, deficient = self.on_face(S if rows is None else rows[S], b[S], x, H)
             slack = A @ w - b
-            floor = stop * (offset + x_norm + row_norm(w))
+            floor = _floor(n, m, offset, x_norm, row_norm(w))
             violated = slack < -floor
             accept = not violated.any() and lam.min(initial=0.0) >= 0.0
             keep = lam > 0.0
@@ -566,22 +596,24 @@ class _Polyhedron:
             S = violated.nonzero()[0]
         return None
 
-    def project(self, rows, b, p, early):
-        """Projection of ``p`` onto ``{w : A_rows w >= b}``, and whether the NNLS ran.
+    def project(self, rows, p):
+        """Projection of ``p`` onto the rows in play (:meth:`in_play`), and whether the NNLS ran.
 
-        ``p`` itself when no row is violated by more than ``early`` (per
-        row).  The cold route is least-distance programming: ``z - p`` is the
-        shortest ``y`` with ``A_rows y >= h = b - A_rows p``, and Lawson–Hanson
-        NNLS on its dual, ``[A_rows^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson
-        1974, ch. 23; ``max h = 1``), picks the rows with positive
-        multipliers.  An empty set leaves a zero dual residual, and ``z``
-        comes back infeasible; an accepted ``S`` never does.
+        ``p`` itself when no row is violated beyond :func:`_floor` at ``w =
+        p``, the iteration's start test.  The cold route is least-distance
+        programming: ``z - p`` is the shortest ``y`` with ``A_rows y >= h = b
+        - A_rows p``, and Lawson–Hanson NNLS on its dual, ``[A_rows^T; h^T] x
+        ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23; ``max h = 1``), picks the
+        rows with positive multipliers.  An empty set leaves a zero dual
+        residual, and ``z`` comes back infeasible; an accepted ``S`` never
+        does.
         """
-        A = self.A if rows is None else self.A[rows]
+        A, b, offset = self.in_play(rows)
         r = A @ p - b
-        if not (r < -early).any():
+        p_norm = row_norm(p)
+        if not (r < -_floor(len(p), len(b), offset, p_norm, p_norm)).any():
             return p, False
-        found = self.iterate(rows, b, p, None, r)
+        found = self.iterate(rows, p, p_norm, None, r)
         if found is not None:
             return found[1], False
         S = (_nnls(np.vstack((A.T, r / r.min())), np.eye(len(p) + 1)[-1]) > 0).nonzero()[0]
@@ -603,9 +635,10 @@ class _Polyhedron:
         H_inv = self._for(H)[0]
         x = -(H_inv @ g)
         r = self.A @ x - self.b
-        found = None if hint is None else self.iterate(None, self.b, x, H, r, hint)
+        x_norm = row_norm(x)
+        found = None if hint is None else self.iterate(None, x, x_norm, H, r, hint)
         if found is None:
-            found = self.iterate(None, self.b, x, H, r)
+            found = self.iterate(None, x, x_norm, H, r)
         if found is not None:
             return found[1], found[0]
         try:
@@ -686,8 +719,6 @@ class HalfspaceIntersection(FeasibleSet):
         self._offset = float(np.abs(self.b).max())
         self._normal = float(row_norm(self.a).max())
         self._polyhedron = _Polyhedron(self.a, self.b)
-        # the violation, along each unit row, past which a point is projected
-        self._early = FEASIBILITY_TOL * (1.0 + self._offset) / self._polyhedron.norms
         self.project(np.zeros(self.dimension))  # raises EmptySetError on an empty set
 
     def _violation(self, z):
@@ -696,10 +727,11 @@ class HalfspaceIntersection(FeasibleSet):
     def project(self, p):
         """Nearest point of the set, row by row (see :class:`_Polyhedron`).
 
-        A point that violates no row by more than ``FEASIBILITY_TOL * (1 +
-        max |b|)`` is its own projection.  A projection that violates the set
-        beyond :meth:`feasibility_tol` at ``p`` proves the set empty: ``z``
-        carries the rounding of ``p``, which a row scales by its norm.
+        A point that violates no row, on unit rows, beyond the rounding floor
+        (:func:`_floor` at ``w = p``) is its own projection.  A projection
+        that violates the set beyond :meth:`feasibility_tol` at ``p`` proves
+        the set empty: ``z`` carries the rounding of ``p``, which a row
+        scales by its norm.
         """
         p = np.asarray(p, dtype=float)
         if p.ndim == 1:
@@ -707,7 +739,7 @@ class HalfspaceIntersection(FeasibleSet):
         return np.array([self._nearest(row) for row in p]).reshape(p.shape)
 
     def _nearest(self, p):
-        z, cold = self._polyhedron.project(None, self._polyhedron.b, p, self._early)
+        z, cold = self._polyhedron.project(None, p)
         if cold and (self.a @ z - self.b).min() < -self.feasibility_tol(p):
             raise EmptySetError("halfspace intersection is empty")
         return z
@@ -717,23 +749,28 @@ class HalfspaceIntersection(FeasibleSet):
         return self._polyhedron.solve_vi(H, g, hint)
 
     def activity(self, z: np.ndarray) -> np.ndarray:
-        """Indices of the rows with ``|<a_i, z> - b_i| <= ACTIVITY_TOL * (1 + |b_i|)``."""
+        """Indices of the rows ``z`` is at, past or within the rounding floor of.
+
+        On unit rows, ``<a_i, z> - b_i <= floor``, with :func:`_floor` at
+        ``w = x = z``: a row held to rounding or violated is active, and one
+        ``z`` is inside of by more than the floor is not.
+        """
         z = np.asarray(z, dtype=float)
-        return np.flatnonzero(np.abs(self.a @ z - self.b) <= ACTIVITY_TOL * (1.0 + np.abs(self.b)))
+        poly, z_norm = self._polyhedron, row_norm(z)
+        floor = _floor(self.dimension, len(self.b), poly.offset, z_norm, z_norm)
+        return np.flatnonzero(poly.A @ z - poly.b <= floor)
 
     def project_tangent_cone(self, z, v):
         """Projection onto the cone of the rows active at ``z``, through 0, row by row.
 
-        A direction that no active row sees pointing out by more than
-        ``FEASIBILITY_TOL`` is its own projection.
+        A direction that no active row sees pointing out beyond the floor is
+        its own projection.
         """
         z = self._require_feasible(z)
         v = require_finite("v", v)
-        poly, out = self._polyhedron, []
-        for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v)):
-            active = self.activity(z_row)
-            early = FEASIBILITY_TOL / poly.norms[active]
-            out.append(poly.project(active, np.zeros(len(active)), v_row, early)[0])
+        poly = self._polyhedron
+        out = [poly.project(self.activity(z_row), v_row)[0]
+               for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v))]
         return np.array(out).reshape(v.shape)
 
     def __repr__(self):

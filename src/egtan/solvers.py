@@ -333,9 +333,13 @@ class RateReport:
     """
 
     checks: dict[str, RateCheck]
-    tolerance: float
     skipped: dict[str, str] = field(default_factory=dict)
     series: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    @property
+    def tolerance(self) -> float:
+        """The negative slack a check may show and still pass: :data:`REPORT_TOL`."""
+        return REPORT_TOL
 
     @property
     def worst_slack(self) -> float:
@@ -452,7 +456,7 @@ def rate_report_eg(
         else:
             reason = f"operator is not strongly monotone (gamma = {gamma:.3g} <= 0)"
             skipped.update(dict.fromkeys(strong, reason))
-    return RateReport({c.name: c for c in checks}, REPORT_TOL, skipped, series)
+    return RateReport({c.name: c for c in checks}, skipped, series)
 
 
 def rate_report_pp(
@@ -485,7 +489,7 @@ def rate_report_pp(
         series["gap"] = gaps
         ks, g = gaps
         checks.append(RateCheck("gap_rate", g, D * dist[0] / (eta * np.sqrt(ks))))
-    return RateReport({c.name: c for c in checks}, REPORT_TOL, skipped, series)
+    return RateReport({c.name: c for c in checks}, skipped, series)
 
 
 def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:

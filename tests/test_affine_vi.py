@@ -239,10 +239,10 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     else:
         lemke, iterate = sets._lemke, sets._Polyhedron.iterate
 
-        def counted_iterate(poly, rows, b, x, H, r, S=None):
+        def counted_iterate(poly, rows, x, x_norm, H, r, S=None):
             if S is None:
                 cold.append(x)
-            return iterate(poly, rows, b, x, H, r, S)
+            return iterate(poly, rows, x, x_norm, H, r, S)
 
         monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
         monkeypatch.setattr(sets._Polyhedron, "iterate", counted_iterate)
@@ -257,3 +257,49 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
         assert len(cold) <= 4  # 1 to 4 on these runs
         last = prox_point_by_picard(inst, eta, traj.iterates[-2])
         np.testing.assert_allclose(traj.iterates[-1], last, rtol=0, atol=1e-10)
+
+
+def _tangent_of(feasible, z, v):
+    """``||T_z(v)|| / ||v||``: about 0 when what ``v`` points out of is active at ``z``."""
+    return np.linalg.norm(feasible.project_tangent_cone(z, v)) / np.linalg.norm(v)
+
+
+@settings(max_examples=300)
+@given(halfspace_problems(), st.integers(0, 2**32 - 1))
+def test_rows_a_halfspace_step_holds_read_as_active(problem, seed):
+    """The rounding floor that reads activity covers the kernel's own rounding.
+
+    The rows of the face a step accepts (its hint) are active at its point,
+    for the projection (``H = I``) and a non-symmetric ``H``; and the
+    projection's own normal ``p - z`` has no tangent part at ``z``.
+    """
+    A, b, p = problem
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    n = len(p)
+    M = random_operator(np.random.default_rng(seed), n, monotone=False).M
+    for H in (np.eye(n), np.eye(n) + 0.7 * M / np.linalg.norm(M, 2)):
+        w, hint = feasible.solve_affine_vi(H, -p)
+        assert set(hint.tolist()) <= set(feasible.activity(w).tolist())
+    z = feasible.project(p)
+    if np.linalg.norm(p - z) > 0:
+        assert _tangent_of(feasible, z, p - z) <= 1e-9
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 8.0),
+       st.integers(0, 2**32 - 1))
+def test_a_ball_step_on_the_sphere_reads_it_as_active(n, center_scale, log_radius, log_far, seed):
+    """A projection from outside and a step with ``mu > 0`` end on the sphere,
+    and there the outward direction has no tangent part."""
+    rng = np.random.default_rng(seed)
+    feasible = Ball(10.0 ** center_scale * rng.standard_normal(n), 10.0 ** log_radius)
+    R, c = feasible.radius, feasible.center
+    u = rng.standard_normal(n)
+    p = c + R * (1.0 + 10.0 ** log_far) * u / np.linalg.norm(u)
+    z = feasible.project(p)
+    assert _tangent_of(feasible, z, z - c) <= 1e-9
+    M = random_operator(rng, n, monotone=False).M
+    for H in (np.eye(n), np.eye(n) + 0.7 * M / np.linalg.norm(M, 2)):
+        w, mu = feasible.solve_affine_vi(H, -H @ p)
+        if mu > 0.0:
+            assert _tangent_of(feasible, w, w - c) <= 1e-9

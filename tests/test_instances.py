@@ -107,9 +107,21 @@ class TestEvalOperator:
                       z.astype(">f8"), np.array([3.0, 9.0, -2.0])[::2]):
             got = op(other)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        for bad in (np.zeros(3), np.zeros((4, 2)), [1.0], 1.0):
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), [1.0], 1.0):
             with pytest.raises(DimensionMismatchError, match=r"in z: expected shape \(2,\)"):
                 op(bad)
+
+    def test_stack_matches_per_row_calls_bit_for_bit(self):
+        # z @ M.T + q sums in another order and differs in the last bit on
+        # most draws; the stacked call must not
+        rng = np.random.default_rng(71)
+        for n in range(1, 9):
+            for k in (0, 1, 2, 7, 101):
+                op = AffineOperator.create(rng.standard_normal((n, n)), rng.standard_normal(n))
+                Z = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((k, n))
+                got = op(Z)
+                want = np.array([op(z) for z in Z]).reshape(k, n)
+                assert got.shape == (k, n) and got.tobytes() == want.tobytes()
 
 
 class TestEmptyOperator:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egtan import sets
+from egtan.instances import AffineOperator, VIInstance
+from egtan.measures import natural_residual, tangent_residual
 from egtan.sets import (
     FEASIBILITY_TOL,
     Ball,
@@ -263,13 +266,49 @@ class TestNormalCone:
 
 class TestConeActivity:
     def test_activity_tolerance_rule(self):
+        # a row is active at, past or within the rounding floor of it
         feasible = cone([1.0, 0.0], [0.0, 1.0])
         assert feasible.activity(np.array([0.0, 0.5])).tolist() == [0]
-        assert feasible.activity(np.array([5e-10, 0.5])).tolist() == [0]  # within 1e-9 * (1 + |b|)
+        assert feasible.activity(np.array([5e-10, 0.5])).tolist() == []  # inside by 5e-10
+        assert feasible.activity(np.array([-5e-10, 0.5])).tolist() == [0]  # violated, still feasible
         assert feasible.activity(np.array([1e-3, 0.5])).tolist() == []
-        # the tolerance grows with |b|: 5e-7 off a row with b = 1000 is active
+        # 0.1 + 0.2 rounds to 0.30000000000000004: the row holds to rounding
+        sloped = HalfspaceIntersection([([0.1, 0.2], 0.3), ([0.0, 1.0], 0.0)])
+        assert sloped.activity(np.array([1.0, 1.0])).tolist() == [0]
+        # the floor grows with |b| and ||z|| alike: about 3.3e-11 at b = 1000
         shifted = HalfspaceIntersection([([1.0, 0.0], 1000.0), ([0.0, 1.0], 0.0)])
-        assert shifted.activity(np.array([1000.0 + 5e-7, 0.5])).tolist() == [0]
+        z = np.array([1000.0, 0.5])
+        floor = sets._floor(2, 2, 1000.0, np.linalg.norm(z), np.linalg.norm(z))
+        assert 3e-11 < floor < 4e-11
+        assert shifted.activity(z + [0.5 * floor, 0.0]).tolist() == [0]
+        assert shifted.activity(z + [2.0 * floor, 0.0]).tolist() == []
+        assert shifted.activity(np.array([1000.0 + 5e-7, 0.5])).tolist() == []
+
+    @pytest.mark.parametrize("feasible", [
+        Ball(np.zeros(2), 1.0),
+        HalfspaceIntersection([([-1.0, 0.0], -1.0)]),
+    ], ids=["disc", "halfplane"])
+    def test_tangent_residual_is_at_least_the_natural_residual_just_inside(self, feasible):
+        # 5e-10 inside the boundary the point is interior, so r_tan = ||F(z)||;
+        # a band of 1e-9 once read it as on the boundary, and r_tan was 0
+        inst = VIInstance.create(AffineOperator.create(np.eye(2), np.array([-2.0, 0.0])), feasible)
+        z = np.array([1.0 - 5e-10, 0.0])
+        r_nat, r_tan = natural_residual(inst, z), tangent_residual(inst, z)
+        assert r_nat == pytest.approx(5e-10, rel=1e-6)
+        assert r_tan == pytest.approx(1.0 + 5e-10, rel=1e-15)
+        assert r_tan >= r_nat
+
+    @pytest.mark.parametrize("feasible", [cone([1.0, 0.0]), cone([1.0, 0.0], [0.0, 1.0])],
+                             ids=["halfplane", "quadrant"])
+    def test_direction_out_by_less_than_feasibility_tol_is_projected(self, feasible):
+        got = feasible.project_tangent_cone(np.zeros(2), np.array([-5e-10, 1e-9]))
+        np.testing.assert_array_equal(got, [0.0, 1e-9])
+
+    def test_ball_center_is_interior_however_small_the_radius(self):
+        # the sphere's floor, relative to ||c|| + R, exceeds R here
+        feasible = Ball(np.array([1e6, 0.0]), 1e-12)
+        v = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(feasible.project_tangent_cone(feasible.center, v), v)
 
 
 class TestLinearMinOverBall:
