@@ -13,8 +13,10 @@ The fourteen terms of a branch are built once and cached.  Each side is a sum
 read from that table; a mutation (one term dropped, to confirm that the check
 bites) skips the cached term and never edits the table.
 
-Everything in this module is exact: coefficients are ``Fraction`` and every
-identity is proved by a zero test on a ``SparsePoly``, never by sampling.
+Everything in this module is exact: every coefficient of the fourteen terms
+is an integer, kept as a Python ``int`` (a ``Fraction`` enters only with
+non-integral input), and every identity is proved by a zero test on a
+``SparsePoly``, never by sampling.
 Nothing here imports numpy, so the proofs run without it.
 """
 

@@ -1,15 +1,15 @@
 """Exact rational arithmetic and sparse multivariate polynomials.
 
 The identity checks in :mod:`egtan.certificates` must produce proofs, not
-floating-point evidence, so every coefficient here is a
-:class:`fractions.Fraction` and equality means "the coefficient maps are
-identical".  ``Rational`` is an alias for ``fractions.Fraction``, which already
-guarantees arbitrary-precision reduced form with a positive denominator.
+floating-point evidence, so every coefficient here is exact, never a float: a
+Python ``int``, several times cheaper than a ``Fraction``, wherever the data
+are integers, and a :class:`fractions.Fraction` (``Rational``) otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -17,20 +17,24 @@ Rational = Fraction
 RationalLike = Union[Rational, int, str]
 
 
-def _as_rational(x: RationalLike) -> Rational:
-    if isinstance(x, Fraction):
+def _as_rational(x: RationalLike) -> int | Rational:
+    """``x`` exactly, as an ``int`` when it is integral and a ``Fraction`` otherwise."""
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact polynomials; pass Fraction/int/str")
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class SparsePoly:
     """Sparse polynomial over a fixed, ordered tuple of variable names.
 
-    Terms are stored as ``{exponent_tuple: Fraction}`` with no zero
-    coefficients.  Two polynomials are equal iff they share the variable tuple
-    and have identical term maps.
+    Terms are stored as ``{exponent_tuple: coefficient}`` with no zero
+    coefficients.  Integers given stay ``int`` and ring operations keep them
+    so; arithmetic with a ``Fraction`` may leave one of denominator 1, which
+    compares and hashes as its ``int``.  Two polynomials are equal iff they
+    share the variable tuple and have identical term maps.
     """
 
     __slots__ = ("vars", "terms")
@@ -47,7 +51,7 @@ class SparsePoly:
                 exp = tuple(exp)
                 if len(exp) != n:
                     raise ValueError(f"exponent tuple {exp} does not match {n} variables")
-                tidy[exp] = tidy.get(exp, Fraction(0)) + c
+                tidy[exp] = tidy.get(exp, 0) + c
                 if tidy[exp] == 0:
                     del tidy[exp]
         self.terms = tidy
@@ -67,7 +71,7 @@ class SparsePoly:
         vars = tuple(vars)
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls(vars, {tuple(exp): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -81,7 +85,7 @@ class SparsePoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            nc = out.get(exp, Fraction(0)) + c
+            nc = out.get(exp, 0) + c
             if nc == 0:
                 out.pop(exp, None)
             else:
@@ -116,8 +120,8 @@ class SparsePoly:
         out: dict[tuple, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(exp, Fraction(0)) + c1 * c2
+                exp = tuple(map(add, e1, e2))
+                nc = out.get(exp, 0) + c1 * c2
                 if nc == 0:
                     out.pop(exp, None)
                 else:
@@ -204,9 +208,9 @@ class SparsePoly:
             result = result + term
         return result
 
-    def evaluate(self, values: Mapping[str, RationalLike]) -> Rational:
+    def evaluate(self, values: Mapping[str, RationalLike]) -> int | Rational:
         vals = [_as_rational(values[name]) for name in self.vars]
-        total = Fraction(0)
+        total = 0
         for exp, c in self.terms.items():
             t = c
             for v, p in zip(vals, exp):
@@ -233,7 +237,7 @@ class SparsePoly:
             q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
             if any(p < 0 for p in q_exp):
                 raise ValueError("division is not exact")
-            t = SparsePoly(self.vars, {q_exp: r_coeff / d_coeff})
+            t = SparsePoly(self.vars, {q_exp: Fraction(r_coeff, d_coeff)})  # int / int is a float
             quo = quo + t
             rem = rem - t * divisor
         return quo

@@ -301,6 +301,7 @@ class Ball(FeasibleSet):
         self.radius = float(radius)
         self.dimension = center.shape[0]
         self._offset = float(row_norm(center)) + self.radius
+        self._metric = (None, 0.0)
 
     def _violation(self, z):
         return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
@@ -341,20 +342,27 @@ class Ball(FeasibleSet):
         when it ends elsewhere, and the cold route when it leaves ``mu > 0``.
         """
         r = g + H @ self.center
-        R = self.radius
+        R, scale = self.radius, self._scale(H)
         start = hint
-        run = _secular_newton(H, r, R, start, cold=False) if start and r.any() else None
+        run = _secular_newton(H, r, R, start, cold=False, scale=scale) if start and r.any() else None
         if run is None:
             d = -np.linalg.solve(H, r)
             if row_norm(d) <= R:
                 return self.center + d, 0.0
             start = 0.0
-            run = _secular_newton(H, r, R, start, cold=True)
+            run = _secular_newton(H, r, R, start, cold=True, scale=scale)
         label = _mu_grid(run[0])
         if label != start:
-            run = _secular_newton(H, r, R, label, cold=True)
+            run = _secular_newton(H, r, R, label, cold=True, scale=scale)
         d = run[1]
         return self.center + R * d / row_norm(d), label
+
+    def _scale(self, H: np.ndarray) -> float:
+        """``||H||_inf``, kept while ``H`` stays the same (a PP run has one)."""
+        key = H.tobytes()
+        if key != self._metric[0]:
+            self._metric = (key, float(np.abs(H).sum(axis=1).max()))
+        return self._metric[1]
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -662,7 +670,7 @@ def _mu_grid(mu: float) -> float:
     return math.ldexp(round(mantissa * 2**20), exponent - 20)
 
 
-def _secular_newton(H, r, R, mu, cold):
+def _secular_newton(H, r, R, mu, cold, scale):
     """Safeguarded Newton steps on ``psi(mu) = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
 
     ``psi`` increases, with ``psi' = d^T (H + mu I)^{-1} d / ||d||^3``; its root
@@ -670,7 +678,10 @@ def _secular_newton(H, r, R, mu, cold):
     that leave the bracket bisect it.  ``cold`` says ``psi(0) < 0`` is known;
     without it a step to ``mu <= 0`` with no evaluation left of the root
     returns ``None``.  Ends, with ``mu`` and its ``d``, when the Newton step
-    from ``mu`` is at most ``_nnls_stop(n, n)`` relative.
+    from ``mu`` is at most ``_nnls_stop(n, n)`` relative to ``mu + scale``,
+    ``scale = ||H||_inf``: the step carries rounding of about
+    ``eps ||H + mu I||``, so a test relative to ``mu`` alone cannot pass once
+    ``mu`` is small beside ``||H||``.
     """
     n = len(r)
     eye = np.eye(n)
@@ -685,7 +696,7 @@ def _secular_newton(H, r, R, mu, cold):
         else:
             hi = min(hi, mu)
         step = (1.0 / phi - 1.0 / R) * phi**3 / float(d @ (K_inv @ d))
-        if abs(step) <= stop * mu:
+        if abs(step) <= stop * (mu + scale):
             break
         new = mu - step
         if not lo < new < hi:

@@ -303,3 +303,37 @@ def test_a_ball_step_on_the_sphere_reads_it_as_active(n, center_scale, log_radiu
         w, mu = feasible.solve_affine_vi(H, -H @ p)
         if mu > 0.0:
             assert _tangent_of(feasible, w, w - c) <= 1e-9
+
+
+@pytest.mark.parametrize("mu", [1e-2, 1e-3])
+def test_ball_newton_runs_end_near_a_small_multiplier(mu, monkeypatch):
+    """A PP step whose multiplier is small beside ``||H||`` ends each secular
+    Newton run in a few steps, on the right point.
+
+    A Newton step carries rounding of about ``eps ||H + mu I||``.  A stop
+    relative to ``mu`` alone cannot pass once ``mu`` is below about
+    ``||H|| / 60``; such runs took all 100 steps of their guard.  Here
+    ``H = I + eta M`` with a skew ``M`` of norm 1 and ``eta L = 0.5``, and the
+    radius puts the root at ``mu``.
+    """
+    inverses, runs = [], []
+    inv, newton = np.linalg.inv, sets._secular_newton
+
+    def counted(*args, **flags):
+        inverses.clear()
+        out = newton(*args, **flags)
+        runs.append(len(inverses))
+        return out
+
+    monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
+    monkeypatch.setattr(sets, "_secular_newton", counted)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 3))
+        op = AffineOperator.create((A - A.T) / np.linalg.norm(A - A.T, 2), rng.standard_normal(3))
+        eta = 0.5 / op.lipschitz
+        H = np.eye(3) + eta * op.M
+        w_mu = -np.linalg.solve(H + mu * np.eye(3), eta * op.q)
+        inst = VIInstance.create(op, Ball(np.zeros(3), np.linalg.norm(w_mu)))
+        np.testing.assert_allclose(pp_step(inst, eta, np.zeros(3)), w_mu, rtol=0, atol=1e-12)
+    assert max(runs) <= 10

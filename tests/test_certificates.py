@@ -349,3 +349,11 @@ def test_certificates_run_without_numpy():
     """)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_certificate_coefficients_stay_ints(branch):
+    # integer arithmetic is the fast path; a Fraction here would still be
+    # exact, and would silently cost several times the time
+    polys = [*cert._terms(branch).values(), build_lhs_from_derivation(branch)]
+    assert all(type(c) is int for p in polys for c in p.terms.values())

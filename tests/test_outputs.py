@@ -6,6 +6,7 @@
 """
 
 import functools
+import hashlib
 import io
 import json
 import math
@@ -164,3 +165,40 @@ def test_no_output_goes_through_the_pure_python_encoder(solver, tmp_path, monkey
     assert main(["solve", "--instance", path, "--solver", solver, "--eta", "0.3", "--T", "12",
                  "--out", str(tmp_path / "out")]) == 0
     assert json.loads((tmp_path / "out" / "rates.json").read_text())["passed"] is True
+
+
+# SHA-256 of each certificates.json (keyed by --mutate; None is the clean run)
+# and of the --report-table stdout, recorded when every coefficient was a
+# Fraction: integer coefficients must not change a byte.
+CERTIFICATE_SHA256 = {
+    None: "d89a679ae2419c803a043d74463a335720589fb0fdaf2f4dbb64c7a2578a7dfc",
+    "cons-1": "0f45af447c7c6dc4f3099af012bb89134f1e80f96d85c5c301d0ee2c1a8ab210",
+    "cons-2": "6e8db9a2d0e281a7c7e32cd81592355be2d06f2bb1b25503de67709a0d751bbc",
+    "cons-3": "0f45af447c7c6dc4f3099af012bb89134f1e80f96d85c5c301d0ee2c1a8ab210",
+    "cons-4": "5cd9c8a4f2a7fb0c235875a1ebe331371de31e218a8412558b9878d54166f9e2",
+    "cons-5": "a7e9cce683ff7da82a38f35a54ffdfa5feadf634c0f1e55aad6061e3f301d5d6",
+    "cons-6": "50aa22c7f785227b0b9b4a85da3f1a1bfdaaeca5a7fa058ee4c41acc1470c388",
+    "cons-7": "1b568d068a77e451fd02e22395587faa83bc66bb6a751b0a481d2a9f67b14992",
+    "cons-8": "3a8d843f9de0c38ccac48e814fa2d1f82cb04e274ec4c1018f262b342acef280",
+    "cons-9": "27aa91bdd2cdd142e25bfde6fd510aa51f6c0e7ec6d7fc47a9f6f67571ba9236",
+    "sos-1": "cf36c745f065519f8a0016352f05e3adf01b2fc86ab5b61bd7841b427fadd249",
+    "sos-2": "268a4d3d24db439808fc57a29be865b642fe3eb5f18cd35a0b0dbe1ec75a4b8e",
+    "sos-3": "1b568d068a77e451fd02e22395587faa83bc66bb6a751b0a481d2a9f67b14992",
+    "sos-4": "04af1a9147b3c72a8c6c97ee69f63e8faf160a8063b0b1fbd9d8421f27aafd5a",
+    "sos-5": "740942b6cd5c4d0a708477c053430be8590a5f77bd2e192aa1e44b05bff38d13",
+}
+REPORT_TABLE_SHA256 = "e35186bbfd1ec1e23c30b918f96ca1a3a4ceb90e0192fc4f6b8159ff9ce9a3e9"
+
+
+@pytest.mark.parametrize("mutate", list(CERTIFICATE_SHA256))
+def test_certificates_json_bytes_are_pinned(mutate, tmp_path):
+    argv = ["verify-certificates", "--out", str(tmp_path)] + (["--mutate", mutate] if mutate else [])
+    assert main(argv) == (2 if mutate else 0)
+    digest = hashlib.sha256((tmp_path / "certificates.json").read_bytes()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[mutate]
+
+
+def test_report_table_stdout_is_pinned(capsys):
+    assert main(["verify-certificates", "--report-table"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_TABLE_SHA256
