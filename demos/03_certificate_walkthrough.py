@@ -23,9 +23,9 @@ from egtan.certificates import (
     check_newsos_claim,
     check_p2_block_identity,
     constrained_expansion_table,
-    first_differing_monomial,
     prove_expansion_identities,
     prove_unconstrained_identity,
+    verification_report,
 )
 
 for branch in ("nonneg", "neg"):
@@ -40,13 +40,14 @@ for row in constrained_expansion_table("nonneg")[:6]:
 print("\nexact spot evaluation at a random rational assignment:")
 rng = np.random.default_rng(0)
 point = CertificateAssignment.random(rng, "nonneg")
-print(f"  lhs = rhs = {point.evaluate_lhs()} (exact rational)")
+print(f"  lhs = rhs = {build_constrained_lhs('nonneg').evaluate(point.values())} (exact rational)")
 
 print("\nmutation sweep: dropping any one of the 14 terms must fail the check")
 for term in ALL_TERM_NAMES:
     branch = "neg" if term == "cons-9" else "nonneg"
     broken = not check_constrained_identity(branch, mutate=term)
-    monomial = first_differing_monomial(branch, mutate=term)
+    entry = verification_report(mutate=term)[f"constrained-{branch}"]
+    monomial = entry["first_differing_monomial"]
     print(f"  drop {term:<7} -> broken: {broken} (first differing monomial {monomial})")
 
 print(f"\nunconstrained identity, every dimension: {prove_unconstrained_identity()}")

@@ -157,10 +157,6 @@ def check_constrained_identity(branch: str, mutate: str | None = None) -> bool:
     return constrained_identity_difference(branch, mutate).is_zero()
 
 
-def first_differing_monomial(branch: str, mutate: str | None = None) -> str | None:
-    return _lowest_monomial(constrained_identity_difference(branch, mutate))
-
-
 # ---------------------------------------------------------------------------
 # Derivation cross-check: rebuild the left side from the raw constraint
 # products, taken at the eliminated coordinates.
@@ -451,12 +447,6 @@ class CertificateAssignment:
             "b1": self.beta1,
             "b2": self.beta2,
         }
-
-    def evaluate_lhs(self) -> Rational:
-        return build_constrained_lhs(self.branch).evaluate(self.values())
-
-    def evaluate_rhs(self) -> Rational:
-        return build_constrained_rhs(self.branch).evaluate(self.values())
 
     @staticmethod
     def random(rng, branch: str = "nonneg") -> "CertificateAssignment":

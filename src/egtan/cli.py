@@ -23,8 +23,10 @@ import numpy as np
 
 from . import certificates, counterexamples
 from .instances import _render_json, load_instance
+from .sets import require_positive
 from .solvers import (
     SolverConfig,
+    _require_contraction,
     eg_run,
     pp_run,
     rate_report_eg,
@@ -49,7 +51,9 @@ def _parse_z0(text: str, dimension: int) -> np.ndarray:
 def _run_and_report(args, write) -> int:
     """Load, run, solve for a reference point, check the rates, then ``write``.
 
-    ``write(traj, D, report)`` saves and prints what the command shows.
+    ``write(traj, D, report)`` saves and prints what the command shows.  The
+    step (``eta * L < 1``), ``--D`` and ``z0`` are checked before any step, so
+    a bad one exits 1 at once.
     """
     try:
         inst = load_instance(args.instance)
@@ -65,10 +69,10 @@ def _run_and_report(args, write) -> int:
             if args.z0
             else inst.set.project(np.zeros(inst.dimension))
         )
-        if args.solver == "eg":
-            traj = eg_run(inst, config, z0, strict=args.strict)
-        else:
-            traj = pp_run(inst, config, z0)
+        _require_contraction(inst, config.eta, "the rate report")
+        if args.D is not None:
+            require_positive("D", args.D)
+        traj = (eg_run if args.solver == "eg" else pp_run)(inst, config, z0)
         L = inst.operator.lipschitz
         z_star = solve_reference(inst, eta=min(args.eta, 0.5 / L) if L > 0 else args.eta)
         D = args.D if args.D is not None else 2.0 * float(np.linalg.norm(z0 - z_star)) or 1.0
@@ -180,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z0", default="", help="comma-separated starting point")
         p.add_argument("--D", type=float, default=None, help="gap radius (default 2||z0-z*||)")
         p.add_argument("--strict", action="store_true",
-                       help="treat eta*L >= 1 and a non-monotone operator (gamma < 0) "
-                            "as errors instead of warnings")
+                       help="treat a non-monotone operator (gamma < 0) as an error instead "
+                            "of a warning; eta*L >= 1 is always an error")
 
     p_solve = sub.add_parser("solve", help="run a solver and write outputs")
     add_run_flags(p_solve)

@@ -27,6 +27,16 @@ def _as_rational(x: RationalLike) -> int | Rational:
     return x.numerator if x.denominator == 1 else x
 
 
+def _add_into(out: dict[tuple, Rational], terms) -> None:
+    """Add each ``(exponent, coefficient)`` pair of ``terms`` into ``out``, dropping zeros."""
+    for exp, c in terms:
+        nc = out.get(exp, 0) + c
+        if nc == 0:
+            out.pop(exp, None)
+        else:
+            out[exp] = nc
+
+
 class SparsePoly:
     """Sparse polynomial over a fixed, ordered tuple of variable names.
 
@@ -73,6 +83,12 @@ class SparsePoly:
         exp[vars.index(name)] = 1
         return cls(vars, {tuple(exp): 1})
 
+    def _like(self, terms: dict[tuple, Rational]) -> "SparsePoly":
+        """A polynomial over ``self.vars`` holding ``terms``, which has no zero coefficient."""
+        res = SparsePoly(self.vars)
+        res.terms = terms
+        return res
+
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "SparsePoly") -> None:
@@ -84,22 +100,13 @@ class SparsePoly:
             other = SparsePoly.constant(self.vars, other)
         self._check(other)
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            nc = out.get(exp, 0) + c
-            if nc == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = nc
-        res = SparsePoly(self.vars)
-        res.terms = out
-        return res
+        _add_into(out, other.terms.items())
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        res = SparsePoly(self.vars)
-        res.terms = {exp: -c for exp, c in self.terms.items()}
-        return res
+        return self._like({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly | RationalLike") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -112,10 +119,7 @@ class SparsePoly:
     def __mul__(self, other: "SparsePoly | RationalLike") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
             c = _as_rational(other)
-            res = SparsePoly(self.vars)
-            if c != 0:
-                res.terms = {exp: coeff * c for exp, coeff in self.terms.items()}
-            return res
+            return self._like({exp: coeff * c for exp, coeff in self.terms.items()} if c else {})
         self._check(other)
         out: dict[tuple, Rational] = {}
         for e1, c1 in self.terms.items():
@@ -126,9 +130,7 @@ class SparsePoly:
                     out.pop(exp, None)
                 else:
                     out[exp] = nc
-        res = SparsePoly(self.vars)
-        res.terms = out
-        return res
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -183,30 +185,29 @@ class SparsePoly:
             for i in idx:
                 rest[i] = 0
             groups.setdefault(key, {})[tuple(rest)] = c
-        out = {}
-        for key, terms in groups.items():
-            p = SparsePoly(self.vars)
-            p.terms = terms
-            out[key] = p
-        return out
+        return {key: self._like(terms) for key, terms in groups.items()}
 
     # -- substitution, evaluation, division --------------------------------
 
     def substitute(self, mapping: Mapping[str, "SparsePoly"]) -> "SparsePoly":
-        """Replace each named variable by a polynomial (exact composition)."""
-        cache = {name: mapping.get(name) for name in self.vars}
-        result = SparsePoly(self.vars)
+        """Replace each named variable by a polynomial (exact composition).
+
+        Each power ``base**p`` is computed once, and every term's expansion is
+        added into one map.
+        """
+        gens = generators(self.vars)
+        bases = [gens[v] if mapping.get(v) is None else mapping[v] for v in self.vars]
+        powers: dict[tuple[int, int], SparsePoly] = {}
+        out: dict[tuple, Rational] = {}
         for exp, c in self.terms.items():
             term = SparsePoly.constant(self.vars, c)
             for i, p in enumerate(exp):
-                if p == 0:
-                    continue
-                base = cache[self.vars[i]]
-                if base is None:
-                    base = SparsePoly.variable(self.vars, self.vars[i])
-                term = term * base**p
-            result = result + term
-        return result
+                if p:
+                    if (i, p) not in powers:
+                        powers[i, p] = bases[i] ** p
+                    term = term * powers[i, p]
+            _add_into(out, term.terms.items())
+        return self._like(out)
 
     def evaluate(self, values: Mapping[str, RationalLike]) -> int | Rational:
         vals = [_as_rational(values[name]) for name in self.vars]

@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .sets import Box, point_or_rows, require_finite, set_from_json, set_to_json
+from .sets import Box, point_or_rows, require_box_bounds, require_finite, set_from_json, set_to_json
 
 EIG_TOL = 1e-8
 POWER_ITER_CAP = 10_000
@@ -191,13 +191,8 @@ class BilinearGameSpec:
             raise DimensionMismatchError("x_box", f"expected bounds of shape ({ell},)")
         if yl.shape != (m,) or yu.shape != (m,):
             raise DimensionMismatchError("y_box", f"expected bounds of shape ({m},)")
-        for name, lo, hi in (("x_box", xl, xu), ("y_box", yl, yu)):
-            if not np.all(lo < np.inf):  # false for nan too, as in Box
-                raise ValueError(f"{name} lower bounds must not be nan or +inf")
-            if not np.all(hi > -np.inf):
-                raise ValueError(f"{name} upper bounds must not be nan or -inf")
-            if np.any(lo > hi):
-                raise ValueError(f"{name} bounds must satisfy l <= u componentwise")
+        require_box_bounds(xl, xu, "x_box")
+        require_box_bounds(yl, yu, "y_box")
         for arr in (A, b, c, xl, xu, yl, yu):
             arr.flags.writeable = False
         return cls(A=A, b=b, c=c, x_box=(xl, xu), y_box=(yl, yu))

@@ -21,7 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from .instances import BilinearGameSpec, DimensionMismatchError, VIInstance
-from .sets import point_or_rows, require_finite, row_norm
+from .sets import point_or_rows, require_finite, require_positive, row_norm
 
 
 def _operator_values(inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None) -> np.ndarray:
@@ -56,8 +56,7 @@ def gap(
     inst: VIInstance, z: np.ndarray, D: float, F_z: np.ndarray | None = None
 ) -> float | np.ndarray:
     """``max {<F(z), z - z'> : z' in Z, ||z' - z|| <= D}``; nonnegative."""
-    if not 0 < D < np.inf:
-        raise ValueError("D must be finite and positive")
+    require_positive("D", D)
     z = require_finite("z", z)
     F_z = _operator_values(inst, z, F_z)
     _, min_value = inst.set.linear_min_over_ball(z, D, F_z)

@@ -55,6 +55,27 @@ def require_finite(name: str, value) -> np.ndarray:
     return arr
 
 
+def require_positive(name: str, value: float) -> float:
+    """``value``, or a ``ValueError`` naming ``name`` unless ``0 < value < inf``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def require_box_bounds(l: np.ndarray, u: np.ndarray, name: str | None = None) -> None:
+    """Raise ``ValueError`` unless ``l < inf``, ``u > -inf`` and ``l <= u`` componentwise.
+
+    The messages name ``l`` and ``u``, or ``name``'s lower and upper bounds.
+    """
+    lower, upper = ("l", "u") if name is None else (f"{name} lower bounds", f"{name} upper bounds")
+    if not np.all(l < np.inf):  # false for nan too
+        raise ValueError(f"{lower} must not be nan or +inf")
+    if not np.all(u > -np.inf):
+        raise ValueError(f"{upper} must not be nan or -inf")
+    if np.any(l > u):
+        raise ValueError(f"{name or 'box'} bounds must satisfy l <= u componentwise")
+
+
 def row_norm(v: np.ndarray) -> np.ndarray:
     """``||v||`` of a point (0-d), or of each row of a stack.
 
@@ -70,10 +91,10 @@ def point_or_rows(value: np.ndarray) -> float | np.ndarray:
 
 
 class InfeasiblePointError(ValueError):
-    """A point violates the set beyond tolerance; carries the magnitude."""
+    """A point violates the set beyond tolerance; names the point and carries the magnitude."""
 
-    def __init__(self, magnitude: float):
-        super().__init__(f"point is infeasible by {magnitude:.3e}")
+    def __init__(self, name: str, magnitude: float):
+        super().__init__(f"{name} is infeasible by {magnitude:.3e}")
         self.magnitude = magnitude
 
 
@@ -150,7 +171,7 @@ class FeasibleSet:
         z = require_finite(name, z)
         gap = self._violation(z)
         if np.any(gap > self.feasibility_tol(z)):
-            raise InfeasiblePointError(float(np.max(gap)))
+            raise InfeasiblePointError(name, float(np.max(gap)))
         return z
 
 
@@ -162,12 +183,7 @@ class Box(FeasibleSet):
         u = np.array(u, dtype=float)
         if l.shape != u.shape or l.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if not np.all(l < np.inf):  # false for nan too
-            raise ValueError("l must not be nan or +inf")
-        if not np.all(u > -np.inf):
-            raise ValueError("u must not be nan or -inf")
-        if np.any(l > u):
-            raise ValueError("box bounds must satisfy l <= u componentwise")
+        require_box_bounds(l, u)
         l.flags.writeable = False
         u.flags.writeable = False
         self.l = l
@@ -229,8 +245,7 @@ class Box(FeasibleSet):
         """
         center = self._require_feasible(center, "center")
         cost = require_finite("cost", cost)
-        if not 0 < D < np.inf:
-            raise ValueError("D must be finite and positive")
+        require_positive("D", D)
         c, g = np.atleast_2d(center), np.atleast_2d(cost)
         top = np.abs(g).max(axis=1, initial=0.0, keepdims=True)
         g = g / np.where(top == 0.0, 1.0, top)
@@ -294,8 +309,7 @@ class WholeSpace(Box):
 class Ball(FeasibleSet):
     def __init__(self, center: np.ndarray, radius: float):
         center = require_finite("center", np.array(center, dtype=float))
-        if not 0 < radius < np.inf:
-            raise ValueError("radius must be finite and positive")
+        require_positive("radius", radius)
         center.flags.writeable = False
         self.center = center
         self.radius = float(radius)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .instances import VIInstance, instance_to_json
 from .measures import _csv_text, gap, natural_residual, tangent_residual
-from .sets import UnsupportedSetError, require_finite, row_norm
+from .sets import UnsupportedSetError, require_finite, require_positive, row_norm
 
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
@@ -53,9 +53,14 @@ class ReferenceSolveError(RuntimeError):
 
 
 def _require_step_size(eta: float) -> None:
-    """Raise ``ValueError`` naming ``eta`` unless ``0 < eta < inf``."""
-    if not 0 < eta < math.inf:
-        raise ValueError(f"step size eta must be finite and positive, got {eta}")
+    require_positive("step size eta", eta)
+
+
+def _require_contraction(inst: VIInstance, eta: float, needs: str) -> None:
+    """Raise :class:`StepSizeError` unless ``eta * L < 1``; the message names what ``needs`` it."""
+    eta_L = eta * inst.operator.lipschitz
+    if not eta_L < 1.0:
+        raise StepSizeError(f"{needs} needs eta * L < 1 (got eta * L = {eta_L:.6g})")
 
 
 @dataclass(frozen=True)
@@ -163,17 +168,6 @@ class Trajectory:
         }
 
 
-def _warn_or_raise_step(inst: VIInstance, eta: float, strict: bool) -> None:
-    if eta * inst.operator.lipschitz >= 1.0:
-        msg = (
-            f"eta * L = {eta * inst.operator.lipschitz:.6g} >= 1; "
-            "the convergence theorems do not apply"
-        )
-        if strict:
-            raise StepSizeError(msg)
-        warnings.warn(msg, stacklevel=3)
-
-
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
@@ -185,9 +179,7 @@ def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
     """A trajectory holding only ``z0``, with rows allocated for ``config.T`` steps."""
-    z = require_finite("z0", z0)
-    if inst.set.infeasibility(z) > inst.set.feasibility_tol(z):
-        raise ValueError("starting point is infeasible")
+    z = inst.set._require_feasible(z0, "z0")
     F_z = inst.operator(z)
     T, n = config.T, inst.dimension
     traj = Trajectory(
@@ -202,9 +194,15 @@ def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool)
     return traj
 
 
-def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray, strict: bool = False) -> Trajectory:
-    """Run EG for ``config.T`` steps from a feasible start; fully deterministic."""
-    _warn_or_raise_step(inst, config.eta, strict)
+def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
+    """Run EG for ``config.T`` steps from a feasible start; fully deterministic.
+
+    Warns when ``eta * L >= 1``, where the convergence theorems do not apply.
+    """
+    eta_L = config.eta * inst.operator.lipschitz
+    if eta_L >= 1.0:
+        msg = f"eta * L = {eta_L:.6g} >= 1; the convergence theorems do not apply"
+        warnings.warn(msg, stacklevel=2)
     traj = _start(inst, config, z0, halves=True)
     zs, halfs, Fs, eta = traj.iterates, traj.half_iterates, traj.operator_values, config.eta
     for k in range(config.T):
@@ -222,11 +220,7 @@ def _prox_matrix(inst: VIInstance, eta: float) -> np.ndarray:
     unique.
     """
     _require_step_size(eta)
-    if eta * inst.operator.lipschitz >= 1.0:
-        raise StepSizeError(
-            f"pp_step needs eta * L < 1 for a unique prox point "
-            f"(got {eta * inst.operator.lipschitz:.6g})"
-        )
+    _require_contraction(inst, eta, "the proximal-point step")
     return np.eye(inst.dimension) + eta * inst.operator.M
 
 
@@ -280,8 +274,7 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     never ran.
     """
     _require_step_size(eta)
-    if eta * inst.operator.lipschitz >= 1.0:
-        raise StepSizeError("solve_reference needs eta * L < 1")
+    _require_contraction(inst, eta, "the reference solve")
     z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else require_finite("z0", z0)
     tol = REFERENCE_TOL
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
@@ -290,7 +283,7 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
         F_z = inst.operator(z)
         z_half = inst.set.project(z - eta * F_z)
         if row_norm(z - z_half) <= gate:
-            residual = float(row_norm(z - inst.set.project(z - F_z)))
+            residual = natural_residual(inst, z, F_z)
             best = min(best, residual)
             if residual <= tol:
                 return z
@@ -371,16 +364,13 @@ def _distances_and_radius(
 ) -> tuple[np.ndarray, float]:
     """Validate a rate-report request; distances to ``z_star`` and the gap radius."""
     inst = trajectory.instance
-    if trajectory.config.eta * inst.operator.lipschitz >= 1.0:
-        raise StepSizeError("rate reports require eta * L < 1")
+    _require_contraction(inst, trajectory.config.eta, "a rate report")
     if natural_residual(inst, z_star) > 1e-10:
         raise ValueError("z_star is not accurate enough for rate checks")
     dist = trajectory.series("dist-to-solution", z_star=z_star)
     if D is None:
         D = 2.0 * dist[0] if dist[0] > 0 else 1.0
-    elif not 0 < D < np.inf:
-        raise ValueError("D must be finite and positive")
-    return dist, D
+    return dist, require_positive("D", D)
 
 
 def _gap_at_steps(

@@ -20,6 +20,8 @@ different route so that a test can compare the two:
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
   unconstrained identity at one rational point.
+* ``substitute_term_by_term`` composes a polynomial one term at a time,
+  each power recomputed and each term added as a new polynomial.
 * ``json_by_stdlib``, ``trajectory_csv_by_stdlib`` and
   ``measures_csv_by_stdlib`` render the output files through the stdlib:
   ``json.dumps(..., indent=2)`` and ``csv.writer``, one value at a time.
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from egtan.certificates import _unconstrained_terms
-from egtan.exactpoly import Rational
+from egtan.exactpoly import Rational, SparsePoly
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, EmptySetError, WholeSpace
 
@@ -256,6 +258,19 @@ def unconstrained_identity_terms(
     if not (len(f_k) == len(f_half) == len(f_next)):
         raise ValueError("operator value vectors must share a dimension")
     return _unconstrained_terms(*([Fraction(x) for x in f] for f in (f_k, f_half, f_next)))
+
+
+def substitute_term_by_term(poly: SparsePoly, mapping: dict[str, SparsePoly]) -> SparsePoly:
+    """``poly`` with each named variable replaced, built as a sum of composed terms."""
+    result = SparsePoly(poly.vars)
+    for exp, c in poly.terms.items():
+        term = SparsePoly.constant(poly.vars, c)
+        for name, p in zip(poly.vars, exp):
+            if p:
+                base = mapping.get(name)
+                term = term * (SparsePoly.variable(poly.vars, name) if base is None else base) ** p
+        result = result + term
+    return result
 
 
 def json_by_stdlib(obj) -> str:

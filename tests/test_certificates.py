@@ -22,14 +22,13 @@ from egtan.certificates import (
     check_p2_block_identity,
     check_unconstrained_identity,
     constrained_expansion_table,
-    first_differing_monomial,
     p2_block_polynomial,
     prove_expansion_identities,
     prove_unconstrained_identity,
     verification_report,
 )
 from egtan.exactpoly import SparsePoly, generators
-from tests.oracles import unconstrained_identity_terms
+from tests.oracles import substitute_term_by_term, unconstrained_identity_terms
 
 
 def rational_vector(rng, dim):
@@ -138,9 +137,10 @@ class TestUnconstrainedIdentity:
 
 class TestConstrainedIdentity:
     def test_both_branches_hold_exactly(self):
+        report = verification_report()
         for branch in BRANCHES:
             assert check_constrained_identity(branch)
-            assert first_differing_monomial(branch) is None
+            assert "first_differing_monomial" not in report[f"constrained-{branch}"]
 
     def test_lhs_matches_its_derivation(self):
         for branch in BRANCHES:
@@ -163,9 +163,10 @@ class TestConstrainedIdentity:
         # cons-9 vanishes on the nonneg branch, so test each term on the
         # branches where it actually contributes
         branches = ("neg",) if term == "cons-9" else BRANCHES
+        report = verification_report(mutate=term)
         for branch in branches:
             assert not check_constrained_identity(branch, mutate=term)
-            assert first_differing_monomial(branch, mutate=term) is not None
+            assert report[f"constrained-{branch}"]["first_differing_monomial"]
 
     def test_published_table_coefficients(self):
         g = dict(zip(cert.CONSTRAINED_VARS, range(len(cert.CONSTRAINED_VARS))))
@@ -203,15 +204,16 @@ class TestConstrainedIdentity:
         rng = np.random.default_rng(3)
         for i in range(100):
             branch = "nonneg" if i % 2 == 0 else "neg"
-            point = CertificateAssignment.random(rng, branch)
-            assert point.evaluate_lhs() == point.evaluate_rhs()
+            values = CertificateAssignment.random(rng, branch).values()
+            lhs = build_constrained_lhs(branch).evaluate(values)
+            assert lhs == build_constrained_rhs(branch).evaluate(values)
 
     def test_rhs_nonnegative_at_random_points(self):
         rng = np.random.default_rng(4)
         for i in range(100):
             branch = "nonneg" if i % 2 == 0 else "neg"
-            point = CertificateAssignment.random(rng, branch)
-            assert point.evaluate_rhs() >= 0
+            values = CertificateAssignment.random(rng, branch).values()
+            assert build_constrained_rhs(branch).evaluate(values) >= 0
 
     def test_branch_sign_enforced(self):
         with pytest.raises(ValueError, match="nonneg branch"):
@@ -240,6 +242,19 @@ class TestP2Block:
                 {"x0": x0, "x1": x0 - y0, "x2": x0 - y1, "y0": y0, "y1": y1, "y2": y2}
             )
             assert value == 0
+
+    def test_substitute_matches_the_term_by_term_composition(self):
+        g = generators(("x0", "x1", "x2", "y0", "y1", "y2"))
+        block = p2_block_polynomial()
+        for relations in ({"x1": g["x0"] - g["y0"], "x2": g["x0"] - g["y1"]},
+                          {"x1": g["x0"] - g["y0"]}, {"y2": g["x1"] * g["y0"] + 3}):
+            want = substitute_term_by_term(block, relations)
+            assert block.substitute(relations).terms == want.terms
+        for branch in BRANCHES:
+            lhs = build_constrained_lhs(branch)
+            point = CertificateAssignment.random(np.random.default_rng(5), branch).values()
+            frame = {v: SparsePoly.constant(lhs.vars, point[v]) for v in ("al", "b1", "b2")}
+            assert lhs.substitute(frame).terms == substitute_term_by_term(lhs, frame).terms
 
     def test_partial_substitution_is_not_zero(self):
         g = generators(("x0", "x1", "x2", "y0", "y1", "y2"))

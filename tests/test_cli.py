@@ -365,6 +365,42 @@ class TestMonotonicityWarning:
         assert capsys.readouterr().err == ""
 
 
+class TestPreconditionsBeforeTheRun:
+    # L = 1 here, so eta = 2 breaks eta * L < 1
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run or reference solve started")
+
+        for name in ("eg_run", "pp_run", "solve_reference"):
+            monkeypatch.setattr(f"egtan.cli.{name}", refuse)
+
+    def argv(self, tmp_path, command, solver, *flags):
+        path = write_instance(tmp_path, np.eye(2), np.zeros(2), [-1, -1], [1, 1])
+        return [command, "--instance", str(path), "--solver", solver, "--T", "200000",
+                "--z0", "0.5,0.5", "--out", str(tmp_path / "o"), *flags]
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    @pytest.mark.parametrize("solver", ["eg", "pp"])
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_large_step_exits_one_naming_eta(
+        self, tmp_path, capsys, no_run, command, solver, strict
+    ):
+        assert main(self.argv(tmp_path, command, solver, "--eta", "2", *strict)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the rate report needs eta * L < 1 (got eta * L = 2)\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    @pytest.mark.parametrize("solver", ["eg", "pp"])
+    @pytest.mark.parametrize("D", ["-1", "nan", "inf"])
+    def test_bad_radius_exits_one_naming_D(self, tmp_path, capsys, no_run, command, solver, D):
+        assert main(self.argv(tmp_path, command, solver, "--eta", "0.5", "--D", D)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: D must be finite and positive, got ")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+
 class TestOneRunAndReportPath:
     @pytest.mark.parametrize("solver", ["eg", "pp"])
     def test_solve_and_rates_write_identical_rates_json(self, tmp_path, solver):

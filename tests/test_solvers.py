@@ -215,12 +215,10 @@ class TestEgRun:
             for a, b in zip(norms, norms[1:]):
                 assert b <= a + 1e-10
 
-    def test_large_step_warns_and_strict_raises(self):
+    def test_large_step_warns(self):
         inst = scalar_identity_instance()
         with pytest.warns(UserWarning, match="eta"):
             eg_run(inst, SolverConfig(eta=2.0, T=1), np.array([1.0]))
-        with pytest.raises(StepSizeError):
-            eg_run(inst, SolverConfig(eta=2.0, T=1), np.array([1.0]), strict=True)
 
 
 class TestPpStep:
@@ -228,6 +226,21 @@ class TestPpStep:
         inst = scalar_identity_instance()
         with pytest.raises(StepSizeError):
             pp_step(inst, 1.0, np.array([1.0]))
+
+    def test_run_with_a_large_step_names_the_proximal_point_step(self):
+        with pytest.raises(StepSizeError, match="^the proximal-point step needs eta \\* L < 1"):
+            pp_run(scalar_identity_instance(), SolverConfig(eta=1.0, T=1), np.array([1.0]))
+
+    @pytest.mark.parametrize("needs, call", [
+        ("the reference solve", lambda inst, traj: solve_reference(inst, 2.0)),
+        ("a rate report", lambda inst, traj: rate_report_eg(traj, np.zeros(1))),
+    ])
+    def test_each_contraction_message_names_what_needs_it(self, needs, call):
+        inst = scalar_identity_instance()
+        with pytest.warns(UserWarning):
+            traj = eg_run(inst, SolverConfig(eta=2.0, T=2), np.array([1.0]))
+        with pytest.raises(StepSizeError, match=f"^{needs} needs eta \\* L < 1 \\(got eta \\* L = 2\\)"):
+            call(inst, traj)
 
     def test_scalar_fixed_point(self):
         inst = scalar_identity_instance()
@@ -466,10 +479,9 @@ class TestStartValidation:
     def test_infeasible_start_rejected(self):
         inst = zero_operator_instance()
         bad = np.array([-1.0, 0.5])
-        with pytest.raises(ValueError, match="infeasible"):
-            eg_run(inst, SolverConfig(eta=0.1, T=1), bad)
-        with pytest.raises(ValueError, match="infeasible"):
-            pp_run(inst, SolverConfig(eta=0.1, T=1), bad)
+        for run in (eg_run, pp_run):
+            with pytest.raises(InfeasiblePointError, match="^z0 is infeasible by 1.000e\\+00$"):
+                run(inst, SolverConfig(eta=0.1, T=1), bad)
 
     def test_projections_of_far_points_are_feasible_starts(self):
         # points at scale 1e7 projected onto a 6-row set; when the projection
