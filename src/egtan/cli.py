@@ -42,7 +42,10 @@ EXIT_CHECK_FAILED = 2
 
 
 def _parse_z0(text: str, dimension: int) -> np.ndarray:
-    parts = [float(x) for x in text.split(",") if x.strip()]
+    try:
+        parts = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--z0 must be comma-separated numbers, got {text!r}") from None
     if len(parts) != dimension:
         raise ValueError(f"--z0 has {len(parts)} entries, instance needs {dimension}")
     return np.array(parts)
@@ -51,7 +54,7 @@ def _parse_z0(text: str, dimension: int) -> np.ndarray:
 def _run_and_report(args, write) -> int:
     """Load, run, solve for a reference point, check the rates, then ``write``.
 
-    ``write(traj, D, report)`` saves and prints what the command shows.  The
+    ``write(traj, report)`` saves and prints what the command shows.  The
     step (``eta * L < 1``), ``--D`` and ``z0`` are checked before any step, so
     a bad one exits 1 at once.
     """
@@ -75,10 +78,9 @@ def _run_and_report(args, write) -> int:
         traj = (eg_run if args.solver == "eg" else pp_run)(inst, config, z0)
         L = inst.operator.lipschitz
         z_star = solve_reference(inst, eta=min(args.eta, 0.5 / L) if L > 0 else args.eta)
-        D = args.D if args.D is not None else 2.0 * float(np.linalg.norm(z0 - z_star)) or 1.0
         rate_report = rate_report_eg if args.solver == "eg" else rate_report_pp
-        report = rate_report(traj, z_star, D=D)
-        write(traj, D, report)
+        report = rate_report(traj, z_star, D=args.D)
+        write(traj, report)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -92,13 +94,13 @@ def _write_rates(out: Path, report) -> None:
 
 
 def cmd_solve(args) -> int:
-    def write(traj, D, report):
+    def write(traj, report):
         out = Path(args.out)
         _write_rates(out, report)
         with open(out / "trajectory.csv", "w", newline="") as fh:
             write_trajectory_csv(fh, traj)
         with open(out / "measures.csv", "w", newline="") as fh:
-            write_measures_csv(fh, traj.measure_series(D=D, known=report.series))
+            write_measures_csv(fh, traj.measure_series(D=report.radius, known=report.series))
         print(f"wrote trajectory.csv, measures.csv, rates.json to {out}")
         print(f"worst theorem slack: {report.worst_slack:.3e} (tolerance {report.tolerance:.1e})")
 
@@ -159,7 +161,7 @@ def cmd_verify_certificates(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    def write(traj, D, report):
+    def write(traj, report):
         if args.out:
             _write_rates(Path(args.out), report)
         for name, check in report.checks.items():

@@ -15,7 +15,17 @@ from typing import TextIO
 
 import numpy as np
 
-from .sets import Box, point_or_rows, require_box_bounds, require_finite, set_from_json, set_to_json
+from .sets import (
+    Box,
+    json_field,
+    json_floats,
+    json_number,
+    point_or_rows,
+    require_box_bounds,
+    require_finite,
+    set_from_json,
+    set_to_json,
+)
 
 EIG_TOL = 1e-8
 POWER_ITER_CAP = 10_000
@@ -281,24 +291,23 @@ def instance_to_json(inst: VIInstance) -> dict:
     }
 
 
-def _json_object(value, field_name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{field_name} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 def instance_from_json(data: dict) -> VIInstance:
-    data = _json_object(data, "instance")
-    op_data = _json_object(data["operator"], "operator")
-    if op_data["type"] == "affine":
-        op = AffineOperator.create(np.array(op_data["M"]), np.array(op_data["q"]))
-    elif op_data["type"] == "bilinear":
-        op = _bilinear_operator(op_data["A"], op_data["b"], op_data["c"])
+    """The instance a JSON object describes; a ``ValueError`` names a missing or malformed field."""
+    op_data = json_field(data, "operator", "instance")
+    kind = json_field(op_data, "type", "operator")
+
+    def floats(*names):
+        return [json_floats(name, json_field(op_data, name, "operator")) for name in names]
+
+    if kind == "affine":
+        op = AffineOperator.create(*floats("M", "q"))
+    elif kind == "bilinear":
+        op = _bilinear_operator(*floats("A", "b", "c"))
     else:
-        raise ValueError(f"unknown operator type {op_data['type']!r}")
-    feasible = set_from_json(_json_object(data["set"], "set"))
+        raise ValueError(f"unknown operator type {kind!r}")
+    feasible = set_from_json(json_field(data, "set", "instance"))
     inst = VIInstance.create(op, feasible)
-    if "dimension" in data and int(data["dimension"]) != inst.dimension:
+    if "dimension" in data and json_number("dimension", data["dimension"]) != inst.dimension:
         raise DimensionMismatchError("dimension", "declared dimension disagrees with operator")
     return inst
 

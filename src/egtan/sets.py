@@ -34,7 +34,11 @@ the proximal-point step).  Boxes and halfspace intersections are
 in place of the identity; its cold route is Lemke's method on the dual
 linear complementarity problem, whose pivot tolerance is :func:`_pivot_tol`.
 The ball solves the trust-region secular equation by safeguarded Newton
-steps.  All are finite, and all take a hint from a previous, nearby solve.
+steps.  All are finite, and all take a hint from a previous, nearby solve:
+a polyhedron's hint is a face, tested alone, and the answer is the same
+function of the face a hint or a cold solve found, bit for bit; the ball's
+hint is the multiplier its Newton run starts from, and the answer is the
+root to rounding.
 """
 
 from __future__ import annotations
@@ -141,10 +145,11 @@ class FeasibleSet:
 
         ``H`` must satisfy ``x^T H x > 0`` for ``x != 0``; it need not be
         symmetric.  Returns ``w`` and a hint, the active rows (polyhedra) or the
-        multiplier grid point (ball), for a following call whose solution is
-        near.  The hint is used only when it passes the solve's own
-        termination test; ``w`` is the same function of the accepted hint
-        whichever route found it.
+        multiplier (ball), for a following call whose solution is near.  A
+        polyhedron uses the hint only when it passes the solve's own
+        termination test, and ``w`` is the same function of the accepted rows
+        whichever route found them; the ball starts its Newton run at the
+        hint, and ``w`` is the solution to rounding from any start.
         """
         raise NotImplementedError
 
@@ -315,7 +320,6 @@ class Ball(FeasibleSet):
         self.radius = float(radius)
         self.dimension = center.shape[0]
         self._offset = float(row_norm(center)) + self.radius
-        self._metric = (None, 0.0)
 
     def _violation(self, z):
         return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
@@ -345,38 +349,18 @@ class Ball(FeasibleSet):
         KKT: ``w = c + d`` with ``(H + mu I) d = -r``, ``r = g + H c``,
         ``mu >= 0``, and ``mu = 0`` or ``||d|| = R``.  ``phi(mu) = ||d(mu)||``
         strictly decreases (``d phi^2 / d mu = -2 d^T (H + mu I)^{-1} d < 0``),
-        so ``1/phi - 1/R`` has one root, which :func:`_secular_newton` finds.
-
-        The cold route tests ``mu = 0`` (``w`` inside the ball) and otherwise
-        runs Newton from 0.  Whatever route finds the root, ``w`` is the
-        Newton run from the root's label :func:`_mu_grid`, put on the sphere,
-        so two routes differ only when the root lies within rounding of a
-        label's cell edge.  The hint is the previous label: the run from it is
-        the answer when it ends in the same cell, the run from the new label
-        when it ends elsewhere, and the cold route when it leaves ``mu > 0``.
+        so ``1/phi - 1/R`` has one root, which one :func:`_secular_newton` run
+        finds from the hint, the previous step's ``mu`` (0 without one).  The
+        run ends at ``mu = 0`` with ``||d|| <= R`` for a point inside the ball;
+        any other ``d`` is put on the sphere.  Returns ``w`` and ``mu``, the
+        next step's hint.
         """
-        r = g + H @ self.center
-        R, scale = self.radius, self._scale(H)
-        start = hint
-        run = _secular_newton(H, r, R, start, cold=False, scale=scale) if start and r.any() else None
-        if run is None:
-            d = -np.linalg.solve(H, r)
-            if row_norm(d) <= R:
-                return self.center + d, 0.0
-            start = 0.0
-            run = _secular_newton(H, r, R, start, cold=True, scale=scale)
-        label = _mu_grid(run[0])
-        if label != start:
-            run = _secular_newton(H, r, R, label, cold=True, scale=scale)
-        d = run[1]
-        return self.center + R * d / row_norm(d), label
-
-    def _scale(self, H: np.ndarray) -> float:
-        """``||H||_inf``, kept while ``H`` stays the same (a PP run has one)."""
-        key = H.tobytes()
-        if key != self._metric[0]:
-            self._metric = (key, float(np.abs(H).sum(axis=1).max()))
-        return self._metric[1]
+        R = self.radius
+        mu, d = _secular_newton(H, g + H @ self.center, R, hint or 0.0)
+        norm = row_norm(d)
+        if mu == 0.0 and norm <= R:
+            return self.center + d, mu
+        return self.center + R * d / norm, mu
 
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
@@ -678,44 +662,42 @@ class _Polyhedron:
         return f"rows {i} and {j} are nearly parallel (|cos| = 1 - {1.0 - cos[i, j]:.1e})"
 
 
-def _mu_grid(mu: float) -> float:
-    """``mu`` rounded to 20 significant bits: the label of its grid cell."""
-    mantissa, exponent = math.frexp(mu)
-    return math.ldexp(round(mantissa * 2**20), exponent - 20)
-
-
-def _secular_newton(H, r, R, mu, cold, scale):
-    """Safeguarded Newton steps on ``psi(mu) = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
+def _secular_newton(H, r, R, mu):
+    """Safeguarded Newton steps from ``mu`` on ``psi = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
 
     ``psi`` increases, with ``psi' = d^T (H + mu I)^{-1} d / ||d||^3``; its root
-    lies in ``[0, ||r|| / R]``, as ``x^T (H + mu I) x > mu ||x||^2``.  Steps
-    that leave the bracket bisect it.  ``cold`` says ``psi(0) < 0`` is known;
-    without it a step to ``mu <= 0`` with no evaluation left of the root
-    returns ``None``.  Ends, with ``mu`` and its ``d``, when the Newton step
-    from ``mu`` is at most ``_nnls_stop(n, n)`` relative to ``mu + scale``,
-    ``scale = ||H||_inf``: the step carries rounding of about
-    ``eps ||H + mu I||``, so a test relative to ``mu`` alone cannot pass once
-    ``mu`` is small beside ``||H||``.
+    lies in ``[0, ||r|| / R]``, as ``x^T (H + mu I) x > mu ||x||^2``, so the
+    run starts at ``mu`` clipped to that bracket.  A step to ``mu <= 0``
+    before any point left of the root has been seen evaluates ``mu = 0``,
+    where ``||d|| <= R`` ends the run: the root is at or below 0, and ``d``
+    lies inside the ball.  Any other step that leaves the bracket bisects it.
+    Ends, with ``mu`` and its ``d``, when the Newton step from ``mu`` is at
+    most ``_nnls_stop(n, n)`` relative to ``mu + ||H||_inf``: the step
+    carries rounding of about ``eps ||H + mu I||``, so a test relative to
+    ``mu`` alone cannot pass once ``mu`` is small beside ``||H||``.
     """
     n = len(r)
     eye = np.eye(n)
-    lo, hi = 0.0, float(row_norm(r)) / R
-    stop = _nnls_stop(n, n)
+    lo, hi = -math.inf, float(row_norm(r)) / R  # lo < 0 until a point left of the root is seen
+    mu = min(max(mu, 0.0), hi)
+    stop, scale = _nnls_stop(n, n), float(np.abs(H).sum(axis=1).max())
     for _ in range(100):  # a guard: bisection alone shrinks the bracket to rounding in under 60
         K_inv = np.linalg.inv(H + mu * eye)
         d = -(K_inv @ r)
         phi = float(row_norm(d))
         if phi > R:
-            lo = max(lo, mu)
+            lo = mu
+        elif mu == 0.0:  # the root is at or below 0 (r = 0 too): d lies inside the ball
+            break
         else:
-            hi = min(hi, mu)
+            hi = mu
         step = (1.0 / phi - 1.0 / R) * phi**3 / float(d @ (K_inv @ d))
         if abs(step) <= stop * (mu + scale):
             break
         new = mu - step
-        if not lo < new < hi:
-            if not cold and lo == 0.0 and new <= 0.0:
-                return None
+        if new <= 0.0 and lo < 0.0:
+            new = 0.0
+        elif not lo < new < hi:
             new = 0.5 * (lo + hi)
         mu = new
     return mu, d
@@ -807,12 +789,42 @@ class HalfspaceIntersection(FeasibleSet):
 # ---------------------------------------------------------------------------
 
 
+def json_field(data, key: str, where: str):
+    """``data[key]``; a ``ValueError`` names ``where`` unless it is an object with that field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{where} has no field {key!r}")
+    return data[key]
+
+
+def json_number(name: str, value) -> float:
+    """``float(value)``, or a ``ValueError`` naming the field ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def json_floats(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a ``ValueError`` naming the field ``name``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or a rectangular array of numbers") from None
+
+
 def _bound_list(arr: np.ndarray) -> list:
     return [None if not np.isfinite(x) else float(x) for x in arr]
 
 
-def _bound_array(values: list, sign: float) -> np.ndarray:
-    return np.array([sign * np.inf if v is None else float(v) for v in values])
+def _bound_array(data: dict, key: str, sign: float) -> np.ndarray:
+    """The bounds ``set.<key>``, ``null`` for an infinite one of the given sign."""
+    values = json_field(data, key, "set")
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of numbers and nulls")
+    return np.array([sign * np.inf if v is None else json_number(f"{key}[{i}]", v)
+                     for i, v in enumerate(values)])
 
 
 def set_to_json(feasible_set: FeasibleSet) -> dict:
@@ -835,17 +847,25 @@ def set_to_json(feasible_set: FeasibleSet) -> dict:
 
 
 def set_from_json(data: dict) -> FeasibleSet:
-    kind = data["type"]
+    """The set a JSON object describes; a ``ValueError`` names a missing or malformed field."""
+    kind = json_field(data, "type", "set")
     if kind == "box":
-        return Box(_bound_array(data["l"], -1.0), _bound_array(data["u"], +1.0))
-    if kind == "orthant":
-        return NonnegativeOrthant(int(data["n"]))
-    if kind == "rn":
-        return WholeSpace(int(data["n"]))
+        return Box(_bound_array(data, "l", -1.0), _bound_array(data, "u", +1.0))
+    if kind in ("orthant", "rn"):
+        n = json_number("n", json_field(data, "n", "set"))
+        if not (1 <= n < math.inf and n.is_integer()):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        return (NonnegativeOrthant if kind == "orthant" else WholeSpace)(int(n))
     if kind == "ball":
-        return Ball(np.array(data["center"], dtype=float), float(data["radius"]))
+        return Ball(json_floats("center", json_field(data, "center", "set")),
+                    json_number("radius", json_field(data, "radius", "set")))
     if kind == "halfspaces":
-        return HalfspaceIntersection(
-            [(np.array(r["a"], dtype=float), float(r["b"])) for r in data["rows"]]
-        )
+        def row(at, r):
+            a, b = json_field(r, "a", at), json_field(r, "b", at)
+            return json_floats(f"{at}.a", a), json_number(f"{at}.b", b)
+
+        rows = json_field(data, "rows", "set")
+        if not isinstance(rows, list):
+            raise ValueError("set.rows must be a list of objects")
+        return HalfspaceIntersection([row(f"set.rows[{i}]", r) for i, r in enumerate(rows)])
     raise ValueError(f"unknown set type {kind!r}")

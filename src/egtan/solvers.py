@@ -16,7 +16,8 @@ in ``RateReport.skipped`` with the reason.
 Proximal-point steps are exact and finite: each is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
 polyhedral set, with Lemke's method as its cold route; the secular equation
-on the ball), and a run hands each step's active set to the next as a hint.
+on the ball), and a run hands each step's active set, or the ball's
+multiplier, to the next as a hint.
 No projection is made.
 
 Every tolerance and iteration budget is a module constant, read at call time.
@@ -240,11 +241,10 @@ def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run PP for ``config.T`` steps; trajectories carry no half iterates.
 
-    Each step hands its active rows (or ball multiplier label) to the next as
-    a hint.  A hint changes only how the step is found, not its value, so the
-    run equals successive :func:`pp_step` calls bit for bit (on the ball,
-    unless a multiplier lies within rounding of its label's cell edge; see
-    ``Ball.solve_affine_vi``).
+    Each step hands its active rows (or the ball's multiplier) to the next
+    as a hint.  A hint changes only how the step is found: on a polyhedral
+    set the run equals successive :func:`pp_step` calls bit for bit, and on
+    the ball it agrees with them to rounding.
     """
     traj = _start(inst, config, z0, halves=False)
     zs, Fs, eta = traj.iterates, traj.operator_values, config.eta
@@ -321,11 +321,12 @@ class RateReport:
 
     ``series`` keeps the measure series the checks read, by :data:`SERIES` name,
     as ``(ks, values)`` at the iterates ``ks``: the tangent residual at every
-    iterate and, unless skipped, the gap at the checked steps.  It is not part
-    of :meth:`to_json`.
+    iterate and, unless skipped, the gap at the checked steps.  ``radius`` is
+    the gap radius D the checks used.  Neither is part of :meth:`to_json`.
     """
 
     checks: dict[str, RateCheck]
+    radius: float
     skipped: dict[str, str] = field(default_factory=dict)
     series: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -362,14 +363,19 @@ class RateReport:
 def _distances_and_radius(
     trajectory: Trajectory, z_star: np.ndarray, D: float | None
 ) -> tuple[np.ndarray, float]:
-    """Validate a rate-report request; distances to ``z_star`` and the gap radius."""
+    """Validate a rate-report request; distances to ``z_star`` and the gap radius.
+
+    The radius defaults to ``2 ||z_0 - z_star||``, or 1 when the run starts
+    at ``z_star``.
+    """
     inst = trajectory.instance
     _require_contraction(inst, trajectory.config.eta, "a rate report")
     if natural_residual(inst, z_star) > 1e-10:
         raise ValueError("z_star is not accurate enough for rate checks")
     dist = trajectory.series("dist-to-solution", z_star=z_star)
-    if D is None:
-        D = 2.0 * dist[0] if dist[0] > 0 else 1.0
+    if D is None:  # the 1-D norm: the row-wise dist[0] may differ in the last bit
+        D = 2.0 * float(np.linalg.norm(trajectory.iterates[0] - np.asarray(z_star, dtype=float)))
+        D = D or 1.0
     return dist, require_positive("D", D)
 
 
@@ -446,7 +452,7 @@ def rate_report_eg(
         else:
             reason = f"operator is not strongly monotone (gamma = {gamma:.3g} <= 0)"
             skipped.update(dict.fromkeys(strong, reason))
-    return RateReport({c.name: c for c in checks}, skipped, series)
+    return RateReport({c.name: c for c in checks}, D, skipped, series)
 
 
 def rate_report_pp(
@@ -479,7 +485,7 @@ def rate_report_pp(
         series["gap"] = gaps
         ks, g = gaps
         checks.append(RateCheck("gap_rate", g, D * dist[0] / (eta * np.sqrt(ks))))
-    return RateReport({c.name: c for c in checks}, skipped, series)
+    return RateReport({c.name: c for c in checks}, D, skipped, series)
 
 
 def best_iterate_index(trajectory: Trajectory, measure_name: str) -> int:

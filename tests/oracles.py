@@ -16,6 +16,8 @@ different route so that a test can compare the two:
   by solving every active set of rows and keeping the nearest feasible point.
 * ``prox_point_by_picard`` takes a proximal-point step by iterating the
   projection ``w -> proj(z - eta F(w))``, a contraction when ``eta L < 1``.
+* ``pp_iterates_by_steps`` is the reference proximal-point run: the loop of
+  cold ``pp_step`` calls, no hint handed from one step to the next.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -43,6 +45,7 @@ from egtan.certificates import _unconstrained_terms
 from egtan.exactpoly import Rational, SparsePoly
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, EmptySetError, WholeSpace
+from egtan.solvers import pp_step
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
 
@@ -229,6 +232,14 @@ def prox_point_by_picard(
             return w_new
         w = w_new
     raise RuntimeError(f"Picard iteration did not settle in {max_iter} steps")
+
+
+def pp_iterates_by_steps(inst: VIInstance, eta: float, z0: np.ndarray, T: int) -> np.ndarray:
+    """The ``(T + 1, n)`` iterates of ``T`` successive cold :func:`pp_step` calls from ``z0``."""
+    zs = [np.asarray(z0, dtype=float)]
+    for _ in range(T):
+        zs.append(pp_step(inst, eta, zs[-1]))
+    return np.array(zs)
 
 
 def check_monotone_samples(

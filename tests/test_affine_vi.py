@@ -1,9 +1,10 @@
 """Property tests of ``FeasibleSet.solve_affine_vi``, the exact proximal-point
 kernel: on all five set types, for monotone and non-monotone operators with
 ``eta L < 1``, the step is the fixed point of ``w -> proj(z - eta F(w))`` to
-rounding, agrees with Picard iteration, and is the same bits whether a hint
-found it or a cold solve did.  A run takes its steps warm: no projection, and
-only a few cold solves."""
+rounding and agrees with Picard iteration.  On polyhedral sets a step is the
+same bits whether a hint found it or a cold solve did, and a run equals its
+steps; on the ball both agree to rounding.  A run takes its steps warm: no
+projection, and only a few cold solves."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from egtan import sets
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Ball, Box, EmptySetError, HalfspaceIntersection, NonnegativeOrthant, WholeSpace
 from egtan.solvers import SolverConfig, pp_run, pp_step
-from tests.oracles import min_norm_point_by_enumeration, prox_point_by_picard
+from tests.oracles import min_norm_point_by_enumeration, pp_iterates_by_steps, prox_point_by_picard
 from tests.test_halfspace_projection import assert_kkt, halfspace_problems
 
 SET_KINDS = ("box", "orthant", "rn", "ball", "halfspaces")
@@ -82,21 +83,42 @@ def test_step_is_the_fixed_point_and_matches_picard(problem):
     np.testing.assert_allclose(w, prox_point_by_picard(inst, eta, z), rtol=0, atol=1e-10)
 
 
+def assert_rows_close(got, want):
+    """Each row of ``got`` within ``1e-13 (1 + ||want||)`` of ``want``'s."""
+    gap = np.linalg.norm(np.atleast_2d(got - want), axis=1)
+    assert np.all(gap <= 1e-13 * (1.0 + np.linalg.norm(np.atleast_2d(want), axis=1))), gap.max()
+
+
 @settings(max_examples=150)
 @given(prox_problems())
 def test_warm_and_cold_steps_are_the_same_bits(problem):
+    """A hinted step equals a cold one, and ``pp_run`` the loop of ``pp_step`` calls.
+
+    On polyhedra the two are the same bits.  On the ball a hinted Newton run
+    ends at its own root, so they agree to ``1e-13 (1 + ||w||)``, and each
+    step is the fixed point to rounding.
+    """
     inst, eta, z = problem
     H = np.eye(inst.dimension) + eta * inst.operator.M
     w, hint = inst.set.solve_affine_vi(H, eta * inst.operator.q - z)
     w_again, hint_again = inst.set.solve_affine_vi(H, eta * inst.operator.q - z, hint)
-    np.testing.assert_array_equal(w_again, w)
-    np.testing.assert_array_equal(hint_again, hint)
-    # the next step, cold and with this step's hint; then a run against its steps
+    # the next step, with this step's hint and cold; then a run against its steps
     g = eta * inst.operator.q - w
-    np.testing.assert_array_equal(inst.set.solve_affine_vi(H, g, hint)[0], inst.set.solve_affine_vi(H, g)[0])
+    w_next = inst.set.solve_affine_vi(H, g, hint)[0]
     traj = pp_run(inst, SolverConfig(eta=eta, T=8), inst.set.project(z))
-    for k in range(8):
-        np.testing.assert_array_equal(traj.iterates[k + 1], pp_step(inst, eta, traj.iterates[k]))
+    pairs = [(w_again, w), (w_next, inst.set.solve_affine_vi(H, g)[0]),
+             (traj.iterates, pp_iterates_by_steps(inst, eta, traj.iterates[0], 8))]
+    if not isinstance(inst.set, Ball):
+        np.testing.assert_array_equal(hint_again, hint)
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
+        return
+    for got, want in pairs:
+        assert_rows_close(got, want)
+    steps = [(z, w_again), (w, w_next), *zip(traj.iterates[:-1], traj.iterates[1:])]
+    for start, step in steps:
+        scale = 1.0 + np.linalg.norm(start) + np.linalg.norm(step)
+        assert fixed_point_residual(inst, eta, start, step) <= 1e-13 * scale
 
 
 # the degenerate one-row cases of test_halfspace_projection.py, and a two-row
@@ -223,19 +245,24 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     """``pp_run`` with T = 100: no projection, and only a few cold solves.
 
     A cold solve is an active-set iteration from scratch or a Lemke call on a
-    polyhedral set, or a secular-equation run from ``mu = 0`` on the ball.
+    polyhedral set, or a secular-equation run that starts at ``mu = 0`` and
+    ends on the sphere, ``mu > 0``, on the ball.  A ball step factors
+    ``H + mu I`` at the hint and once more after each Newton step, at most
+    twice per step on average over a run.
     """
     rng = np.random.default_rng(SET_KINDS.index(kind))
-    cold = []
+    cold, inverses = [], []
     if kind == "ball":
-        newton = sets._secular_newton
+        newton, inv = sets._secular_newton, np.linalg.inv
 
-        def counted(H, r, R, mu, **flags):
-            if mu == 0.0:
+        def counted(H, r, R, mu):
+            out = newton(H, r, R, mu)
+            if mu == 0.0 and out[0] > 0.0:
                 cold.append(mu)
-            return newton(H, r, R, mu, **flags)
+            return out
 
         monkeypatch.setattr(sets, "_secular_newton", counted)
+        monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
     else:
         lemke, iterate = sets._lemke, sets._Polyhedron.iterate
 
@@ -246,17 +273,52 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
 
         monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
         monkeypatch.setattr(sets._Polyhedron, "iterate", counted_iterate)
+    per_step = []
     for n in (3, 4, 5):
         feasible, z0 = random_set(rng, kind, n)
         inst = VIInstance.create(random_operator(rng, n, monotone=True), feasible)
         eta = 0.5 / inst.operator.lipschitz
         cold.clear()
+        inverses.clear()
         with pytest.MonkeyPatch.context() as no_projection:
             no_projection.setattr(type(feasible), "project", _no_projection)
             traj = pp_run(inst, SolverConfig(eta=eta, T=100), z0)
+        per_step.append(len(inverses) / 100)
         assert len(cold) <= 4  # 1 to 4 on these runs
         last = prox_point_by_picard(inst, eta, traj.iterates[-2])
         np.testing.assert_allclose(traj.iterates[-1], last, rtol=0, atol=1e-10)
+    if kind == "ball":
+        assert np.mean(per_step) <= 2.0  # 1.81 on these runs
+
+
+def test_ball_hints_that_no_longer_fit():
+    """A hint whose root moved into the interior, one far above the root, and ``r = 0``.
+
+    Each step is the cold step to ``1e-13 (1 + ||w||)``, and a step inside
+    the ball hands on ``mu = 0``.
+    """
+    rng = np.random.default_rng(5)
+    n = 4
+    op = random_operator(rng, n, monotone=True)
+    H = np.eye(n) + 0.5 / op.lipschitz * op.M
+    ball = Ball(rng.standard_normal(n), 1.5)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    # H w + g = 0 at w = x: x = c + 5u is outside the ball, c + 0.5u inside
+    outside, inside = -H @ (ball.center + 5.0 * u), -H @ (ball.center + 0.5 * u)
+    w, mu = ball.solve_affine_vi(H, outside)
+    assert mu > 0.0
+    w_in, mu_in = ball.solve_affine_vi(H, inside, mu)
+    assert mu_in == 0.0
+    assert_rows_close(w_in, ball.center + 0.5 * u)
+    assert_rows_close(w_in, ball.solve_affine_vi(H, inside)[0])
+    w_far, mu_far = ball.solve_affine_vi(H, outside, 1e6 * mu)
+    assert_rows_close(w_far, w)
+    assert mu_far == pytest.approx(mu, rel=1e-12)
+    for hint in (None, 0.0, mu, 1e6):  # r = g + H c = 0: w = c, inside
+        w_c, mu_c = ball.solve_affine_vi(H, -H @ ball.center, hint)
+        np.testing.assert_array_equal(w_c, ball.center)
+        assert mu_c == 0.0
 
 
 def _tangent_of(feasible, z, v):

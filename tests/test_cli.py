@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from egtan import sets
+from egtan import cli, sets
 from egtan.certificates import ALL_TERM_NAMES
 from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
 from egtan.sets import Ball, Box, HalfspaceIntersection
+from egtan.solvers import Trajectory
 
 
 def counted(method, calls):
@@ -240,6 +241,46 @@ class TestSolveCommand:
         assert code == 1
         assert f"error: {field} must be a JSON object" in capsys.readouterr().err
 
+    IDENTITY = {"type": "affine", "M": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0]}
+    BOX = {"type": "box", "l": [-1.0, -1.0], "u": [1.0, 1.0]}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"operator": {**IDENTITY, "M": [[1.0, 0.0], [0.0]]}, "set": BOX},
+             "M must be a number or a rectangular array of numbers"),
+            ({"operator": IDENTITY}, "instance has no field 'set'"),
+            ({"operator": IDENTITY, "set": {"type": "ball", "center": [0.0, 0.0], "radius": "x"}},
+             "radius must be a number, got 'x'"),
+            ({"operator": IDENTITY, "set": {**BOX, "l": [0, "lo"]}}, "l[1] must be a number, got 'lo'"),
+            ({"operator": IDENTITY, "set": {"type": "halfspaces",
+                                            "rows": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0]}]}},
+             "set.rows[1] has no field 'b'"),
+            ({"operator": IDENTITY, "set": {"type": "halfspaces", "rows": 5}},
+             "set.rows must be a list of objects"),
+            ({"operator": IDENTITY, "set": {"type": "orthant", "n": float("inf")}},
+             "n must be a positive integer, got inf"),
+            ({"operator": IDENTITY, "set": {"type": "rn", "n": "x"}}, "n must be a number, got 'x'"),
+        ],
+        ids=["ragged-M", "no-set", "radius-text", "bound-text", "row-without-b", "rows-number",
+             "n-infinite", "n-text"],
+    )
+    def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["solve", "--instance", str(path), "--eta", "0.1", "--T", "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_z0_that_is_not_numbers_exits_one_naming_z0(self, tmp_path, capsys):
+        path = write_instance(tmp_path, np.eye(2), np.zeros(2), [-1, -1], [1, 1])
+        code = main(["solve", "--instance", str(path), "--eta", "0.1", "--T", "3", "--z0", "a,0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --z0 must be comma-separated numbers, got 'a,0'\n"
+
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded
         # squared natural residual in the k=0 measure row
@@ -422,6 +463,24 @@ class TestOneRunAndReportPath:
         gap_column = [float(row.split(",")[3]) for row in rows]
         rates = json.loads((out_dir / "rates.json").read_text())
         assert rates["checks"]["last_iterate_gap_rate"]["lhs"] == gap_column[1:]
+
+    def test_gap_column_is_at_the_report_radius(self, tmp_path, monkeypatch):
+        # the report picks the default radius, and measures.csv reads it there
+        radii = []
+        report_for, series = cli.rate_report_eg, Trajectory.measure_series
+
+        def recorded(*args, **kwargs):
+            report = report_for(*args, **kwargs)
+            radii.append(report.radius)
+            return report
+
+        monkeypatch.setattr(cli, "rate_report_eg", recorded)
+        monkeypatch.setattr(Trajectory, "measure_series",
+                            lambda traj, D=None, known=None: radii.append(D) or series(traj, D, known))
+        path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])
+        assert main(["solve", "--instance", str(path), "--eta", "0.3", "--T", "5", "--z0", "1,1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(radii) == 2 and radii[0] == radii[1] > 0
 
     def test_box_geometry_calls_do_not_grow_with_T(self, tmp_path, monkeypatch):
         # each series is one stacked call, evaluated once per solve: the tangent

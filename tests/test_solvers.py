@@ -341,6 +341,21 @@ class TestRateReports:
         traj = pp_run(inst, SolverConfig(eta=0.1, T=5), np.ones(2))
         assert rate_report_pp(traj, np.ones(2)).passed
 
+    def test_report_records_its_gap_radius(self):
+        # the default is 2 ||z0 - z*|| by the 1-D norm, which the CLI's
+        # measures.csv used before it read the radius from the report
+        rng = np.random.default_rng(5)
+        inst = random_monotone_instance(rng)
+        eta = 0.5 / inst.operator.lipschitz
+        z_star = solve_reference(inst, eta=eta)
+        for report_for, run in ((rate_report_eg, eg_run), (rate_report_pp, pp_run)):
+            for _ in range(20):
+                z0 = rng.uniform(0, 1, 4)
+                traj = run(inst, SolverConfig(eta=eta, T=3), z0)
+                assert report_for(traj, z_star).radius == 2.0 * float(np.linalg.norm(z0 - z_star))
+            assert report_for(traj, z_star, D=0.7).radius == 0.7
+            assert report_for(run(inst, SolverConfig(eta=eta, T=3), z_star), z_star).radius == 1.0
+
     def test_eg_random_monotone_instance(self):
         rng = np.random.default_rng(5)
         inst = random_monotone_instance(rng)
