@@ -136,6 +136,16 @@ class FeasibleSet:
     def project_tangent_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _face_map(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The projection of each row of ``p`` as an affine map on the face it lands on.
+
+        ``(s, t)``, each shaped as ``p``, with ``project(x) = s * x + t`` for
+        every ``x`` whose projection lies on that face; two rows share a face
+        where both agree.  ``None`` (the default) for a set whose projection
+        has no such map: an EG run on it takes its steps one by one.
+        """
+        return None
+
     def project_normal_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Moreau complement: ``v - tangent_projection(v)``."""
         return np.asarray(v, dtype=float) - self.project_tangent_cone(z, v)
@@ -210,6 +220,16 @@ class Box(FeasibleSet):
         stack may differ from clip in the sign of a zero that ties a zero bound.
         """
         return np.minimum(np.maximum(p, self.l), self.u)
+
+    def _face_map(self, p):
+        """``s = 0`` and ``t`` the bound where a coordinate projects onto one; ``s = 1, t = 0`` elsewhere.
+
+        A coordinate at or past a bound projects onto it, so its value on
+        the face is the bound itself, exactly, as :meth:`_active_bounds`
+        reads it at the projected point.
+        """
+        low, high = p <= self.l, p >= self.u
+        return (~(low | high)).astype(float), np.where(low, self.l, np.where(high, self.u, 0.0))
 
     @functools.cached_property
     def _polyhedron(self) -> _Polyhedron:

@@ -13,6 +13,19 @@ on a genuinely monotone instance should never happen.  A check the instance
 cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
+An EG run on a box (the orthant and ``R^n`` too) goes in affine segments.
+A projection onto a box is affine on each face, and projection methods
+identify the active face in finitely many steps (Calamai & Moré, *Math.
+Programming* 39, 1987; Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988), so
+while the faces of its half and full steps hold, an EG step is one affine
+map.  :func:`_eg_blocks` predicts a block of iterates from the powers of that
+map and checks them all in one stacked step, which :func:`eg_step` is the
+one-row case of.  Each half iterate is then ``eg_step`` of its iterate bit
+for bit, and each iterate lies within ``_nnls_stop(n + 1, n) (1 + ||z||)``
+of the full step before it, on every bound that step lands on exactly.  On a
+set without face maps (the ball, halfspace sets) the same loop takes one step
+at a time, and a run equals its steps taken one by one, bit for bit.
+
 Proximal-point steps are exact and finite: each is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
 polyhedral set, with Lemke's method as its cold route; the secular equation
@@ -34,11 +47,12 @@ import numpy as np
 
 from .instances import VIInstance, instance_to_json
 from .measures import _csv_text, gap, natural_residual, tangent_residual
-from .sets import UnsupportedSetError, require_finite, require_positive, row_norm
+from .sets import UnsupportedSetError, _nnls_stop, require_finite, require_positive, row_norm
 
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
 REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
+SEGMENT_MAX_STEPS = 512  # steps one EG block takes at most, so its memory stays flat
 
 
 class StepSizeError(ValueError):
@@ -169,13 +183,117 @@ class Trajectory:
         }
 
 
+def _eg_steps(
+    inst: VIInstance, eta: float, z: np.ndarray, F_z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The EG step from a point, or from each row of a stack, given ``F_z = F(z)``.
+
+    Returns the half and full steps, then the two points projected to reach
+    them.  Every array call answers row by row, so a stack's rows equal the
+    per-point steps bit for bit.
+    """
+    to_half = z - eta * F_z
+    z_half = inst.set.project(to_half)
+    to_next = z - eta * inst.operator(z_half)
+    return z_half, inst.set.project(to_next), to_half, to_next
+
+
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
     z_k = np.asarray(z_k, dtype=float)
-    z_half = inst.set.project(z_k - eta * inst.operator(z_k))
-    z_next = inst.set.project(z_k - eta * inst.operator(z_half))
-    return z_half, z_next
+    return _eg_steps(inst, eta, z_k, inst.operator(z_k))[:2]
+
+
+def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
+    """The EG step on fixed faces, ``z -> A z + c``, as ``[[A^T, 0], [c^T, 1]]``.
+
+    ``face`` holds the maps ``p -> s * p + t`` of the half and the full step's
+    projections (:meth:`FeasibleSet._face_map`), as ``(s_half, t_half,
+    s_next, t_next)``.  The matrix takes a row ``[z, 1]`` to ``[A z + c, 1]``.
+    """
+    n = inst.dimension
+    M, q = inst.operator.M, inst.operator.q
+    s_half, t_half, s_next, t_next = face.reshape(4, n)
+    A_half = s_half[:, None] * (np.eye(n) - eta * M)
+    c_half = t_half - eta * s_half * q
+    step = np.zeros((n + 1, n + 1))
+    step[:n, :n] = (s_next[:, None] * (np.eye(n) - eta * (M @ A_half))).T
+    step[n, :n] = t_next - eta * s_next * (M @ c_half + q)
+    step[n, n] = 1.0
+    return step
+
+
+def _predict(step: np.ndarray, z: np.ndarray, rows: int) -> np.ndarray:
+    """``z`` and the iterates after it under the affine ``step``: at most ``rows`` rows.
+
+    Row ``j`` is ``[z, 1] step^j``.  Rows ``2^i`` to ``2^(i+1) - 1`` are the
+    rows before them times ``step^(2^i)``: one product each, and one squaring.
+    A prediction can leave the run, and an expansive one overflow; the
+    stack ends before its first row that is not finite.
+    """
+    n = len(z)
+    out = np.empty((rows, n + 1))
+    out[0, :n], out[0, n] = z, 1.0
+    have, power = 1, step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while have < rows:
+            new = min(have, rows - have)
+            np.matmul(out[:new], power, out=out[have:have + new])
+            have += new
+            if have < rows:
+                power = power @ power
+    finite = np.isfinite(out).all(axis=1)
+    return np.ascontiguousarray(out[: rows if finite.all() else max(1, int(finite.argmin())), :n])
+
+
+def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
+    """EG from ``z`` for ``steps`` steps, taken in affine segments.
+
+    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z`` (a
+    ``(m, n)`` stack), ``F = F(Z)``, their half steps and the iterate after
+    the last of them, where the next block starts.  A block of one step
+    holds points, ``(n,)`` arrays, which every set projects faster than a
+    stack of one row.
+
+    While the faces of the half and full steps hold, a step is ``z -> A z +
+    c`` (:func:`_step_matrix`).  From the faces of the last step taken, a
+    block predicts the next ``K - 1`` iterates (:func:`_predict`) and takes
+    the EG step from all ``K`` rows in one stacked call.  A predicted
+    iterate is kept while every step before it kept both faces and landed
+    within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The first row that
+    fails took a true step, so its step ends the block and its faces start
+    the next.  ``K`` doubles after a block that kept every row, up to
+    :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.  A
+    set without face maps (:meth:`FeasibleSet._face_map`) gives blocks of
+    one step.
+
+    Each half step is the EG step of its iterate bit for bit.  Each iterate
+    is within that floor of the full step of the one before it, and equal
+    to it on every bound the step lands on, since both read the same face.
+    """
+    n = inst.dimension
+    stop = _nnls_stop(n + 1, n)
+    segment = face = None  # the last step taken, as a matrix, and its faces
+    rows = 2
+    while steps > 0:
+        Z = z if segment is None else _predict(segment, z, min(rows, steps))
+        F = inst.operator(Z)
+        halves, nexts, to_half, to_next = _eg_steps(inst, eta, Z, F)
+        m, maps = 0, inst.set._face_map(to_half)  # the step of row m ends the block
+        if maps is not None:
+            faces = np.concatenate((*maps, *inst.set._face_map(to_next)), axis=-1)
+            if Z.ndim == 2:
+                drift = row_norm(nexts[:-1] - Z[1:])
+                held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
+                m = len(held) if held.all() else int(held.argmin())
+                rows = min(2 * len(Z), SEGMENT_MAX_STEPS) if m == len(held) else 2
+                Z, F, halves, nexts, faces = Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m], faces[m]
+            face = faces
+            if steps > m + 1:
+                segment = _step_matrix(inst, eta, face)
+        yield Z, F, halves, nexts
+        z, steps = nexts, steps - m - 1
 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
@@ -198,6 +316,8 @@ def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool)
 def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run EG for ``config.T`` steps from a feasible start; fully deterministic.
 
+    The steps are taken in blocks (:func:`_eg_blocks`): on a box, a block
+    per stretch of steps on fixed faces, and one step at a time elsewhere.
     Warns when ``eta * L >= 1``, where the convergence theorems do not apply.
     """
     eta_L = config.eta * inst.operator.lipschitz
@@ -205,11 +325,13 @@ def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory
         msg = f"eta * L = {eta_L:.6g} >= 1; the convergence theorems do not apply"
         warnings.warn(msg, stacklevel=2)
     traj = _start(inst, config, z0, halves=True)
-    zs, halfs, Fs, eta = traj.iterates, traj.half_iterates, traj.operator_values, config.eta
-    for k in range(config.T):
-        halfs[k] = inst.set.project(zs[k] - eta * Fs[k])
-        zs[k + 1] = inst.set.project(zs[k] - eta * inst.operator(halfs[k]))
-        Fs[k + 1] = inst.operator(zs[k + 1])
+    zs, halfs, Fs = traj.iterates, traj.half_iterates, traj.operator_values
+    k, z = 0, zs[0]
+    for Z, F, halves, z in _eg_blocks(inst, config.eta, z, config.T):
+        at = slice(k, k + len(Z)) if Z.ndim == 2 else k  # a block of one step holds points
+        zs[at], Fs[at], halfs[at] = Z, F, halves
+        k += len(Z) if Z.ndim == 2 else 1
+    zs[k], Fs[k] = z, inst.operator(z)
     return traj
 
 
@@ -267,11 +389,13 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     Lemma 2.2) ``||z - proj(z - tF z)||`` is nondecreasing in ``t`` and its
     quotient by ``t`` nonincreasing, so
     ``r_nat(z) >= min(1, 1/eta) * ||z - z_half||``.  While that bound exceeds
-    ``2 * tol`` (the factor absorbs rounding) the check could not pass, and an
-    iteration makes two projections.  A run that exhausts its
-    :data:`REFERENCE_MAX_ITER` iterations raises :class:`ReferenceSolveError`
-    with the smallest residual it evaluated, at the last iterate if the check
-    never ran.
+    ``2 * tol`` (the factor absorbs rounding) the check could not pass.  The
+    run takes its steps as :func:`eg_run` does, in affine segments on a box
+    (Calamai & Moré 1987; Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988),
+    and the gate and the check run on each block as a stack.  A run that
+    exhausts its :data:`REFERENCE_MAX_ITER` EG steps raises
+    :class:`ReferenceSolveError` with the smallest residual it evaluated, at
+    the last iterate if the check never ran.
     """
     _require_step_size(eta)
     _require_contraction(inst, eta, "the reference solve")
@@ -279,15 +403,13 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     tol = REFERENCE_TOL
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
-    for _ in range(REFERENCE_MAX_ITER):
-        F_z = inst.operator(z)
-        z_half = inst.set.project(z - eta * F_z)
-        if row_norm(z - z_half) <= gate:
-            residual = natural_residual(inst, z, F_z)
-            best = min(best, residual)
-            if residual <= tol:
-                return z
-        z = inst.set.project(z - eta * inst.operator(z_half))
+    for Z, F, halves, z in _eg_blocks(inst, eta, z, REFERENCE_MAX_ITER):
+        near = row_norm(Z - halves) <= gate
+        if near.any() if near.ndim else near:  # a block of one step holds points
+            residual = np.where(near, natural_residual(inst, Z, F), math.inf)
+            best = min(best, float(residual.min()))
+            if best <= tol:
+                return Z[np.argmax(residual <= tol)] if Z.ndim == 2 else Z
     if best == math.inf:
         best = natural_residual(inst, z)
     raise ReferenceSolveError(best)

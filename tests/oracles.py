@@ -18,6 +18,11 @@ different route so that a test can compare the two:
   projection ``w -> proj(z - eta F(w))``, a contraction when ``eta L < 1``.
 * ``pp_iterates_by_steps`` is the reference proximal-point run: the loop of
   cold ``pp_step`` calls, no hint handed from one step to the next.
+* ``eg_iterates_by_steps`` is the reference extragradient run: the loop of
+  ``eg_step`` calls, one step at a time.
+* ``eg_step_exact`` and ``tangent_residual_sq_exact`` take an EG step and
+  the squared tangent residual on a box in exact ``Fraction`` arithmetic,
+  where ``clip`` is exact.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -45,7 +50,7 @@ from egtan.certificates import _unconstrained_terms
 from egtan.exactpoly import Rational, SparsePoly
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, EmptySetError, WholeSpace
-from egtan.solvers import pp_step
+from egtan.solvers import eg_step, pp_step
 
 ZERO_TOL = 1e-12  # strict positivity threshold in the orthant closed form
 
@@ -240,6 +245,49 @@ def pp_iterates_by_steps(inst: VIInstance, eta: float, z0: np.ndarray, T: int) -
     for _ in range(T):
         zs.append(pp_step(inst, eta, zs[-1]))
     return np.array(zs)
+
+
+def eg_iterates_by_steps(
+    inst: VIInstance, eta: float, z0: np.ndarray, T: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(T + 1, n)`` iterates and ``(T, n)`` half iterates of ``T`` successive :func:`eg_step` calls."""
+    zs, halfs = [np.asarray(z0, dtype=float)], []
+    for _ in range(T):
+        z_half, z_next = eg_step(inst, eta, zs[-1])
+        halfs.append(z_half)
+        zs.append(z_next)
+    return np.array(zs), np.array(halfs).reshape(T, len(zs[0]))
+
+
+def _exact_operator(M, q, z):
+    return [sum((m * x for m, x in zip(row, z)), Fraction(q_i)) for row, q_i in zip(M, q)]
+
+
+def eg_step_exact(M, q, l, u, eta: Fraction, z: Sequence[Fraction]) -> tuple[list, list]:
+    """One EG step on the box ``[l, u]`` in exact arithmetic: ``(z_half, z_next)``.
+
+    ``M``, ``q``, ``l``, ``u`` and ``eta`` are rationals (``int`` or
+    ``Fraction``), finite bounds only.
+    """
+    def project(p):
+        return [min(max(p_i, l_i), u_i) for p_i, l_i, u_i in zip(p, l, u)]
+
+    z_half = project([z_i - eta * f for z_i, f in zip(z, _exact_operator(M, q, z))])
+    return z_half, project([z_i - eta * f for z_i, f in zip(z, _exact_operator(M, q, z_half))])
+
+
+def tangent_residual_sq_exact(M, q, l, u, z: Sequence[Fraction]) -> Fraction:
+    """``||proj_{T(z)}(-F(z))||^2`` on the box ``[l, u]``, exactly.
+
+    A coordinate at its lower bound keeps only an inward push (``F_i < 0``),
+    one at its upper bound only ``F_i > 0``, one at both neither.
+    """
+    total = Fraction(0)
+    for z_i, f, l_i, u_i in zip(z, _exact_operator(M, q, z), l, u):
+        if (z_i == l_i and f >= 0) or (z_i == u_i and f <= 0):
+            continue
+        total += f * f
+    return total
 
 
 def check_monotone_samples(

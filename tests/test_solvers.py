@@ -26,6 +26,7 @@ from egtan.sets import (
     NonnegativeOrthant,
     WholeSpace,
 )
+from tests.test_eg_segments import assert_steps_pinned
 from tests.test_instances import bilinear_spec
 
 
@@ -111,11 +112,10 @@ class TestArrayTrajectories:
                 np.testing.assert_array_equal(F_z, inst.operator(z))
         assert type(eg.half_iterates) is np.ndarray and eg.half_iterates.shape == (6, 4)
         assert pp.half_iterates is None
-        z = z0
+        # EG on a box runs in affine segments (tests/test_eg_segments.py): each
+        # half step is exact, each full step within the rounding floor
+        assert_steps_pinned(inst, eta, eg)
         for k in range(6):
-            z_half, z = eg_step(inst, eta, z)
-            np.testing.assert_array_equal(eg.half_iterates[k], z_half)
-            np.testing.assert_array_equal(eg.iterates[k + 1], z)
             np.testing.assert_array_equal(pp.iterates[k + 1], pp_step(inst, eta, pp.iterates[k]))
 
 
