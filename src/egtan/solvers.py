@@ -23,8 +23,9 @@ map and checks them all in one stacked step, which :func:`eg_step` is the
 one-row case of.  Each half iterate is then ``eg_step`` of its iterate bit
 for bit, and each iterate lies within ``_nnls_stop(n + 1, n) (1 + ||z||)``
 of the full step before it, on every bound that step lands on exactly.  On a
-set without face maps (the ball, halfspace sets) the same loop takes one step
-at a time, and a run equals its steps taken one by one, bit for bit.
+set without face maps (the ball, halfspace sets) :func:`_eg_blocks` takes one
+step at a time, on points, and a run equals its steps taken one by one, bit
+for bit.
 
 Proximal-point steps are exact and finite: each is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
@@ -45,7 +46,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .instances import VIInstance, instance_to_json
+from .instances import AffineOperator, VIInstance, instance_to_json
 from .measures import _csv_text, gap, natural_residual, tangent_residual
 from .sets import UnsupportedSetError, _nnls_stop, require_finite, require_positive, row_norm
 
@@ -183,8 +184,20 @@ class Trajectory:
         }
 
 
+def _rowwise(operator):
+    """``operator`` as a function of a stack that answers each row as it answers that point.
+
+    An :class:`AffineOperator` does so in one call.  Any other operator (a
+    wrapper that counts or times its calls, say) makes no such promise, so
+    it is called once per row.
+    """
+    if isinstance(operator, AffineOperator):
+        return operator
+    return lambda Z: np.array([operator(z) for z in Z])
+
+
 def _eg_steps(
-    inst: VIInstance, eta: float, z: np.ndarray, F_z: np.ndarray
+    operator, project, eta: float, z: np.ndarray, F_z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The EG step from a point, or from each row of a stack, given ``F_z = F(z)``.
 
@@ -193,16 +206,16 @@ def _eg_steps(
     per-point steps bit for bit.
     """
     to_half = z - eta * F_z
-    z_half = inst.set.project(to_half)
-    to_next = z - eta * inst.operator(z_half)
-    return z_half, inst.set.project(to_next), to_half, to_next
+    z_half = project(to_half)
+    to_next = z - eta * operator(z_half)
+    return z_half, project(to_next), to_half, to_next
 
 
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
     z_k = np.asarray(z_k, dtype=float)
-    return _eg_steps(inst, eta, z_k, inst.operator(z_k))[:2]
+    return _eg_steps(inst.operator, inst.set.project, eta, z_k, inst.operator(z_k))[:2]
 
 
 def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
@@ -250,11 +263,13 @@ def _predict(step: np.ndarray, z: np.ndarray, rows: int) -> np.ndarray:
 def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     """EG from ``z`` for ``steps`` steps, taken in affine segments.
 
-    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z`` (a
+    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z`` (an
     ``(m, n)`` stack), ``F = F(Z)``, their half steps and the iterate after
-    the last of them, where the next block starts.  A block of one step
-    holds points, ``(n,)`` arrays, which every set projects faster than a
-    stack of one row.
+    the last of them, where the next block starts.  On a set without face
+    maps (:meth:`FeasibleSet._face_map`) every block is one step, taken and
+    yielded as points, ``(n,)`` arrays: sets project a point faster than a
+    stack of one row, and the callers' array calls on a point cost less
+    too.  Such a run equals its steps taken one by one, bit for bit.
 
     While the faces of the half and full steps hold, a step is ``z -> A z +
     c`` (:func:`_step_matrix`).  From the faces of the last step taken, a
@@ -264,36 +279,42 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The first row that
     fails took a true step, so its step ends the block and its faces start
     the next.  ``K`` doubles after a block that kept every row, up to
-    :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.  A
-    set without face maps (:meth:`FeasibleSet._face_map`) gives blocks of
-    one step.
+    :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.
 
     Each half step is the EG step of its iterate bit for bit.  Each iterate
     is within that floor of the full step of the one before it, and equal
     to it on every bound the step lands on, since both read the same face.
+    An operator other than :class:`AffineOperator` takes each stack row by
+    row (:func:`_rowwise`).
     """
+    operator, project, face_map = inst.operator, inst.set.project, inst.set._face_map
+    if face_map(z) is None:
+        for _ in range(steps):
+            F = operator(z)
+            half = project(z - eta * F)
+            z_next = project(z - eta * operator(half))
+            yield z, F, half, z_next
+            z = z_next
+        return
+    operator = _rowwise(operator)
     n = inst.dimension
     stop = _nnls_stop(n + 1, n)
     segment = face = None  # the last step taken, as a matrix, and its faces
     rows = 2
     while steps > 0:
-        Z = z if segment is None else _predict(segment, z, min(rows, steps))
-        F = inst.operator(Z)
-        halves, nexts, to_half, to_next = _eg_steps(inst, eta, Z, F)
-        m, maps = 0, inst.set._face_map(to_half)  # the step of row m ends the block
-        if maps is not None:
-            faces = np.concatenate((*maps, *inst.set._face_map(to_next)), axis=-1)
-            if Z.ndim == 2:
-                drift = row_norm(nexts[:-1] - Z[1:])
-                held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
-                m = len(held) if held.all() else int(held.argmin())
-                rows = min(2 * len(Z), SEGMENT_MAX_STEPS) if m == len(held) else 2
-                Z, F, halves, nexts, faces = Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m], faces[m]
-            face = faces
-            if steps > m + 1:
-                segment = _step_matrix(inst, eta, face)
-        yield Z, F, halves, nexts
-        z, steps = nexts, steps - m - 1
+        Z = z[None] if segment is None else _predict(segment, z, min(rows, steps))
+        F = operator(Z)
+        halves, nexts, to_half, to_next = _eg_steps(operator, project, eta, Z, F)
+        faces = np.concatenate((*face_map(to_half), *face_map(to_next)), axis=1)
+        drift = row_norm(nexts[:-1] - Z[1:])
+        held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
+        m = len(held) if held.all() else int(held.argmin())  # the step of row m ends the block
+        rows = min(2 * len(Z), SEGMENT_MAX_STEPS) if m == len(held) else 2
+        face = faces[m]
+        if steps > m + 1:
+            segment = _step_matrix(inst, eta, face)
+        yield Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m]
+        z, steps = nexts[m], steps - m - 1
 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
@@ -328,9 +349,9 @@ def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory
     zs, halfs, Fs = traj.iterates, traj.half_iterates, traj.operator_values
     k, z = 0, zs[0]
     for Z, F, halves, z in _eg_blocks(inst, config.eta, z, config.T):
-        at = slice(k, k + len(Z)) if Z.ndim == 2 else k  # a block of one step holds points
-        zs[at], Fs[at], halfs[at] = Z, F, halves
-        k += len(Z) if Z.ndim == 2 else 1
+        m = Z.size // inst.dimension  # a point fills one row
+        zs[k:k + m], Fs[k:k + m], halfs[k:k + m] = Z, F, halves
+        k += m
     zs[k], Fs[k] = z, inst.operator(z)
     return traj
 
@@ -392,7 +413,7 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     ``2 * tol`` (the factor absorbs rounding) the check could not pass.  The
     run takes its steps as :func:`eg_run` does, in affine segments on a box
     (Calamai & Moré 1987; Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988),
-    and the gate and the check run on each block as a stack.  A run that
+    and the gate and the check run on each block at once.  A run that
     exhausts its :data:`REFERENCE_MAX_ITER` EG steps raises
     :class:`ReferenceSolveError` with the smallest residual it evaluated, at
     the last iterate if the check never ran.
@@ -405,11 +426,11 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     best = math.inf
     for Z, F, halves, z in _eg_blocks(inst, eta, z, REFERENCE_MAX_ITER):
         near = row_norm(Z - halves) <= gate
-        if near.any() if near.ndim else near:  # a block of one step holds points
+        if near.any() if near.ndim else near:  # a step on points gives one bool
             residual = np.where(near, natural_residual(inst, Z, F), math.inf)
             best = min(best, float(residual.min()))
             if best <= tol:
-                return Z[np.argmax(residual <= tol)] if Z.ndim == 2 else Z
+                return Z.reshape(-1, inst.dimension)[np.argmax(residual <= tol)]
     if best == math.inf:
         best = natural_residual(inst, z)
     raise ReferenceSolveError(best)

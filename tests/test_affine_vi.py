@@ -328,6 +328,10 @@ def _tangent_of(feasible, z, v):
 
 @settings(max_examples=300)
 @given(halfspace_problems(), st.integers(0, 2**32 - 1))
+# the plane y + z = 1 and p just off it, with ||p - z|| = 7e-8 ||p||: even
+# the correctly rounded projection leaves p - z a tangent part of 1.1e-9 ||p - z||
+@example((np.array([*[[0.0, 1, 1]] * 7, [0, -2, -2]]), np.array([*[1.0] * 7, -2]),
+          np.array([0.0, 0, 1.0000001])), 0)
 def test_rows_a_halfspace_step_holds_read_as_active(problem, seed):
     """The rounding floor that reads activity covers the kernel's own rounding.
 

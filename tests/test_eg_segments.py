@@ -11,6 +11,10 @@ bit.  What holds instead, and is pinned here:
 * on a contractive run the iterates agree with the stepwise run
   (``tests.oracles.eg_iterates_by_steps``) to 1e-12 relative, and with an
   exact rational run to 1e-12 (1 + ||z||).
+
+On the ball and on halfspace sets, which have no face maps, a run still
+equals its steps bit for bit.  An operator that is not an
+``AffineOperator`` is called on points only.
 """
 
 import math
@@ -25,6 +29,7 @@ from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, NonnegativeOrthant, WholeSpace, _nnls_stop
 from egtan.solvers import SolverConfig, eg_run, eg_step, solve_reference
 from tests.oracles import eg_iterates_by_steps, eg_step_exact, tangent_residual_sq_exact
+from tests.test_affine_vi import random_operator, random_set
 from tests.test_cli import counted
 
 
@@ -170,3 +175,41 @@ def test_a_non_normal_step_keeps_every_prediction_inside_the_floor(seed):
     inst = VIInstance.create(AffineOperator.create(M, rng.standard_normal(2)), WholeSpace(2))
     eta = 0.99 / inst.operator.lipschitz
     assert_steps_pinned(inst, eta, eg_run(inst, SolverConfig(eta=eta, T=1000), rng.standard_normal(2)))
+
+
+@pytest.mark.parametrize("kind", ["ball", "halfspaces"])
+def test_runs_on_sets_without_face_maps_equal_their_steps(kind):
+    rng = np.random.default_rng(3)
+    feasible, z0 = random_set(rng, kind, 4)
+    inst = VIInstance.create(random_operator(rng, 4, monotone=True), feasible)
+    eta = 0.9 / inst.operator.lipschitz
+    traj = eg_run(inst, SolverConfig(eta=eta, T=50), z0)
+    zs, halfs = eg_iterates_by_steps(inst, eta, z0, 50)
+    np.testing.assert_array_equal(traj.iterates, zs)
+    np.testing.assert_array_equal(traj.half_iterates, halfs)
+    np.testing.assert_array_equal(traj.operator_values, inst.operator(zs))
+
+
+class RecordingOperator:
+    """An operator that is not an :class:`AffineOperator`: it records each argument."""
+
+    def __init__(self, op):
+        self.op, self.args = op, []
+        self.M, self.q, self.lipschitz = op.M, op.q, op.lipschitz
+
+    def __call__(self, z):
+        self.args.append(np.shape(z))
+        return self.op(z)
+
+
+def test_an_operator_that_is_not_affine_is_called_per_row():
+    # only an AffineOperator promises that a stack's rows equal its points,
+    # so any other operator sees points, and the run is the same bit for bit
+    inst, z0 = orthant_instance(7)
+    wrapped = RecordingOperator(inst.operator)
+    config = SolverConfig(eta=0.5 / inst.operator.lipschitz, T=200)
+    plain = eg_run(inst, config, z0)
+    traj = eg_run(VIInstance(operator=wrapped, set=inst.set, dimension=4), config, z0)
+    for name in ("iterates", "half_iterates", "operator_values"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(plain, name))
+    assert set(wrapped.args) == {(4,)} and len(wrapped.args) > 2 * config.T
