@@ -57,6 +57,11 @@ _DEN_BB = _ONE + _G["b1"] ** 2 + _G["b2"] ** 2      # 1 + beta1^2 + beta2^2
 _DEN_ALL = _DEN_AL * _DEN_BB
 
 
+def _require_branch(branch: str) -> None:
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}")
+
+
 @cache
 def _terms(branch: str) -> dict[str, SparsePoly]:
     """The fourteen named terms of one branch, each cleared to ``_DEN_ALL``.
@@ -69,14 +74,8 @@ def _terms(branch: str) -> dict[str, SparsePoly]:
     is multiplied by ``_DEN_BB``, one over ``1 + beta1^2 + beta2^2`` by
     ``_DEN_AL``.  Built once per branch; callers must not modify the result.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    g = _G
-    zk1, zk2, zh1 = g["zk1"], g["zk2"], g["zh1"]
-    fk1, fk2, fk3 = g["fk1"], g["fk2"], g["fk3"]
-    fh1, fh2, fh3 = g["fh1"], g["fh2"], g["fh3"]
-    fn1, fn2, fn3 = g["fn1"], g["fn2"], g["fn3"]
-    al, b1, b2 = g["al"], g["b1"], g["b2"]
+    _require_branch(branch)
+    zk1, zk2, zh1, fk1, fk2, fk3, fh1, fh2, fh3, fn1, fn2, fn3, al, b1, b2 = _G.values()
     ind_pos = _ONE if branch == "nonneg" else _ZERO
     ind_neg = _ONE if branch == "neg" else _ZERO
 
@@ -133,8 +132,8 @@ def build_constrained_rhs(branch: str, mutate: str | None = None) -> SparsePoly:
     return _sum(branch, RHS_TERM_NAMES, mutate)
 
 
-def _monomial_name(exp: Sequence[int], vars: Sequence[str] = CONSTRAINED_VARS) -> str:
-    factors = [f"{v}^{p}" if p > 1 else v for v, p in zip(vars, exp) if p]
+def _monomial_name(exp: Sequence[int]) -> str:
+    factors = [f"{v}^{p}" if p > 1 else v for v, p in zip(CONSTRAINED_VARS, exp) if p]
     return "*".join(factors) if factors else "1"
 
 
@@ -174,14 +173,9 @@ def build_lhs_from_derivation(branch: str) -> SparsePoly:
     directions orthogonal to the active normals.  Serves as an independent
     route to :func:`build_constrained_lhs`; the two must agree exactly.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    g = _G
-    zk1, zk2, zh1 = g["zk1"], g["zk2"], g["zh1"]
-    fk = [g["fk1"], g["fk2"], g["fk3"]]
-    fh = [g["fh1"], g["fh2"], g["fh3"]]
-    fn = [g["fn1"], g["fn2"], g["fn3"]]
-    al, b1, b2 = g["al"], g["b1"], g["b2"]
+    _require_branch(branch)
+    zk1, zk2, zh1, *f, al, b1, b2 = _G.values()
+    fk, fh, fn = f[:3], f[3:6], f[6:]
     zk3 = -(b1 * zk1) - b2 * zk2
     zk = [zk1, zk2, zk3]
     zh = [zh1, -(al * zh1), zk3 - fk[2]]
@@ -422,31 +416,17 @@ class CertificateAssignment:
     branch: str = "nonneg"
 
     def __post_init__(self):
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}")
+        _require_branch(self.branch)
         if self.branch == "nonneg" and self.fn[0] < 0:
             raise ValueError("nonneg branch requires fn[0] >= 0")
         if self.branch == "neg" and self.fn[0] > 0:
             raise ValueError("neg branch requires fn[0] <= 0")
 
     def values(self) -> dict[str, Rational]:
-        return {
-            "zk1": self.zk1,
-            "zk2": self.zk2,
-            "zh1": self.zh1,
-            "fk1": self.fk[0],
-            "fk2": self.fk[1],
-            "fk3": self.fk[2],
-            "fh1": self.fh[0],
-            "fh2": self.fh[1],
-            "fh3": self.fh[2],
-            "fn1": self.fn[0],
-            "fn2": self.fn[1],
-            "fn3": self.fn[2],
-            "al": self.alpha,
-            "b1": self.beta1,
-            "b2": self.beta2,
-        }
+        """The fifteen values by name, in :data:`CONSTRAINED_VARS` order."""
+        point = (self.zk1, self.zk2, self.zh1, *self.fk, *self.fh, *self.fn,
+                 self.alpha, self.beta1, self.beta2)
+        return dict(zip(CONSTRAINED_VARS, point))
 
     @staticmethod
     def random(rng, branch: str = "nonneg") -> "CertificateAssignment":

@@ -51,20 +51,13 @@ class SparsePoly:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, RationalLike] | None = None):
         self.vars = tuple(vars)
-        tidy: dict[tuple, Rational] = {}
+        self.terms: dict[tuple, Rational] = {}
         if terms:
-            n = len(self.vars)
-            for exp, coeff in terms.items():
-                c = _as_rational(coeff)
-                if c == 0:
-                    continue
-                exp = tuple(exp)
+            n, exps = len(self.vars), [tuple(exp) for exp in terms]
+            for exp in exps:
                 if len(exp) != n:
                     raise ValueError(f"exponent tuple {exp} does not match {n} variables")
-                tidy[exp] = tidy.get(exp, 0) + c
-                if tidy[exp] == 0:
-                    del tidy[exp]
-        self.terms = tidy
+            _add_into(self.terms, zip(exps, map(_as_rational, terms.values())))
 
     # -- constructors -----------------------------------------------------
 
@@ -122,6 +115,7 @@ class SparsePoly:
             return self._like({exp: coeff * c for exp, coeff in self.terms.items()} if c else {})
         self._check(other)
         out: dict[tuple, Rational] = {}
+        # _add_into, inlined: this loop is the hot path of verify-certificates
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))

@@ -134,6 +134,11 @@ class FeasibleSet:
         raise NotImplementedError
 
     def project_tangent_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``v`` projected onto the tangent cone at the feasible ``z``; a stack row by row."""
+        return self._tangent_cone(self._require_feasible(z), require_finite("v", v))
+
+    def _tangent_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`project_tangent_cone` once ``z`` is checked feasible and ``v`` finite."""
         raise NotImplementedError
 
     def _face_map(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -224,11 +229,11 @@ class Box(FeasibleSet):
     def _face_map(self, p):
         """``s = 0`` and ``t`` the bound where a coordinate projects onto one; ``s = 1, t = 0`` elsewhere.
 
-        A coordinate at or past a bound projects onto it, so its value on
-        the face is the bound itself, exactly, as :meth:`_active_bounds`
-        reads it at the projected point.
+        A coordinate at or past a bound (:meth:`_active_bounds` of ``p``)
+        projects onto it, so its value on the face is the bound itself,
+        exactly, as the same rule reads it at the projected point.
         """
-        low, high = p <= self.l, p >= self.u
+        low, high = self._active_bounds(p)
         return (~(low | high)).astype(float), np.where(low, self.l, np.where(high, self.u, 0.0))
 
     @functools.cached_property
@@ -253,9 +258,7 @@ class Box(FeasibleSet):
         """
         return z <= self.l, z >= self.u
 
-    def project_tangent_cone(self, z, v):
-        z = self._require_feasible(z)
-        v = require_finite("v", v)
+    def _tangent_cone(self, z, v):
         lo, hi = self._active_bounds(z)
         out = np.where(lo, np.maximum(v, 0.0), v)  # only inward directions at the floor
         return np.where(hi, np.minimum(out, 0.0), out)
@@ -351,9 +354,7 @@ class Ball(FeasibleSet):
         inside = norm <= self.radius
         return np.where(inside, p, self.center + self.radius * d / np.where(inside, 1.0, norm))
 
-    def project_tangent_cone(self, z, v):
-        z = self._require_feasible(z)
-        v = require_finite("v", v)
+    def _tangent_cone(self, z, v):
         d = z - self.center
         norm = row_norm(d)[..., None]
         z_norm = row_norm(z)[..., None]
@@ -787,14 +788,12 @@ class HalfspaceIntersection(FeasibleSet):
         floor = _floor(self.dimension, len(self.b), poly.offset, z_norm, z_norm)
         return np.flatnonzero(poly.A @ z - poly.b <= floor)
 
-    def project_tangent_cone(self, z, v):
+    def _tangent_cone(self, z, v):
         """Projection onto the cone of the rows active at ``z``, through 0, row by row.
 
         A direction that no active row sees pointing out beyond the floor is
         its own projection.
         """
-        z = self._require_feasible(z)
-        v = require_finite("v", v)
         poly = self._polyhedron
         out = [poly.project(self.activity(z_row), v_row)[0]
                for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v))]

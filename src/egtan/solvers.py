@@ -187,9 +187,10 @@ class Trajectory:
 def _rowwise(operator):
     """``operator`` as a function of a stack that answers each row as it answers that point.
 
-    An :class:`AffineOperator` does so in one call.  Any other operator (a
-    wrapper that counts or times its calls, say) makes no such promise, so
-    it is called once per row.
+    An :class:`AffineOperator` does so in one call.  Any other operator makes
+    no such promise, so it is called once per row.  The one such operator in
+    use is the benchmark's call-counting wrapper, ``TracedOperator`` in
+    ``bench/tracing.py``.
     """
     if isinstance(operator, AffineOperator):
         return operator
@@ -291,8 +292,7 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     if face_map(z) is None:
         for _ in range(steps):
             F = operator(z)
-            half = project(z - eta * F)
-            z_next = project(z - eta * operator(half))
+            half, z_next = _eg_steps(operator, project, eta, z, F)[:2]
             yield z, F, half, z_next
             z = z_next
         return

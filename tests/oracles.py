@@ -20,9 +20,16 @@ different route so that a test can compare the two:
   cold ``pp_step`` calls, no hint handed from one step to the next.
 * ``eg_iterates_by_steps`` is the reference extragradient run: the loop of
   ``eg_step`` calls, one step at a time.
-* ``eg_step_exact`` and ``tangent_residual_sq_exact`` take an EG step and
-  the squared tangent residual on a box in exact ``Fraction`` arithmetic,
-  where ``clip`` is exact.
+* ``eg_step_exact``, ``tangent_residual_sq_exact`` and
+  ``natural_residual_sq_exact`` take an EG step and the squared tangent and
+  natural residuals on a box in exact ``Fraction`` arithmetic, where
+  ``clip`` is exact.
+* ``box_affine_vi_exact`` solves an affine VI on a box in ``Fraction``s, on
+  the face a float solution lies on, and checks the answer exactly;
+  ``pp_step_exact`` is the proximal-point step solved that way, on the face
+  of the float ``pp_step``.
+* ``bilinear_gap_exact`` is the duality gap of a bilinear game on a box,
+  exactly.
 * ``check_monotone_samples`` tests monotonicity of an affine operator on
   random pairs of points.
 * ``unconstrained_identity_terms`` gives the five summands of the
@@ -288,6 +295,85 @@ def tangent_residual_sq_exact(M, q, l, u, z: Sequence[Fraction]) -> Fraction:
             continue
         total += f * f
     return total
+
+
+def natural_residual_sq_exact(M, q, l, u, z: Sequence[Fraction]) -> Fraction:
+    """``||z - clip(z - F(z), l, u)||^2`` on the box ``[l, u]``, exactly."""
+    return sum((z_i - min(max(z_i - f, l_i), u_i)) ** 2
+               for z_i, f, l_i, u_i in zip(z, _exact_operator(M, q, z), l, u))
+
+
+def bilinear_gap_exact(A, b, c, lo, hi, z: Sequence[Fraction]) -> Fraction:
+    """``max_{y'} f(x, y') - min_{x'} f(x', y)`` of ``f = x^T A y - b^T x - c^T y`` on ``[lo, hi]``.
+
+    ``z = (x, y)``.  Each extremum is linear over the box, so each coordinate
+    takes whichever of ``lo`` and ``hi`` serves its cost best.
+    """
+    x, y = z[: len(b)], z[len(b):]
+    y_cost = [sum(x_i * a_ij for x_i, a_ij in zip(x, col)) - c_j for col, c_j in zip(zip(*A), c)]
+    x_cost = [sum(a_ij * y_j for a_ij, y_j in zip(row, y)) - b_i for row, b_i in zip(A, b)]
+    best_y = sum(max(k * lo, k * hi) for k in y_cost) - sum(b_i * x_i for b_i, x_i in zip(b, x))
+    best_x = sum(min(k * lo, k * hi) for k in x_cost) - sum(c_j * y_j for c_j, y_j in zip(c, y))
+    return best_y - best_x
+
+
+def _rational(a: np.ndarray) -> list:
+    """A float array's exact values as ``Fraction``s, in nested lists."""
+    return [_rational(row) for row in a] if np.ndim(a) > 1 else [Fraction(x) for x in a.tolist()]
+
+
+def _solve_exact(A: list, b: list) -> list:
+    """``x`` with ``A x = b``, ``A`` nonsingular, by Gauss–Jordan elimination in ``Fraction``s."""
+    n = len(b)
+    rows = [[*row, rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = Fraction(rows[r][col]) / rows[col][col]
+                rows[r] = [a - f * p for a, p in zip(rows[r], rows[col])]
+    return [Fraction(rows[i][n]) / rows[i][i] for i in range(n)]
+
+
+def box_affine_vi_exact(box: Box, H: list, g: list, w: np.ndarray) -> list[Fraction]:
+    """The ``w`` in ``box`` with ``-(H w + g)`` in its normal cone, in ``Fraction``s.
+
+    Solved on the face the float ``w`` lies on, ``box._active_bounds(w)``:
+    ``w_i`` is its bound where one is active, and ``(H w + g)_i = 0``
+    elsewhere.  ``H`` and ``g`` are rationals and the bounds finite.  Asserts
+    the VI's fixed-point test ``w == clip(w - (H w + g), l, u)`` with zero
+    tolerance, so a face the float solve misread fails here.
+    """
+    lo, hi = box._active_bounds(w)
+    l, u = _rational(box.l), _rational(box.u)
+    fixed = {i: l[i] if lo[i] else u[i] for i in range(len(g)) if lo[i] or hi[i]}
+    free = [i for i in range(len(g)) if i not in fixed]
+    on_face = _solve_exact(
+        [[H[i][j] for j in free] for i in free],
+        [-g[i] - sum(H[i][j] * v for j, v in fixed.items()) for i in free],
+    )
+    values = {**fixed, **dict(zip(free, on_face))}
+    w = [values[i] for i in range(len(g))]
+    r = [sum(h * w_j for h, w_j in zip(row, w)) + g_i for row, g_i in zip(H, g)]
+    assert w == [min(max(w_i - r_i, l_i), u_i) for w_i, r_i, l_i, u_i in zip(w, r, l, u)]
+    return w
+
+
+def pp_step_exact(inst: VIInstance, eta: Fraction, z: Sequence[Fraction]) -> list[Fraction]:
+    """One proximal-point step on a box in ``Fraction``s, from the exact ``z``.
+
+    The affine VI of ``H = I + eta M`` and ``g = eta q - z``
+    (:func:`egtan.solvers.pp_step`), solved exactly by
+    :func:`box_affine_vi_exact` on the face of the float step from ``z``
+    rounded.  ``M``, ``q`` and the bounds are the instance's floats, taken
+    at their exact values.
+    """
+    M, q = _rational(inst.operator.M), _rational(inst.operator.q)
+    H = [[eta * m + (i == j) for j, m in enumerate(row)] for i, row in enumerate(M)]
+    g = [eta * q_i - z_i for q_i, z_i in zip(q, z)]
+    w = pp_step(inst, float(eta), np.array([float(x) for x in z]))
+    return box_affine_vi_exact(inst.set, H, g, w)
 
 
 def check_monotone_samples(

@@ -11,6 +11,7 @@ from egtan import certificates as cert
 from egtan.certificates import (
     ALL_TERM_NAMES,
     BRANCHES,
+    CONSTRAINED_VARS,
     LHS_TERM_NAMES,
     CertificateAssignment,
     build_constrained_lhs,
@@ -75,6 +76,17 @@ class TestSparsePoly:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             SparsePoly.constant(("x",), 0.5)
+
+    def test_an_exponent_of_the_wrong_length_is_named(self):
+        message = r"exponent tuple \(1, 0, 2\) does not match 2 variables"
+        with pytest.raises(ValueError, match=message):
+            SparsePoly(("x", "y"), {(1, 0): 1, (1, 0, 2): 3})
+
+    def test_construction_drops_zeros_and_keeps_integers_as_int(self):
+        terms = {(1, 0): 0, (0, 1): Fraction(4, 2), (1, 1): "3/2", (2, 0): "-6/3"}
+        p = SparsePoly(("x", "y"), terms)
+        assert p.terms == {(0, 1): 2, (1, 1): Fraction(3, 2), (2, 0): -2}
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
 
 
 class TestUnconstrainedIdentity:
@@ -214,6 +226,20 @@ class TestConstrainedIdentity:
             branch = "nonneg" if i % 2 == 0 else "neg"
             values = CertificateAssignment.random(rng, branch).values()
             assert build_constrained_rhs(branch).evaluate(values) >= 0
+
+    @pytest.mark.parametrize("build", [
+        cert._terms,
+        build_lhs_from_derivation,
+        lambda branch: CertificateAssignment(0, 0, 0, (0,) * 3, (0,) * 3, (0,) * 3, 0, 0, 0,
+                                             branch),
+    ])
+    def test_an_unknown_branch_is_rejected(self, build):
+        with pytest.raises(ValueError, match=r"branch must be one of \('nonneg', 'neg'\)"):
+            build("both")
+
+    def test_assignment_values_follow_the_constrained_variables(self):
+        point = CertificateAssignment(1, 2, 3, (4, 5, 6), (7, 8, 9), (10, 11, 12), 13, 14, 15)
+        assert list(point.values().items()) == list(zip(CONSTRAINED_VARS, range(1, 16)))
 
     def test_branch_sign_enforced(self):
         with pytest.raises(ValueError, match="nonneg branch"):

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from egtan import counterexamples as ce
+from tests.oracles import bilinear_gap_exact, eg_step_exact, natural_residual_sq_exact
 
 
 class TestReproduction:
@@ -86,3 +89,43 @@ class TestNonMonotonicity:
         assert ce.is_non_monotone([1.0, 0.5, 0.7])
         assert not ce.is_non_monotone([1.0, 0.5, 0.25])
         assert not ce.is_non_monotone([1.0])
+
+
+def printed(x) -> Fraction:
+    """A decimal as a record prints it, as an exact rational."""
+    return Fraction(repr(float(x)))
+
+
+@pytest.mark.parametrize("name", sorted(ce.ALL))
+def test_the_published_increase_holds_exactly_from_the_printed_data(name):
+    # EG in Fractions from the printed A, b, c, eta and z0: the measure rises
+    # where the record says, with zero tolerance, and stays within the
+    # record's tolerance of every printed value
+    record = ce.ALL[name]
+    A = [[printed(a) for a in row] for row in record.A]
+    b, c, z0 = ([printed(x) for x in v] for v in (record.b, record.c, record.z0))
+    eta, lo, hi = printed(record.eta), *map(printed, record.box)
+    ell, m = len(b), len(c)
+    M = ([[0] * ell + row for row in A]
+         + [[-row[j] for row in A] + [0] * m for j in range(m)])  # [[0, A], [-A^T, 0]]
+    q, l, u = [-x for x in b] + c, [lo] * (ell + m), [hi] * (ell + m)
+    zs, halves = [z0], []
+    for _ in record.expected_series:
+        half, z_next = eg_step_exact(M, q, l, u, eta, zs[-1])
+        halves.append(half)
+        zs.append(z_next)
+
+    def dist_sq(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    assert record.squared == (record.measure != "gap")
+    series = {
+        "natural-residual": [natural_residual_sq_exact(M, q, l, u, z) for z in zs[:-1]],
+        "half-step-dist": [dist_sq(z, h) for z, h in zip(zs, halves)],
+        "full-step-dist": [dist_sq(z, w) for z, w in zip(zs, zs[1:])],
+        "gap": [bilinear_gap_exact(A, b, c, lo, hi, z) for z in zs[:-1]],
+    }[record.measure]
+    expected = [printed(e) for e in record.expected_series]
+    rises = [k for k in range(len(expected) - 1) if expected[k + 1] > expected[k]]
+    assert rises and all(series[k + 1] > series[k] for k in rises)
+    assert all(abs(v - e) <= printed(record.series_tolerance) for v, e in zip(series, expected))

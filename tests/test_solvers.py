@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egtan.instances import AffineOperator, VIInstance, make_bilinear
 from egtan.measures import gap, natural_residual, tangent_residual
@@ -26,7 +31,8 @@ from egtan.sets import (
     NonnegativeOrthant,
     WholeSpace,
 )
-from tests.test_eg_segments import assert_steps_pinned
+from tests.oracles import box_affine_vi_exact, pp_step_exact
+from tests.test_eg_segments import assert_steps_pinned, integer_box_instance
 from tests.test_instances import bilinear_spec
 
 
@@ -538,3 +544,30 @@ class TestStartValidation:
                 run(inst, SolverConfig(eta=0.1, T=1), z0)
         with pytest.raises(ValueError, match="^z0 must be finite"):
             solve_reference(inst, eta=0.1, z0=z0)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_exact_pp_steps_shrink_and_descend_on_integer_boxes(n, seed):
+    # the proximal-point theorems with zero tolerance: each step solved in
+    # Fractions on the face the float step lands on, and z* likewise on the
+    # face of the float reference solution
+    M, q, l, u, z0 = integer_box_instance(np.random.default_rng(seed), n)
+    assume(np.linalg.matrix_rank(M + M.T) == n)  # x^T M x > 0 for x != 0: one solution
+    op = AffineOperator.create(M.astype(float), q.astype(float))
+    inst = VIInstance.create(op, Box(l.astype(float), u.astype(float)))
+    eta = Fraction(1, math.ceil(2.0 * op.lipschitz))
+    rational = [[Fraction(int(m)) for m in row] for row in M]
+    z_star = box_affine_vi_exact(inst.set, rational, [Fraction(int(x)) for x in q],
+                                 solve_reference(inst, float(eta)))
+    zs = [[Fraction(int(x)) for x in z0]]
+    for _ in range(20):
+        zs.append(pp_step_exact(inst, eta, zs[-1]))
+
+    def dist_sq(a, b):
+        return sum((x - y) ** 2 for x, y in zip(a, b))
+
+    steps = [dist_sq(a, b) for a, b in zip(zs, zs[1:])]
+    assert all(after <= before for before, after in zip(steps, steps[1:]))
+    for z, z_next, step in zip(zs, zs[1:], steps):
+        assert dist_sq(z_next, z_star) + step <= dist_sq(z, z_star)
