@@ -43,7 +43,7 @@ EXIT_CHECK_FAILED = 2
 
 def _parse_z0(text: str, dimension: int) -> np.ndarray:
     try:
-        parts = [float(x) for x in text.split(",") if x.strip()]
+        parts = [float(x) for x in text.split(",")]  # an empty entry does not parse
     except ValueError:
         raise ValueError(f"--z0 must be comma-separated numbers, got {text!r}") from None
     if len(parts) != dimension:

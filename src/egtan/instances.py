@@ -17,6 +17,7 @@ import numpy as np
 
 from .sets import (
     Box,
+    _times,
     json_field,
     json_floats,
     json_number,
@@ -170,8 +171,7 @@ class AffineOperator:
             z = np.asarray(z, dtype=float)
         if z.shape != self.q.shape:
             if z.ndim == 2 and z.shape[1:] == self.q.shape:
-                # one matrix-vector product per row: z @ M.T would sum in another order
-                return np.matmul(self.M, z[..., None])[..., 0] + self.q
+                return _times(self.M, z) + self.q  # each row as its point
             raise DimensionMismatchError(
                 "z", f"expected shape {self.q.shape} or (k, {len(self.q)}), got {z.shape}")
         return self.M @ z + self.q

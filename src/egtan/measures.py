@@ -38,7 +38,7 @@ def natural_residual(
     inst: VIInstance, z: np.ndarray, F_z: np.ndarray | None = None
 ) -> float | np.ndarray:
     """``|| z - proj(z - F(z)) ||``; zero exactly at solutions."""
-    z = np.asarray(z, dtype=float)
+    z = require_finite("z", z)
     F_z = _operator_values(inst, z, F_z)
     return point_or_rows(row_norm(z - inst.set.project(z - F_z)))
 

@@ -24,8 +24,13 @@ box's bound is active only at or past it, the floor of an exact clamp.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
-equals the per-point calls bit for bit.  Halfspace projections loop over the
-rows.
+equals the per-point calls bit for bit.  A halfspace projection solves the
+rows of a stack that share a candidate face with one call on that face.
+``project`` rejects a non-finite point; the solvers call the unchecked
+``_project`` on the points they made themselves.  Boxes and halfspace sets
+also hand back the face each projection lands on (``_project_on_faces``)
+and the affine map of a face (``_face_map``), from which an EG run takes
+its steps in segments.
 
 Every set also solves the affine variational inequality of ``w -> H w + g``
 exactly, for any ``H`` with ``x^T H x > 0`` (:meth:`FeasibleSet.solve_affine_vi`,
@@ -131,6 +136,11 @@ class FeasibleSet:
         raise NotImplementedError
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        """Nearest point of the set to ``p``, or to each row of a stack; ``p`` must be finite."""
+        return self._project(require_finite("p", p))
+
+    def _project(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`project` once ``p`` is checked finite; the solvers call it on their own iterates."""
         raise NotImplementedError
 
     def project_tangent_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -141,15 +151,21 @@ class FeasibleSet:
         """:meth:`project_tangent_cone` once ``z`` is checked feasible and ``v`` finite."""
         raise NotImplementedError
 
-    def _face_map(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The projection of each row of ``p`` as an affine map on the face it lands on.
+    def _project_on_faces(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The projection of each row of the stack ``p``, and the face each lands on.
 
-        ``(s, t)``, each shaped as ``p``, with ``project(x) = s * x + t`` for
-        every ``x`` whose projection lies on that face; two rows share a face
-        where both agree.  ``None`` (the default) for a set whose projection
-        has no such map: an EG run on it takes its steps one by one.
+        ``(z, faces)``: ``faces`` has one row per row of ``p``, and two rows
+        of ``p`` land on one face where their rows agree.  The projection of
+        every ``x`` that lands on a face is the affine map
+        :meth:`_face_map` of that row.  ``None`` (the default) for a set
+        whose projection has no such maps: an EG run on it takes its steps
+        one by one.
         """
         return None
+
+    def _face_map(self, face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, t)`` with ``project(x) = S x + t`` on ``face``, a row of :meth:`_project_on_faces`."""
+        raise NotImplementedError
 
     def project_normal_cone(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Moreau complement: ``v - tangent_projection(v)``."""
@@ -215,7 +231,7 @@ class Box(FeasibleSet):
     def _violation(self, z):
         return np.max(np.maximum(np.maximum(self.l - z, z - self.u), 0.0), axis=-1, initial=0.0)
 
-    def project(self, p):
+    def _project(self, p):
         """Nearest point of the box to ``p``, or to each row of a stack.
 
         ``minimum(maximum(p, l), u)`` is ``np.clip(p, l, u)`` under ``==``, NaN
@@ -226,15 +242,24 @@ class Box(FeasibleSet):
         """
         return np.minimum(np.maximum(p, self.l), self.u)
 
-    def _face_map(self, p):
-        """``s = 0`` and ``t`` the bound where a coordinate projects onto one; ``s = 1, t = 0`` elsewhere.
+    def _project_on_faces(self, p):
+        """A row's face is its clamp pattern: masks of the lower and upper bounds it is at or past.
 
         A coordinate at or past a bound (:meth:`_active_bounds` of ``p``)
-        projects onto it, so its value on the face is the bound itself,
-        exactly, as the same rule reads it at the projected point.
+        projects onto it, as the same rule reads it at the projected point.
         """
         low, high = self._active_bounds(p)
-        return (~(low | high)).astype(float), np.where(low, self.l, np.where(high, self.u, 0.0))
+        return self._project(p), np.concatenate((low, high), axis=-1)
+
+    def _face_map(self, face):
+        """``S`` diagonal, 0 where a coordinate projects onto a bound and 1 elsewhere; ``t`` that bound.
+
+        ``S`` holds only 0 and 1, so ``S x`` is exact and a coordinate on a
+        bound comes out as the bound itself; ``t`` is 0 off the bounds.
+        """
+        low, high = face.reshape(2, self.dimension)
+        S = np.diag(~(low | high)).astype(float)
+        return S, np.where(low, self.l, np.where(high, self.u, 0.0))
 
     @functools.cached_property
     def _polyhedron(self) -> _Polyhedron:
@@ -347,8 +372,7 @@ class Ball(FeasibleSet):
     def _violation(self, z):
         return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
 
-    def project(self, p):
-        p = np.asarray(p, dtype=float)
+    def _project(self, p):
         d = p - self.center
         norm = row_norm(d)[..., None]
         inside = norm <= self.radius
@@ -404,6 +428,50 @@ def _floor(n: int, m: int, offset: float, x_norm, w_norm):
     rounding alone.
     """
     return _nnls_stop(n + 1, m) * (1.0 + offset + x_norm + w_norm)
+
+
+def _times(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M x`` of a point, or of each row of a stack by one matrix-vector product per row.
+
+    ``x @ M.T`` would sum in another order, so only this form gives a stack
+    row the bits of its point.
+    """
+    return M @ x if x.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
+
+
+def _groups(keys: np.ndarray):
+    """``(key, rows)`` for each distinct row of the 2-d ``keys``: the indices of the rows equal to it."""
+    left = np.arange(len(keys))
+    while left.size:
+        key = keys[left[0]]
+        same = (keys[left] == key).all(axis=1)
+        yield key, left[same]
+        left = left[~same]
+
+
+def _verdict(S, slack, floor, lam, deficient):
+    """Whether a point, or each row of a stack, accepts the face ``S``; what :func:`_advance` reads.
+
+    ``slack`` is ``A w - b`` at the face's point ``w``, ``floor`` its
+    :func:`_floor` and ``lam`` its multipliers.  ``S`` is accepted when no
+    row is violated beyond the floor and ``lam >= 0``.  On a rank-deficient
+    face the rows of ``S`` must also hold, so a row ``w`` does not hold
+    counts as a negative multiplier.  Returns the verdict, the mask of the
+    violated rows and the multipliers so read.
+    """
+    violated = slack < -floor
+    if deficient:  # w may miss rows of S, and a row it satisfies strictly is not active
+        lam = np.where(slack[..., S] <= floor, lam, -np.inf)
+    return ~violated.any(axis=-1) & (lam.min(axis=-1, initial=0.0) >= 0.0), violated, lam
+
+
+def _advance(S, violated, lam):
+    """The candidate after a face ``S`` that :func:`_verdict` refused, as a mask over the rows.
+
+    The violated rows, and the rows of ``S`` with positive multipliers.
+    """
+    violated[..., S] |= lam > 0.0
+    return violated
 
 
 def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -531,7 +599,9 @@ class _Polyhedron:
     it holds them all), adds the rows ``w`` violates, and repeats; at the
     first repeated ``S`` a cold route picks ``S``: :func:`_nnls` for a
     projection, :func:`_lemke` for a VI.  Whatever route finds ``S``, ``w``
-    is the same function of it (:meth:`on_face`).
+    is the same function of it (:meth:`on_face`).  A VI is solved point by
+    point (:meth:`iterate`); a projection takes a stack, whose rows that
+    share a candidate ``S`` are solved together (:meth:`project`).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -562,20 +632,26 @@ class _Polyhedron:
         return self._metric[1:]
 
     def on_face(self, S, b_S, x, H):
-        """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient."""
-        P, G, deficient, Z = self.face(S)
-        PtH = P.T
-        if H is not None:
+        """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient.
+
+        ``x`` is a point or, with ``H`` ``None``, a stack: each row is then
+        solved as that point (:func:`_times`).
+        """
+        if H is None:
+            P, G, deficient, _ = self.face(S)
+            PtH = P.T
+        else:
             maps = self._for(H)[1]
             key = S.tobytes()
             entry = maps.get(key)
             if entry is None:
+                P, _, deficient, Z = self.face(S)
                 ZtH = Z.T @ H
-                entry = maps[key] = (Z @ np.linalg.solve(ZtH @ Z, ZtH), P.T @ H)
-            G, PtH = entry
+                entry = maps[key] = (P, Z @ np.linalg.solve(ZtH @ Z, ZtH), P.T @ H, deficient)
+            P, G, PtH, deficient = entry
         w0 = P @ b_S
-        w = w0 + G @ (x - w0)
-        return w, PtH @ (w - x), deficient
+        w = w0 + _times(G, x - w0)
+        return w, _times(PtH, w - x), deficient
 
     def in_play(self, rows) -> tuple[np.ndarray, np.ndarray, float]:
         """``A``, ``b`` and the largest ``|b_i|`` of the rows in play.
@@ -587,64 +663,86 @@ class _Polyhedron:
             return self.A, self.b, self.offset
         return self.A[rows], np.zeros(len(rows)), 0.0
 
-    def iterate(self, rows, x, x_norm, H, r, S=None):
-        """The accepted ``S`` (indices into ``rows``) and its point, or ``None``.
+    def iterate(self, x, x_norm, H, r, S=None):
+        """The accepted ``S`` and its point for the VI of ``H``, or ``None``.
 
-        ``rows`` picks the rows in play (:meth:`in_play`), ``x_norm`` is
-        ``||x||`` and ``r = A_rows x - b``.  The iteration starts from the
-        rows violated at ``x`` and ends at the first repeated ``S``; a given
-        ``S`` is tested alone.
+        ``x_norm`` is ``||x||`` and ``r = A x - b``.  The iteration starts
+        from the rows violated at ``x`` and ends at the first repeated
+        ``S``; a given ``S`` is tested alone.  Each candidate is judged by
+        :func:`_verdict` and followed by :func:`_advance`, as :meth:`project`
+        treats each row of a stack.
         """
-        A, b, offset = self.in_play(rows)
-        n, m = len(x), len(b)
+        n, m = len(x), len(self.b)
         tries = 1
         if S is None:
-            S = (r < -_floor(n, m, offset, x_norm, x_norm)).nonzero()[0]
+            S = (r < -_floor(n, m, self.offset, x_norm, x_norm)).nonzero()[0]
             tries = m + 2  # a guard; a repeated S ends the iteration first
         seen = set()
         for _ in range(tries):
-            key = S.tobytes()
-            if key in seen:
-                return None
-            seen.add(key)
-            w, lam, deficient = self.on_face(S if rows is None else rows[S], b[S], x, H)
-            slack = A @ w - b
-            floor = _floor(n, m, offset, x_norm, row_norm(w))
-            violated = slack < -floor
-            accept = not violated.any() and lam.min(initial=0.0) >= 0.0
-            keep = lam > 0.0
-            if deficient:  # w may miss rows of S, and a row it satisfies strictly is not active
-                held = slack[S] <= floor
-                accept = accept and held.all()
-                keep &= held
+            w, lam, deficient = self.on_face(S, self.b[S], x, H)
+            floor = _floor(n, m, self.offset, x_norm, row_norm(w))
+            accept, violated, lam = _verdict(S, self.A @ w - self.b, floor, lam, deficient)
             if accept:
                 return S, w
-            violated[S[keep]] = True
-            S = violated.nonzero()[0]
+            seen.add(S.tobytes())
+            S = _advance(S, violated, lam).nonzero()[0]
+            if S.tobytes() in seen:
+                return None
         return None
 
     def project(self, rows, p):
-        """Projection of ``p`` onto the rows in play (:meth:`in_play`), and whether the NNLS ran.
+        """Projection of each row of the stack ``p`` onto the rows in play (:meth:`in_play`).
 
-        ``p`` itself when no row is violated beyond :func:`_floor` at ``w =
-        p``, the iteration's start test.  The cold route is least-distance
-        programming: ``z - p`` is the shortest ``y`` with ``A_rows y >= h = b
-        - A_rows p``, and Lawson–Hanson NNLS on its dual, ``[A_rows^T; h^T] x
-        ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23; ``max h = 1``), picks the
-        rows with positive multipliers.  An empty set leaves a zero dual
-        residual, and ``z`` comes back infeasible; an accepted ``S`` never
-        does.
+        Returns the projections, the face each accepted as a boolean mask
+        over the rows in play, and which rows took the NNLS.  A row that
+        violates no row beyond :func:`_floor` at ``w = p`` is its own
+        projection, on the empty face.  The others run the active-set
+        iteration from the rows they violate: each round solves the rows
+        that share a candidate ``S`` with one face call and judges them at
+        once (:func:`_verdict`); a row that fails moves to its next
+        candidate, and a row whose candidate repeats, or that is still
+        searching after ``m + 2`` rounds, takes the cold route.  Each row
+        meets the faces a one-row stack of it meets, so a stack equals its
+        rows projected one by one, bit for bit.
+
+        The cold route is least-distance programming: ``z - p`` is the
+        shortest ``y`` with ``A_rows y >= h = b - A_rows p``, and
+        Lawson–Hanson NNLS on its dual, ``[A_rows^T; h^T] x ~ e_{n+1}``
+        (Lawson & Hanson 1974, ch. 23; ``max h = 1``), picks the rows with
+        positive multipliers.  An empty set leaves a zero dual residual, and
+        ``z`` comes back infeasible; an accepted ``S`` never does.
         """
         A, b, offset = self.in_play(rows)
-        r = A @ p - b
+        (k, n), m = p.shape, len(b)
+        r = _times(A, p) - b
         p_norm = row_norm(p)
-        if not (r < -_floor(len(p), len(b), offset, p_norm, p_norm)).any():
-            return p, False
-        found = self.iterate(rows, p, p_norm, None, r)
-        if found is not None:
-            return found[1], False
-        S = (_nnls(np.vstack((A.T, r / r.min())), np.eye(len(p) + 1)[-1]) > 0).nonzero()[0]
-        return self.on_face(S if rows is None else rows[S], b[S], p, None)[0], True
+        S = r < -_floor(n, m, offset, p_norm, p_norm)[:, None]
+        z, faces, cold = p.copy(), np.zeros((k, m), dtype=bool), np.zeros(k, dtype=bool)
+        todo, tried = S.any(axis=1).nonzero()[0], []
+        for _ in range(m + 2):  # a guard; a repeated S ends a row's iteration first
+            if not todo.size:
+                break
+            tried.append(S.copy())
+            done = np.zeros(k, dtype=bool)
+            for face, group in _groups(S[todo]):
+                group, on = todo[group], face.nonzero()[0]
+                w, lam, deficient = self.on_face(on if rows is None else rows[on], b[on], p[group], None)
+                floor = _floor(n, m, offset, p_norm[group], row_norm(w))[:, None]
+                accept, violated, lam = _verdict(on, _times(A, w) - b, floor, lam, deficient)
+                S[group] = _advance(on, violated, lam)
+                group = group[accept]
+                z[group], faces[group], done[group] = w[accept], face, True
+            todo = todo[~done[todo]]
+            if todo.size:  # a row whose next candidate it has tried before goes cold
+                repeat = (np.array(tried)[:, todo] == S[todo]).all(axis=-1).any(axis=0)
+                cold[todo[repeat]] = True
+                todo = todo[~repeat]
+        cold[todo] = True
+        for i in cold.nonzero()[0]:
+            on = (_nnls(np.vstack((A.T, r[i] / r[i].min())), np.eye(n + 1)[-1]) > 0).nonzero()[0]
+            z[i] = self.on_face(on if rows is None else rows[on], b[on], p[i:i + 1], None)[0][0]
+            faces[i, on] = True
+        return z, faces, cold
 
     def solve_vi(self, H, g, hint):
         """The affine VI of ``H w + g``, and its ``S`` as the next call's hint.
@@ -663,9 +761,9 @@ class _Polyhedron:
         x = -(H_inv @ g)
         r = self.A @ x - self.b
         x_norm = row_norm(x)
-        found = None if hint is None else self.iterate(None, x, x_norm, H, r, hint)
+        found = None if hint is None else self.iterate(x, x_norm, H, r, hint)
         if found is None:
-            found = self.iterate(None, x, x_norm, H, r)
+            found = self.iterate(x, x_norm, H, r)
         if found is not None:
             return found[1], found[0]
         try:
@@ -752,25 +850,31 @@ class HalfspaceIntersection(FeasibleSet):
     def _violation(self, z):
         return np.max(np.maximum(self.b - (self.a @ z.T).T, 0.0), axis=-1, initial=0.0)
 
-    def project(self, p):
-        """Nearest point of the set, row by row (see :class:`_Polyhedron`).
+    def _project(self, p):
+        """Nearest point of the set to ``p``, or to each row of a stack (see :class:`_Polyhedron`)."""
+        return self._project_on_faces(np.atleast_2d(p))[0].reshape(p.shape)
+
+    def _project_on_faces(self, p):
+        """A row's face is the mask of the rows the projection holds: the accepted ``S``.
 
         A point that violates no row, on unit rows, beyond the rounding floor
-        (:func:`_floor` at ``w = p``) is its own projection.  A projection
-        that violates the set beyond :meth:`feasibility_tol` at ``p`` proves
-        the set empty: ``z`` carries the rounding of ``p``, which a row
-        scales by its norm.
+        (:func:`_floor` at ``w = p``) is its own projection, on the empty
+        face.  A projection that violates the set beyond
+        :meth:`feasibility_tol` at ``p`` proves the set empty: ``z`` carries
+        the rounding of ``p``, which a row scales by its norm.
         """
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return np.array(self._nearest(p))
-        return np.array([self._nearest(row) for row in p]).reshape(p.shape)
-
-    def _nearest(self, p):
-        z, cold = self._polyhedron.project(None, p)
-        if cold and (self.a @ z - self.b).min() < -self.feasibility_tol(p):
+        z, faces, cold = self._polyhedron.project(None, p)
+        if cold.any() and np.any(np.min(_times(self.a, z[cold]) - self.b, axis=1)
+                                 < -self.feasibility_tol(p[cold])):
             raise EmptySetError("halfspace intersection is empty")
-        return z
+        return z, faces
+
+    def _face_map(self, face):
+        """``(Z Z^T, P b_S)`` of the face's memoised SVD: the projection onto its affine hull."""
+        poly = self._polyhedron
+        S = face.nonzero()[0]
+        P, G = poly.face(S)[:2]
+        return G, P @ poly.b[S]
 
     def solve_affine_vi(self, H, g, hint=None):
         """The active-set iteration on the rows scaled to unit normals; Lemke's method cold."""
@@ -783,21 +887,27 @@ class HalfspaceIntersection(FeasibleSet):
         ``w = x = z``: a row held to rounding or violated is active, and one
         ``z`` is inside of by more than the floor is not.
         """
-        z = np.asarray(z, dtype=float)
+        return np.flatnonzero(self._active(np.asarray(z, dtype=float)))
+
+    def _active(self, z):
+        """:meth:`activity` of a point, or of each row of a stack, as a boolean mask over the rows."""
         poly, z_norm = self._polyhedron, row_norm(z)
         floor = _floor(self.dimension, len(self.b), poly.offset, z_norm, z_norm)
-        return np.flatnonzero(poly.A @ z - poly.b <= floor)
+        return _times(poly.A, z) - poly.b <= np.expand_dims(floor, -1)
 
     def _tangent_cone(self, z, v):
-        """Projection onto the cone of the rows active at ``z``, through 0, row by row.
+        """Projection onto the cone of the rows active at ``z``, through 0.
 
-        A direction that no active row sees pointing out beyond the floor is
-        its own projection.
+        The rows of a stack that share their active rows are projected in
+        one stacked call.  A direction that no active row sees pointing out
+        beyond the floor is its own projection.
         """
         poly = self._polyhedron
-        out = [poly.project(self.activity(z_row), v_row)[0]
-               for z_row, v_row in zip(np.atleast_2d(z), np.atleast_2d(v))]
-        return np.array(out).reshape(v.shape)
+        Z, V = np.atleast_2d(z), np.atleast_2d(v)
+        out = np.empty(V.shape)
+        for active, group in _groups(self._active(Z)):
+            out[group] = poly.project(active.nonzero()[0], V[group])[0]
+        return out.reshape(v.shape)
 
     def __repr__(self):
         return f"HalfspaceIntersection({len(self.b)} rows, dim {self.dimension})"

@@ -13,19 +13,21 @@ on a genuinely monotone instance should never happen.  A check the instance
 cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
-An EG run on a box (the orthant and ``R^n`` too) goes in affine segments.
-A projection onto a box is affine on each face, and projection methods
-identify the active face in finitely many steps (Calamai & Moré, *Math.
-Programming* 39, 1987; Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988), so
-while the faces of its half and full steps hold, an EG step is one affine
-map.  :func:`_eg_blocks` predicts a block of iterates from the powers of that
-map and checks them all in one stacked step, which :func:`eg_step` is the
-one-row case of.  Each half iterate is then ``eg_step`` of its iterate bit
-for bit, and each iterate lies within ``_nnls_stop(n + 1, n) (1 + ||z||)``
-of the full step before it, on every bound that step lands on exactly.  On a
-set without face maps (the ball, halfspace sets) :func:`_eg_blocks` takes one
-step at a time, on points, and a run equals its steps taken one by one, bit
-for bit.
+An EG run on a box (the orthant and ``R^n`` too) or a halfspace set goes in
+affine segments.  A projection onto such a set is affine on each face: a
+clamp with a fixed pattern, or ``p -> Z Z^T p + P b_S`` on the rows ``S`` a
+halfspace projection holds.  Projection methods identify the active face in
+finitely many steps (Calamai & Moré, *Math. Programming* 39, 1987; Burke &
+Moré, *SIAM J. Numer. Anal.* 25, 1988), so while the faces of its half and
+full steps hold, an EG step is one affine map.  :func:`_eg_blocks` predicts
+a block of iterates from the powers of that map and checks them all in one
+stacked step, which :func:`eg_step` is the one-row case of.  Each half
+iterate is then ``eg_step`` of its iterate bit for bit, and each iterate
+lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the full step before
+it, on the face that step accepted: on a box exactly on every bound it
+lands on.  On the ball, which has no face maps, :func:`_eg_blocks` takes
+one step at a time, on points, and a run equals its steps taken one by
+one, bit for bit.
 
 Proximal-point steps are exact and finite: each is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
@@ -197,43 +199,50 @@ def _rowwise(operator):
     return lambda Z: np.array([operator(z) for z in Z])
 
 
-def _eg_steps(
-    operator, project, eta: float, z: np.ndarray, F_z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _eg_steps(operator, project, eta: float, z: np.ndarray, F_z: np.ndarray) -> tuple:
     """The EG step from a point, or from each row of a stack, given ``F_z = F(z)``.
 
-    Returns the half and full steps, then the two points projected to reach
-    them.  Every array call answers row by row, so a stack's rows equal the
-    per-point steps bit for bit.
+    ``project`` returns a projection and what else the caller reads of it,
+    the faces (:meth:`FeasibleSet._project_on_faces`) or ``None``.  Returns
+    the half and full steps, then that second item of each.  Every array
+    call answers row by row, so a stack's rows equal the per-point steps bit
+    for bit.
     """
-    to_half = z - eta * F_z
-    z_half = project(to_half)
-    to_next = z - eta * operator(z_half)
-    return z_half, project(to_next), to_half, to_next
+    z_half, half_face = project(z - eta * F_z)
+    z_next, next_face = project(z - eta * operator(z_half))
+    return z_half, z_next, half_face, next_face
+
+
+def _no_faces(feasible_set):
+    """``feasible_set``'s projection as :func:`_eg_steps` takes it, with no faces."""
+    return lambda p: (feasible_set._project(p), None)
 
 
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
-    z_k = np.asarray(z_k, dtype=float)
-    return _eg_steps(inst.operator, inst.set.project, eta, z_k, inst.operator(z_k))[:2]
+    z_k = require_finite("z_k", z_k)
+    return _eg_steps(inst.operator, _no_faces(inst.set), eta, z_k, inst.operator(z_k))[:2]
 
 
 def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
     """The EG step on fixed faces, ``z -> A z + c``, as ``[[A^T, 0], [c^T, 1]]``.
 
-    ``face`` holds the maps ``p -> s * p + t`` of the half and the full step's
-    projections (:meth:`FeasibleSet._face_map`), as ``(s_half, t_half,
-    s_next, t_next)``.  The matrix takes a row ``[z, 1]`` to ``[A z + c, 1]``.
+    ``face`` is a row of the half step's faces followed by the full step's
+    (:meth:`FeasibleSet._project_on_faces`); on them the projections are the
+    maps ``p -> S p + t`` of :meth:`FeasibleSet._face_map`.  The matrix
+    takes a row ``[z, 1]`` to ``[A z + c, 1]``.
     """
     n = inst.dimension
     M, q = inst.operator.M, inst.operator.q
-    s_half, t_half, s_next, t_next = face.reshape(4, n)
-    A_half = s_half[:, None] * (np.eye(n) - eta * M)
-    c_half = t_half - eta * s_half * q
+    half = len(face) // 2
+    S_half, t_half = inst.set._face_map(face[:half])
+    S_next, t_next = inst.set._face_map(face[half:])
+    A_half = S_half @ (np.eye(n) - eta * M)
+    c_half = t_half - eta * (S_half @ q)
     step = np.zeros((n + 1, n + 1))
-    step[:n, :n] = (s_next[:, None] * (np.eye(n) - eta * (M @ A_half))).T
-    step[n, :n] = t_next - eta * s_next * (M @ c_half + q)
+    step[:n, :n] = (S_next @ (np.eye(n) - eta * (M @ A_half))).T
+    step[n, :n] = t_next - eta * (S_next @ (M @ c_half + q))
     step[n, n] = 1.0
     return step
 
@@ -267,13 +276,15 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z`` (an
     ``(m, n)`` stack), ``F = F(Z)``, their half steps and the iterate after
     the last of them, where the next block starts.  On a set without face
-    maps (:meth:`FeasibleSet._face_map`) every block is one step, taken and
-    yielded as points, ``(n,)`` arrays: sets project a point faster than a
-    stack of one row, and the callers' array calls on a point cost less
-    too.  Such a run equals its steps taken one by one, bit for bit.
+    maps (:meth:`FeasibleSet._project_on_faces` gives ``None``: the ball)
+    every block is one step, taken and yielded as points, ``(n,)`` arrays:
+    the ball projects a point faster than a stack of one row, and the
+    callers' array calls on a point cost less too.  Such a run equals its
+    steps taken one by one, bit for bit.
 
-    While the faces of the half and full steps hold, a step is ``z -> A z +
-    c`` (:func:`_step_matrix`).  From the faces of the last step taken, a
+    On a box or a halfspace set each stacked projection hands back the face
+    it accepted, and while the faces of the half and full steps hold, a step
+    is ``z -> A z + c`` (:func:`_step_matrix`).  From the faces of the last step taken, a
     block predicts the next ``K - 1`` iterates (:func:`_predict`) and takes
     the EG step from all ``K`` rows in one stacked call.  A predicted
     iterate is kept while every step before it kept both faces and landed
@@ -283,13 +294,15 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.
 
     Each half step is the EG step of its iterate bit for bit.  Each iterate
-    is within that floor of the full step of the one before it, and equal
-    to it on every bound the step lands on, since both read the same face.
+    is within that floor of the full step of the one before it, on the face
+    that step accepted, since the prediction is that face's map; on a box
+    it equals the step on every bound the step lands on.
     An operator other than :class:`AffineOperator` takes each stack row by
     row (:func:`_rowwise`).
     """
-    operator, project, face_map = inst.operator, inst.set.project, inst.set._face_map
-    if face_map(z) is None:
+    operator, feasible = inst.operator, inst.set
+    if feasible._project_on_faces(z[None]) is None:
+        project = _no_faces(feasible)
         for _ in range(steps):
             F = operator(z)
             half, z_next = _eg_steps(operator, project, eta, z, F)[:2]
@@ -304,8 +317,8 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     while steps > 0:
         Z = z[None] if segment is None else _predict(segment, z, min(rows, steps))
         F = operator(Z)
-        halves, nexts, to_half, to_next = _eg_steps(operator, project, eta, Z, F)
-        faces = np.concatenate((*face_map(to_half), *face_map(to_next)), axis=1)
+        halves, nexts, *faces = _eg_steps(operator, feasible._project_on_faces, eta, Z, F)
+        faces = np.concatenate(faces, axis=1)
         drift = row_norm(nexts[:-1] - Z[1:])
         held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
         m = len(held) if held.all() else int(held.argmin())  # the step of row m ends the block
@@ -337,8 +350,9 @@ def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool)
 def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run EG for ``config.T`` steps from a feasible start; fully deterministic.
 
-    The steps are taken in blocks (:func:`_eg_blocks`): on a box, a block
-    per stretch of steps on fixed faces, and one step at a time elsewhere.
+    The steps are taken in blocks (:func:`_eg_blocks`): on a box or a
+    halfspace set, a block per stretch of steps on fixed faces, and one
+    step at a time on the ball.
     Warns when ``eta * L >= 1``, where the convergence theorems do not apply.
     """
     eta_L = config.eta * inst.operator.lipschitz
@@ -412,7 +426,8 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     ``r_nat(z) >= min(1, 1/eta) * ||z - z_half||``.  While that bound exceeds
     ``2 * tol`` (the factor absorbs rounding) the check could not pass.  The
     run takes its steps as :func:`eg_run` does, in affine segments on a box
-    (Calamai & Moré 1987; Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988),
+    or a halfspace set (Calamai & Moré 1987; Burke & Moré, *SIAM J. Numer.
+    Anal.* 25, 1988),
     and the gate and the check run on each block at once.  A run that
     exhausts its :data:`REFERENCE_MAX_ITER` EG steps raises
     :class:`ReferenceSolveError` with the smallest residual it evaluated, at

@@ -266,10 +266,10 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     else:
         lemke, iterate = sets._lemke, sets._Polyhedron.iterate
 
-        def counted_iterate(poly, rows, x, x_norm, H, r, S=None):
+        def counted_iterate(poly, x, x_norm, H, r, S=None):
             if S is None:
                 cold.append(x)
-            return iterate(poly, rows, x, x_norm, H, r, S)
+            return iterate(poly, x, x_norm, H, r, S)
 
         monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
         monkeypatch.setattr(sets._Polyhedron, "iterate", counted_iterate)

@@ -281,6 +281,16 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: --z0 must be comma-separated numbers, got 'a,0'\n"
 
+    @pytest.mark.parametrize("z0", ["0.1,,0.2,0.3", "0.1,0.2,0.3,", ",0.1,0.2,0.3", "0.1, ,0.2"])
+    def test_z0_with_an_empty_entry_exits_one_naming_z0(self, tmp_path, capsys, z0):
+        # dropping the empty entry would run 0.1,,0.2,0.3 as a 3-vector
+        path = write_instance(tmp_path, np.eye(3), np.zeros(3), [-1] * 3, [1] * 3)
+        code = main(["solve", "--instance", str(path), "--eta", "0.1", "--T", "3", f"--z0={z0}",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --z0 must be comma-separated numbers, got {z0!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_counterexample_instance_measure_csv(self, tmp_path):
         # solving the first counterexample instance reproduces the recorded
         # squared natural residual in the k=0 measure row

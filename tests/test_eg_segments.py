@@ -1,20 +1,22 @@
-"""EG runs on boxes taken in affine segments, against the step-by-step run.
+"""EG runs on boxes and halfspace sets taken in affine segments, against the
+step-by-step run.
 
-On a box, ``eg_run`` and ``solve_reference`` predict a run of iterates from
-the affine map of a step on fixed faces and check every prediction in one
-stacked step.  So a run no longer equals its steps taken one by one bit for
-bit.  What holds instead, and is pinned here:
+On a box or a halfspace set, ``eg_run`` and ``solve_reference`` predict a run
+of iterates from the affine map of a step on fixed faces and check every
+prediction in one stacked step.  So a run no longer equals its steps taken
+one by one bit for bit.  What holds instead, and is pinned here:
 
 * every half iterate is ``eg_step`` of its iterate, bit for bit;
 * every iterate lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the
-  full step of the iterate before it;
+  full step of the iterate before it, on the face that step accepted: on a
+  box exactly on every bound it lands on, on a halfspace set on the rows
+  its projection holds, to the rounding of both;
 * on a contractive run the iterates agree with the stepwise run
-  (``tests.oracles.eg_iterates_by_steps``) to 1e-12 relative, and with an
-  exact rational run to 1e-12 (1 + ||z||).
+  (``tests.oracles.eg_iterates_by_steps``) to 1e-12 relative, and on an
+  integer box with an exact rational run to 1e-12 (1 + ||z||).
 
-On the ball and on halfspace sets, which have no face maps, a run still
-equals its steps bit for bit.  An operator that is not an
-``AffineOperator`` is called on points only.
+On the ball, which has no face maps, a run still equals its steps bit for
+bit.  An operator that is not an ``AffineOperator`` is called on points only.
 """
 
 import math
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egtan.instances import AffineOperator, VIInstance
-from egtan.sets import Box, NonnegativeOrthant, WholeSpace, _nnls_stop
+from egtan.sets import Box, HalfspaceIntersection, NonnegativeOrthant, WholeSpace, _floor, _nnls_stop
 from egtan.solvers import SolverConfig, eg_run, eg_step, solve_reference
 from tests.oracles import eg_iterates_by_steps, eg_step_exact, tangent_residual_sq_exact
 from tests.test_affine_vi import random_operator, random_set
@@ -34,11 +36,14 @@ from tests.test_cli import counted
 
 
 def assert_steps_pinned(inst, eta, traj):
-    """Each step of a box run against ``eg_step`` from its iterate.
+    """Each step of a segmented run against ``eg_step`` from its iterate.
 
     The half iterate is ``eg_step``'s bit for bit.  The next iterate is
-    within the floor of its full step, and sits exactly on every bound that
-    full step lands on, so the tangent cone reads the same active bounds.
+    within the floor of its full step, and on the face that full step
+    accepted: on a box exactly on every bound the step lands on, so the
+    tangent cone reads the same active bounds; on a halfspace set on each
+    row the step's projection holds, to the floor and the projection's own
+    rounding.
     """
     n = inst.dimension
     zs = traj.iterates
@@ -47,8 +52,15 @@ def assert_steps_pinned(inst, eta, traj):
         np.testing.assert_array_equal(traj.half_iterates[k], z_half)
         floor = _nnls_stop(n + 1, n) * (1.0 + np.linalg.norm(zs[k + 1]))
         assert np.linalg.norm(zs[k + 1] - z_next) <= floor, k
-        on = np.logical_or(*inst.set._active_bounds(z_next))
-        np.testing.assert_array_equal(zs[k + 1][on], z_next[on])
+        if isinstance(inst.set, Box):
+            on = np.logical_or(*inst.set._active_bounds(z_next))
+            np.testing.assert_array_equal(zs[k + 1][on], z_next[on])
+            continue
+        to_next = zs[k] - eta * inst.operator(z_half)
+        poly, face = inst.set._polyhedron, inst.set._project_on_faces(to_next[None])[1][0]
+        rounding = _floor(n, len(poly.b), poly.offset, np.linalg.norm(to_next), np.linalg.norm(z_next))
+        slack = poly.A[face] @ zs[k + 1] - poly.b[face]
+        assert np.all(np.abs(slack) <= floor + rounding), k
 
 
 def skew_game(rng, kind):
@@ -61,6 +73,8 @@ def skew_game(rng, kind):
     if kind == "box":
         lo = rng.uniform(-1.0, 0.0, n)
         feasible = Box(lo, lo + rng.uniform(0.2, 1.5, n))
+    elif kind == "halfspaces":
+        feasible = random_set(rng, kind, n)[0]
     else:
         feasible = NonnegativeOrthant(n) if kind == "orthant" else WholeSpace(n)
     inst = VIInstance.create(op, feasible)
@@ -68,7 +82,7 @@ def skew_game(rng, kind):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(("box", "orthant", "rn")), st.sampled_from((0.5, 0.9, 0.99, 1.2)),
+@given(st.sampled_from(("box", "orthant", "rn", "halfspaces")), st.sampled_from((0.5, 0.9, 0.99, 1.2)),
        st.integers(0, 2**32 - 1))
 def test_segmented_runs_keep_every_step(kind, eta_L, seed):
     inst, z0 = skew_game(np.random.default_rng(seed), kind)
@@ -177,10 +191,9 @@ def test_a_non_normal_step_keeps_every_prediction_inside_the_floor(seed):
     assert_steps_pinned(inst, eta, eg_run(inst, SolverConfig(eta=eta, T=1000), rng.standard_normal(2)))
 
 
-@pytest.mark.parametrize("kind", ["ball", "halfspaces"])
-def test_runs_on_sets_without_face_maps_equal_their_steps(kind):
+def test_ball_runs_equal_their_steps():
     rng = np.random.default_rng(3)
-    feasible, z0 = random_set(rng, kind, 4)
+    feasible, z0 = random_set(rng, "ball", 4)
     inst = VIInstance.create(random_operator(rng, 4, monotone=True), feasible)
     eta = 0.9 / inst.operator.lipschitz
     traj = eg_run(inst, SolverConfig(eta=eta, T=50), z0)
@@ -188,6 +201,30 @@ def test_runs_on_sets_without_face_maps_equal_their_steps(kind):
     np.testing.assert_array_equal(traj.iterates, zs)
     np.testing.assert_array_equal(traj.half_iterates, halfs)
     np.testing.assert_array_equal(traj.operator_values, inst.operator(zs))
+
+
+def halfspace_instance(seed, n=4, rows=3):
+    """A cli-mixed-like instance: a strongly monotone operator on ``rows`` halfspaces, and a start."""
+    rng = np.random.default_rng(seed)
+    z0, a = rng.standard_normal(n), rng.standard_normal((rows, n))
+    feasible = HalfspaceIntersection(list(zip(a, a @ z0 - rng.uniform(0.0, 0.5, rows))))
+    return VIInstance.create(random_operator(rng, n, monotone=True), feasible), z0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_halfspace_runs_project_per_segment_not_per_step(seed, monkeypatch):
+    # a stepwise fallback would find the faces of 2 T projections, one per call
+    calls = []
+    monkeypatch.setattr(HalfspaceIntersection, "_project_on_faces",
+                        counted(HalfspaceIntersection._project_on_faces, calls))
+    inst, z0 = halfspace_instance(seed)
+    eta = 0.5 / inst.operator.lipschitz
+    traj = eg_run(inst, SolverConfig(eta=eta, T=100), z0)
+    assert len(calls) <= 50
+    assert_steps_pinned(inst, eta, traj)
+    calls.clear()
+    solve_reference(inst, eta)
+    assert len(calls) <= 50
 
 
 class RecordingOperator:

@@ -2,9 +2,9 @@
 
 ``solve_reference`` evaluates the natural residual only once the half step is
 short, since ``r_nat(z) >= min(1, 1/eta) ||z - z_half||`` by the projection-arc
-lemma.  A skipped check could never have stopped the run.  On a ball or a
-halfspace set, whose EG runs step one by one, it must return the very iterate
-of the loop below, which projects three times per step.  On a box the run is
+lemma.  A skipped check could never have stopped the run.  On a ball, whose
+EG runs step one by one, it must return the very iterate of the loop below,
+which projects three times per step.  On a box or a halfspace set the run is
 taken in affine segments (``tests/test_eg_segments.py``), so it agrees with
 the loop's iterates to rounding; a natural residual near the tolerance then
 carries enough rounding to stop one step earlier or later.
@@ -77,7 +77,7 @@ def test_matches_the_three_projection_loop(kind, lipschitz, eta_L, explicit_z0):
         z0 = inst.set.project(2.0 * rng.standard_normal(n)) if explicit_z0 else None
         z = solve_reference(inst, eta, z0=z0)
         want, near = three_projection_solve(inst, eta, z0=z0)
-        if kind in ("ball", "halfspaces"):
+        if kind == "ball":
             assert np.array_equal(z, want)
         else:
             assert natural_residual(inst, z) <= REFERENCE_TOL

@@ -540,13 +540,19 @@ def box_projection_problems(draw):
 @given(box_projection_problems())
 def test_box_project_equals_clip(problem):
     # min/max equals np.clip under ==, with NaN propagating as clip does; a
-    # point's zeros also keep clip's sign, so iterates print alike
+    # point's zeros also keep clip's sign, so iterates print alike.  The
+    # public project takes finite points only, and gives the same bits.
     feasible, p = problem
-    got, clipped = feasible.project(p), np.clip(p, feasible.l, feasible.u)
+    got, clipped = feasible._project(p), np.clip(p, feasible.l, feasible.u)
     assert got.dtype == np.float64 and got.shape == p.shape
     assert np.array_equal(got, clipped, equal_nan=True)
     if p.ndim == 1:
         assert np.array_equal(np.signbit(got[got == 0]), np.signbit(clipped[clipped == 0]))
+    if np.isfinite(p).all():
+        assert feasible.project(p).tobytes() == got.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^p must be finite"):
+            feasible.project(p)
 
 
 class TestSetOperations:

@@ -2,11 +2,14 @@
 per-point calls give: for every set operation and every point measure.  On the
 same draws, the measures keep the inequalities that tie them together."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egtan import sets
 from egtan.instances import AffineOperator, DimensionMismatchError, VIInstance
 from egtan.measures import gap, natural_residual, tangent_residual
 from egtan.sets import (
@@ -138,6 +141,106 @@ def test_set_operations_match_row_by_row(problem):
     np.testing.assert_array_equal(z[still], Z[still])
 
 
+def halfspace_stack(rng, n, m, k, kind):
+    """A set of ``m`` halfspaces in ``R^n``, ``k`` points to project, ``k`` points of the set
+    and ``k`` directions.
+
+    ``kind`` ``"vertex"`` puts every row through one point, a degenerate
+    vertex once ``m > n``; ``"repeat"`` makes the last row the first scaled
+    by 2, the same unit row, so a face holding both is rank deficient;
+    ``"slack"`` gives each row some slack at a common point.  The points to
+    project lie at distances from 0.1 to 1000, so some violate rows their
+    projection does not hold.
+    """
+    z0, a = rng.standard_normal(n), rng.standard_normal((m, n))
+    b = a @ z0 - (0.0 if kind == "vertex" else rng.uniform(0.0, 0.5, m))
+    if kind == "repeat":
+        a[-1], b[-1] = 2.0 * a[0], 2.0 * b[0]
+    feasible = HalfspaceIntersection(list(zip(a, b)))
+    spread = 10.0 ** rng.integers(-1, 4, (k, 1))
+    P = z0 + spread * rng.standard_normal((k, n))
+    Z = feasible.project(z0 + spread * rng.standard_normal((k, n)))
+    return feasible, P, Z, rng.standard_normal((k, n))
+
+
+@st.composite
+def halfspace_stacks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return halfspace_stack(rng, draw(st.integers(1, 4)), draw(st.integers(1, 7)),
+                           draw(st.integers(1, 8)), draw(st.sampled_from(["vertex", "repeat", "slack"])))
+
+
+def _degenerate_vertex_stack():
+    """The degenerate vertex of ``test_degenerate_vertex_reaches_the_nnls_once``: rows 1, 3 and 5
+    pass through (-1, 2), and the iteration from (-7, 1) repeats a face and takes the NNLS."""
+    A = np.array([[-1.0, 1.0], [-2.0, -1.0], [1.0, 2.0], [1.0, 0.0], [-2.0, 3.0], [3.0, 2.0]])
+    b = np.array([2.0, 0.0, 2.0, -1.0, 7.0, 1.0])
+    feasible = HalfspaceIntersection(list(zip(A, b)))
+    P = np.array([[-7.0, 1.0], [-1.0, 2.0], [5.0, -3.0], [-7.0, 1.0], [0.0, 10.0], [-3.0, 0.0]])
+    Z = feasible.project(P)
+    return feasible, P, Z, np.array([[1.0, 0.0], [-1.0, -1.0], [0.0, 1.0], [2.0, -3.0],
+                                     [-1.0, 0.5], [0.0, 0.0]])
+
+
+@settings(max_examples=300)
+@given(halfspace_stacks())
+@example(_degenerate_vertex_stack())
+def test_halfspace_stacks_match_row_by_row(problem):
+    # rows of one stack take different numbers of rounds and different routes
+    feasible, P, Z, V = problem
+    assert_bitwise_equal(feasible.project(P), row_by_row(feasible.project, P))
+    assert_bitwise_equal(feasible.project_tangent_cone(Z, V),
+                         row_by_row(feasible.project_tangent_cone, Z, V))
+
+
+def test_halfspace_stacks_reach_every_route(monkeypatch):
+    # the stacks drawn above meet rows that need two rounds or more, faces
+    # whose rows are rank deficient, and the NNLS
+    faces, nnls = [], []
+    on_face, cold = sets._Polyhedron.on_face, sets._nnls
+
+    def recorded(*args):
+        out = on_face(*args)
+        faces.append(out[2])  # whether the face's rows are rank deficient
+        return out
+
+    monkeypatch.setattr(sets._Polyhedron, "on_face", recorded)
+    monkeypatch.setattr(sets, "_nnls", lambda *args: nnls.append(1) or cold(*args))
+    rounds, deficient, routes = 0, 0, 0
+    rng = np.random.default_rng(0)
+    for kind in ("vertex", "repeat", "slack") * 40:
+        feasible, P, _, _ = halfspace_stack(rng, int(rng.integers(1, 5)), int(rng.integers(1, 8)), 4, kind)
+        for p in P:
+            faces.clear(), nnls.clear()
+            feasible.project(p)
+            rounds += len(faces) >= 2 and not nnls
+            deficient += any(faces)
+            routes += bool(nnls)
+    assert rounds and deficient and routes  # 160, 138 and 14 of the 480 rows
+    feasible, P, _, _ = _degenerate_vertex_stack()
+    faces.clear(), nnls.clear()
+    feasible.project(P[:1])
+    assert len(nnls) == 1 and len(faces) == 5  # four faces tried, and the NNLS's
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_rejects_a_non_finite_row(kind, bad):
+    feasible = {
+        "box": Box(-np.ones(2), np.ones(2)),
+        "orthant": NonnegativeOrthant(2),
+        "rn": WholeSpace(2),
+        "ball": Ball(np.zeros(2), 1.0),
+        "halfspaces": HalfspaceIntersection([(np.array([1.0, 0.0]), 0.0), (np.ones(2), -1.0)]),
+    }[kind]
+    P = np.array([[0.5, 5.0], [bad, 0.0], [-3.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        for p in (P[1], P):
+            with pytest.raises(ValueError, match="^p must be finite"):
+                feasible.project(p)
+
+
 @settings(max_examples=200)
 @given(stacked_problems())
 @example(WALK_CASES)
@@ -250,6 +353,8 @@ def test_nan_in_any_row_is_named(row):
         gap(inst, bad, 1.0)
     with pytest.raises(ValueError, match="^z must be finite"):
         gap(inst, bad, 1.0, F_z=good)
+    with pytest.raises(ValueError, match="^z must be finite"):
+        natural_residual(inst, bad)
 
 
 def test_cached_operator_values_must_match_the_stack():
