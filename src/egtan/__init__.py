@@ -14,70 +14,47 @@ The package is organized around four concerns:
 ``egtan.counterexamples`` reproduces the published instances on which the
 classical measures fail to decrease, and :mod:`egtan.cli` exposes everything
 as the ``egtan`` command.
+
+The public names are imported on first use, so ``import egtan`` and
+``egtan verify-certificates`` load no numpy.  numpy is still a dependency:
+``solve``, ``rates`` and ``counterexample`` import it when they run.
 """
 
-from .instances import (
-    AffineOperator,
-    BilinearGameSpec,
-    VIInstance,
-    make_bilinear,
-    matrix_constants,
-)
-from .measures import (
-    duality_gap_bilinear,
-    gap,
-    natural_residual,
-    tangent_residual,
-)
-from .sets import (
-    Ball,
-    Box,
-    FeasibleSet,
-    HalfspaceIntersection,
-    NonnegativeOrthant,
-    WholeSpace,
-)
-from .solvers import (
-    RateReport,
-    SolverConfig,
-    Trajectory,
-    best_iterate_index,
-    eg_run,
-    eg_step,
-    pp_run,
-    pp_step,
-    rate_report_eg,
-    rate_report_pp,
-    solve_reference,
-)
+import importlib
 
-__all__ = [
-    "AffineOperator",
-    "Ball",
-    "BilinearGameSpec",
-    "Box",
-    "FeasibleSet",
-    "HalfspaceIntersection",
-    "NonnegativeOrthant",
-    "RateReport",
-    "SolverConfig",
-    "Trajectory",
-    "VIInstance",
-    "WholeSpace",
-    "best_iterate_index",
-    "duality_gap_bilinear",
-    "eg_run",
-    "eg_step",
-    "gap",
-    "make_bilinear",
-    "matrix_constants",
-    "natural_residual",
-    "pp_run",
-    "pp_step",
-    "rate_report_eg",
-    "rate_report_pp",
-    "solve_reference",
-    "tangent_residual",
-]
+# Each public name and the module that defines it, resolved on first use by
+# the module __getattr__ (PEP 562).
+_HOME = {
+    **dict.fromkeys(
+        ("AffineOperator", "BilinearGameSpec", "VIInstance", "make_bilinear", "matrix_constants"),
+        "instances",
+    ),
+    **dict.fromkeys(("duality_gap_bilinear", "gap", "natural_residual", "tangent_residual"), "measures"),
+    **dict.fromkeys(
+        ("Ball", "Box", "FeasibleSet", "HalfspaceIntersection", "NonnegativeOrthant", "WholeSpace"),
+        "sets",
+    ),
+    **dict.fromkeys(
+        (
+            "RateReport", "SolverConfig", "Trajectory", "best_iterate_index", "eg_run", "eg_step",
+            "pp_run", "pp_step", "rate_report_eg", "rate_report_pp", "solve_reference",
+        ),
+        "solvers",
+    ),
+}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

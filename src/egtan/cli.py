@@ -19,36 +19,22 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import certificates, counterexamples
-from .instances import _render_json, load_instance
-from .sets import require_positive
-from .solvers import (
-    SolverConfig,
-    _require_contraction,
-    eg_run,
-    pp_run,
-    rate_report_eg,
-    rate_report_pp,
-    solve_reference,
-    write_trajectory_csv,
-)
-from .measures import write_measures_csv
+from . import counterexamples
+from .render import _render_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 
-def _parse_z0(text: str, dimension: int) -> np.ndarray:
+def _parse_z0(text: str, dimension: int) -> list[float]:
     try:
         parts = [float(x) for x in text.split(",")]  # an empty entry does not parse
     except ValueError:
         raise ValueError(f"--z0 must be comma-separated numbers, got {text!r}") from None
     if len(parts) != dimension:
         raise ValueError(f"--z0 has {len(parts)} entries, instance needs {dimension}")
-    return np.array(parts)
+    return parts
 
 
 def _run_and_report(args, write) -> int:
@@ -56,8 +42,23 @@ def _run_and_report(args, write) -> int:
 
     ``write(traj, report)`` saves and prints what the command shows.  The
     step (``eta * L < 1``), ``--D`` and ``z0`` are checked before any step, so
-    a bad one exits 1 at once.
+    a bad one exits 1 at once.  The numeric modules load here, not with the
+    command line, so ``--help`` and ``verify-certificates`` never import numpy.
     """
+    import numpy as np
+
+    from .instances import load_instance
+    from .sets import require_positive
+    from .solvers import (
+        SolverConfig,
+        _require_contraction,
+        eg_run,
+        pp_run,
+        rate_report_eg,
+        rate_report_pp,
+        solve_reference,
+    )
+
     try:
         inst = load_instance(args.instance)
         if not inst.operator.monotone:
@@ -68,7 +69,7 @@ def _run_and_report(args, write) -> int:
             print(f"warning: {msg}", file=sys.stderr)
         config = SolverConfig(eta=args.eta, T=args.T)
         z0 = (
-            _parse_z0(args.z0, inst.dimension)
+            np.array(_parse_z0(args.z0, inst.dimension))
             if args.z0
             else inst.set.project(np.zeros(inst.dimension))
         )
@@ -95,6 +96,9 @@ def _write_rates(out: Path, report) -> None:
 
 def cmd_solve(args) -> int:
     def write(traj, report):
+        from .measures import write_measures_csv
+        from .solvers import write_trajectory_csv
+
         out = Path(args.out)
         _write_rates(out, report)
         with open(out / "trajectory.csv", "w", newline="") as fh:
@@ -127,6 +131,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify_certificates(args) -> int:
+    from . import certificates
+
     try:
         report = certificates.verification_report(seed=args.seed, mutate=args.mutate)
         if args.out:

@@ -15,13 +15,13 @@ carry eight decimals too, and every record matches them to ``ITERATE_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .instances import BilinearGameSpec, VIInstance, make_bilinear
-from .measures import duality_gap_bilinear
-from .solvers import SolverConfig, Trajectory, eg_run
+if TYPE_CHECKING:  # the records load without numpy; only running a game needs it
+    from .instances import BilinearGameSpec, VIInstance
+    from .solvers import Trajectory
 
 ITERATE_TOL = 1e-7  # largest coordinate deviation from a printed iterate
 
@@ -43,6 +43,10 @@ class Counterexample:
     notes: str = ""
 
     def spec(self) -> BilinearGameSpec:
+        import numpy as np
+
+        from .instances import BilinearGameSpec
+
         lo, hi = self.box
         ell = len(self.b)
         m = len(self.c)
@@ -55,13 +59,21 @@ class Counterexample:
         )
 
     def instance(self) -> VIInstance:
+        from .instances import make_bilinear
+
         return make_bilinear(self.spec())
 
     def run(self, T: int | None = None) -> Trajectory:
+        import numpy as np
+
+        from .solvers import SolverConfig, eg_run
+
         steps = T if T is not None else len(self.expected_series)
         return eg_run(self.instance(), SolverConfig(eta=self.eta, T=steps), np.array(self.z0))
 
     def measured_series(self, trajectory: Trajectory) -> list[float]:
+        from .measures import duality_gap_bilinear
+
         n = len(self.expected_series)
         if self.measure == "gap":
             vals = duality_gap_bilinear(self.spec(), trajectory.iterates[:n])
@@ -172,7 +184,7 @@ def resolve_gap_domain() -> GapDomainResolution:
     the one with the smaller worst deviation from the printed series.
     """
     deviations = {}
-    best_box, best_dev = None, np.inf
+    best_box, best_dev = None, math.inf
     for box in ((0.0, 1.0), (0.0, 10.0)):
         ce = replace(GAP, box=box)
         series = ce.measured_series(ce.run())
@@ -189,6 +201,8 @@ def reproduce(name: str) -> dict:
     Returns a report with the computed and expected series, the per-value
     deviations, the trajectory deviations, and pass/fail flags.
     """
+    import numpy as np
+
     ce = ALL[name]
     traj = ce.run()
     series = ce.measured_series(traj)

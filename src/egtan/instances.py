@@ -15,6 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .render import _render_json
 from .sets import (
     Box,
     _times,
@@ -317,34 +318,6 @@ def load_instance(fp: TextIO | str) -> VIInstance:
         with open(fp) as fh:
             return instance_from_json(json.load(fh))
     return instance_from_json(json.load(fp))
-
-
-def _render_json(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python encoder.
-
-    With ``indent`` the stdlib encodes every value in Python.  Here a list of
-    floats goes through the C encoder in one call and is split at ``", "``,
-    which no float's repr contains; dicts and other lists recurse.  Keys and
-    scalars go through ``json.dumps``, so NaN, escapes and ``ensure_ascii``
-    match.  ``indent`` is the newline and indentation of ``obj``'s own line.
-    """
-    if not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        body = ("," + inner).join(
-            # a non-string key is written as its JSON scalar, quoted
-            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _render_json(v, inner)
-            for k, v in obj.items()
-        )
-        return "{" + inner + body + indent + "}"
-    if all(isinstance(x, float) for x in obj):
-        body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
-    else:
-        body = ("," + inner).join(_render_json(v, inner) for v in obj)
-    return "[" + inner + body + indent + "]"
 
 
 def save_instance(inst: VIInstance, fp: TextIO | str) -> None:

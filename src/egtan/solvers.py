@@ -55,6 +55,7 @@ from .sets import UnsupportedSetError, _nnls_stop, require_finite, require_posit
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
 REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
+REPORT_REFERENCE_TOL = 1e-10  # natural residual a rate report asks of z_star
 SEGMENT_MAX_STEPS = 512  # steps one EG block takes at most, so its memory stays flat
 
 
@@ -528,8 +529,12 @@ def _distances_and_radius(
     """
     inst = trajectory.instance
     _require_contraction(inst, trajectory.config.eta, "a rate report")
-    if natural_residual(inst, z_star) > 1e-10:
-        raise ValueError("z_star is not accurate enough for rate checks")
+    residual = natural_residual(inst, z_star)
+    if residual > REPORT_REFERENCE_TOL:
+        raise ValueError(
+            f"z_star is not accurate enough for rate checks: natural residual "
+            f"{residual:.3e} > {REPORT_REFERENCE_TOL:.1e}"
+        )
     dist = trajectory.series("dist-to-solution", z_star=z_star)
     if D is None:  # the 1-D norm: the row-wise dist[0] may differ in the last bit
         D = 2.0 * float(np.linalg.norm(trajectory.iterates[0] - np.asarray(z_star, dtype=float)))
@@ -567,8 +572,8 @@ def rate_report_eg(
     bound, tangent-residual monotonicity, the last-iterate gap rate, and (when
     the operator is strongly monotone) the linear rate and the gap-to-distance
     bound.  Requires half iterates and a reference solution with natural
-    residual at most 1e-10.  Gap checks the set or operator cannot support
-    are listed in ``skipped``.
+    residual at most :data:`REPORT_REFERENCE_TOL`.  Gap checks the set or
+    operator cannot support are listed in ``skipped``.
     """
     if trajectory.half_iterates is None:
         raise ValueError("rate_report_eg needs a trajectory recorded with half iterates")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from egtan import cli, sets
+from egtan import sets, solvers
 from egtan.certificates import ALL_TERM_NAMES
 from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
@@ -423,8 +423,8 @@ class TestPreconditionsBeforeTheRun:
         def refuse(*args, **kwargs):
             raise AssertionError("a run or reference solve started")
 
-        for name in ("eg_run", "pp_run", "solve_reference"):
-            monkeypatch.setattr(f"egtan.cli.{name}", refuse)
+        for name in ("eg_run", "pp_run", "solve_reference"):  # cli reads them at call time
+            monkeypatch.setattr(f"egtan.solvers.{name}", refuse)
 
     def argv(self, tmp_path, command, solver, *flags):
         path = write_instance(tmp_path, np.eye(2), np.zeros(2), [-1, -1], [1, 1])
@@ -477,14 +477,14 @@ class TestOneRunAndReportPath:
     def test_gap_column_is_at_the_report_radius(self, tmp_path, monkeypatch):
         # the report picks the default radius, and measures.csv reads it there
         radii = []
-        report_for, series = cli.rate_report_eg, Trajectory.measure_series
+        report_for, series = solvers.rate_report_eg, Trajectory.measure_series
 
         def recorded(*args, **kwargs):
             report = report_for(*args, **kwargs)
             radii.append(report.radius)
             return report
 
-        monkeypatch.setattr(cli, "rate_report_eg", recorded)
+        monkeypatch.setattr(solvers, "rate_report_eg", recorded)
         monkeypatch.setattr(Trajectory, "measure_series",
                             lambda traj, D=None, known=None: radii.append(D) or series(traj, D, known))
         path = write_instance(tmp_path, [[0.2, -1.0], [1.0, 0.2]], [0.3, -0.2], [-2, -2], [2, 2])

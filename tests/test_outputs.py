@@ -17,15 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from egtan import cli
+from egtan import cli, measures, solvers
 from egtan.cli import main
-from egtan.instances import (
-    AffineOperator,
-    VIInstance,
-    _render_json,
-    instance_to_json,
-    save_instance,
-)
+from egtan.instances import AffineOperator, VIInstance, instance_to_json, save_instance
+from egtan.render import _render_json
 from egtan.measures import write_measures_csv
 from egtan.sets import Ball, Box, HalfspaceIntersection, NonnegativeOrthant, WholeSpace
 from egtan.solvers import SolverConfig, Trajectory, write_trajectory_csv
@@ -119,10 +114,11 @@ def write_instance(tmp_path, kind: str) -> tuple[str, VIInstance]:
 
 
 def use_stdlib_writers(monkeypatch):
+    # cli binds _render_json at import and reads the CSV writers from their modules per call
     monkeypatch.setattr(cli, "_render_json", json_by_stdlib)
-    monkeypatch.setattr(cli, "write_trajectory_csv",
+    monkeypatch.setattr(solvers, "write_trajectory_csv",
                         lambda fh, traj: fh.write(trajectory_csv_by_stdlib(traj)))
-    monkeypatch.setattr(cli, "write_measures_csv",
+    monkeypatch.setattr(measures, "write_measures_csv",
                         lambda fh, columns: fh.write(measures_csv_by_stdlib(columns)))
 
 

@@ -362,6 +362,18 @@ class TestRateReports:
             assert report_for(traj, z_star, D=0.7).radius == 0.7
             assert report_for(run(inst, SolverConfig(eta=eta, T=3), z_star), z_star).radius == 1.0
 
+    @pytest.mark.parametrize("report_for, run", [(rate_report_eg, eg_run), (rate_report_pp, pp_run)])
+    def test_inaccurate_z_star_names_its_residual_and_the_bound(self, monkeypatch, report_for, run):
+        inst = scalar_identity_instance()  # F(z) = z, so the natural residual of z is |z|
+        traj = run(inst, SolverConfig(eta=0.5, T=3), np.ones(1))
+        with pytest.raises(ValueError) as excinfo:
+            report_for(traj, np.array([1e-6]))
+        assert str(excinfo.value) == (
+            "z_star is not accurate enough for rate checks: natural residual 1.000e-06 > 1.0e-10"
+        )
+        monkeypatch.setattr("egtan.solvers.REPORT_REFERENCE_TOL", 1e-5)  # read at call time
+        assert report_for(traj, np.array([1e-6])).radius == 2.0 * (1.0 - 1e-6)
+
     def test_eg_random_monotone_instance(self):
         rng = np.random.default_rng(5)
         inst = random_monotone_instance(rng)
