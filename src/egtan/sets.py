@@ -24,7 +24,10 @@ box's bound is active only at or past it, the floor of an exact clamp.
 
 Each method takes a point or a ``(k, n)`` stack of points and answers row by
 row; a point is the one-row case of the same array code, so a stacked call
-equals the per-point calls bit for bit.  A halfspace projection solves the
+equals the per-point calls bit for bit.  The ball projects a point on a
+path of its own, with no array dispatch (one ``vecdot``, then float
+arithmetic), the path an EG run on the ball takes at every step; it is
+bit-equal to the point's row of a stack.  A halfspace projection solves the
 rows of a stack that share a candidate face with one call on that face.
 ``project`` rejects a non-finite point; the solvers call the unchecked
 ``_project`` on the points they made themselves.  Boxes and halfspace sets
@@ -368,12 +371,22 @@ class Ball(FeasibleSet):
         self.radius = float(radius)
         self.dimension = center.shape[0]
         self._offset = float(row_norm(center)) + self.radius
+        self._metric = (b"", None, None)  # H's bytes, I and ||H||_inf, for the PP kernel
 
     def _violation(self, z):
         return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
 
     def _project(self, p):
+        """A point in the ball is copied; any other goes to the sphere along ``p - c``.
+
+        A point takes no array dispatch: one ``vecdot``, whose square root
+        and comparison are floats, as the stack's rows take them, so a point
+        and its row of a stack agree bit for bit.
+        """
         d = p - self.center
+        if p.ndim == 1:
+            norm = math.sqrt(np.vecdot(d, d))
+            return p.copy() if norm <= self.radius else self.center + self.radius * d / norm
         norm = row_norm(d)[..., None]
         inside = norm <= self.radius
         return np.where(inside, p, self.center + self.radius * d / np.where(inside, 1.0, norm))
@@ -398,10 +411,14 @@ class Ball(FeasibleSet):
         finds from the hint, the previous step's ``mu`` (0 without one).  The
         run ends at ``mu = 0`` with ``||d|| <= R`` for a point inside the ball;
         any other ``d`` is put on the sphere.  Returns ``w`` and ``mu``, the
-        next step's hint.
+        next step's hint.  ``I`` and ``||H||_inf`` are kept for the last ``H``
+        seen, as a polyhedron keeps ``H^{-1}``, so a run builds them once.
         """
         R = self.radius
-        mu, d = _secular_newton(H, g + H @ self.center, R, hint or 0.0)
+        key = H.tobytes()
+        if key != self._metric[0]:
+            self._metric = (key, np.eye(len(H)), float(np.abs(H).sum(axis=1).max()))
+        mu, d = _secular_newton(H, g + H @ self.center, R, hint or 0.0, *self._metric[1:])
         norm = row_norm(d)
         if mu == 0.0 and norm <= R:
             return self.center + d, mu
@@ -781,7 +798,7 @@ class _Polyhedron:
         return f"rows {i} and {j} are nearly parallel (|cos| = 1 - {1.0 - cos[i, j]:.1e})"
 
 
-def _secular_newton(H, r, R, mu):
+def _secular_newton(H, r, R, mu, eye, scale):
     """Safeguarded Newton steps from ``mu`` on ``psi = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
 
     ``psi`` increases, with ``psi' = d^T (H + mu I)^{-1} d / ||d||^3``; its root
@@ -791,15 +808,15 @@ def _secular_newton(H, r, R, mu):
     where ``||d|| <= R`` ends the run: the root is at or below 0, and ``d``
     lies inside the ball.  Any other step that leaves the bracket bisects it.
     Ends, with ``mu`` and its ``d``, when the Newton step from ``mu`` is at
-    most ``_nnls_stop(n, n)`` relative to ``mu + ||H||_inf``: the step
-    carries rounding of about ``eps ||H + mu I||``, so a test relative to
-    ``mu`` alone cannot pass once ``mu`` is small beside ``||H||``.
+    most ``_nnls_stop(n, n)`` relative to ``mu + ||H||_inf``, given as
+    ``scale`` with ``eye = I``: the step carries rounding of about
+    ``eps ||H + mu I||``, so a test relative to ``mu`` alone cannot pass once
+    ``mu`` is small beside ``||H||``.
     """
     n = len(r)
-    eye = np.eye(n)
     lo, hi = -math.inf, float(row_norm(r)) / R  # lo < 0 until a point left of the root is seen
     mu = min(max(mu, 0.0), hi)
-    stop, scale = _nnls_stop(n, n), float(np.abs(H).sum(axis=1).max())
+    stop = _nnls_stop(n, n)
     for _ in range(100):  # a guard: bisection alone shrinks the bracket to rounding in under 60
         K_inv = np.linalg.inv(H + mu * eye)
         d = -(K_inv @ r)

@@ -21,7 +21,9 @@ finitely many steps (Calamai & Moré, *Math. Programming* 39, 1987; Burke &
 Moré, *SIAM J. Numer. Anal.* 25, 1988), so while the faces of its half and
 full steps hold, an EG step is one affine map.  :func:`_eg_blocks` predicts
 a block of iterates from the powers of that map and checks them all in one
-stacked step, which :func:`eg_step` is the one-row case of.  Each half
+stacked step, which :func:`eg_step` is the one-row case of.  A block that
+ends on the face it ran on hands its map and the powers squared from it to
+the next block; only a change of face builds a new map.  Each half
 iterate is then ``eg_step`` of its iterate bit for bit, and each iterate
 lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the full step before
 it, on the face that step accepted: on a box exactly on every bound it
@@ -248,25 +250,27 @@ def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
     return step
 
 
-def _predict(step: np.ndarray, z: np.ndarray, rows: int) -> np.ndarray:
-    """``z`` and the iterates after it under the affine ``step``: at most ``rows`` rows.
+def _predict(powers: list, z: np.ndarray, rows: int) -> np.ndarray:
+    """``z`` and the iterates after it under the affine step ``powers[0]``: at most ``rows`` rows.
 
     Row ``j`` is ``[z, 1] step^j``.  Rows ``2^i`` to ``2^(i+1) - 1`` are the
-    rows before them times ``step^(2^i)``: one product each, and one squaring.
-    A prediction can leave the run, and an expansive one overflow; the
-    stack ends before its first row that is not finite.
+    rows before them times ``powers[i] = step^(2^i)``: one product each.
+    ``powers`` holds the squarings made so far, and one it lacks is
+    appended, so a later call on the same step squares only past them.  A
+    prediction can leave the run, and an expansive one overflow; the stack
+    ends before its first row that is not finite.
     """
     n = len(z)
     out = np.empty((rows, n + 1))
     out[0, :n], out[0, n] = z, 1.0
-    have, power = 1, step
+    have, i = 1, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while have < rows:
+            if i == len(powers):
+                powers.append(powers[-1] @ powers[-1])
             new = min(have, rows - have)
-            np.matmul(out[:new], power, out=out[have:have + new])
-            have += new
-            if have < rows:
-                power = power @ power
+            np.matmul(out[:new], powers[i], out=out[have:have + new])
+            have, i = have + new, i + 1
     finite = np.isfinite(out).all(axis=1)
     return np.ascontiguousarray(out[: rows if finite.all() else max(1, int(finite.argmin())), :n])
 
@@ -293,6 +297,11 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     fails took a true step, so its step ends the block and its faces start
     the next.  ``K`` doubles after a block that kept every row, up to
     :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.
+    When the step that ends a block is on the block's own face, the next
+    block reuses that face's matrix and the powers :func:`_predict` squared
+    from it; a new face builds a new matrix.  The matrix is a function of
+    the face alone, so reuse changes no bit, and the powers kept are at
+    most ``log2(SEGMENT_MAX_STEPS) + 1`` matrices of size ``(n + 1)^2``.
 
     Each half step is the EG step of its iterate bit for bit.  Each iterate
     is within that floor of the full step of the one before it, on the face
@@ -313,10 +322,10 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
     operator = _rowwise(operator)
     n = inst.dimension
     stop = _nnls_stop(n + 1, n)
-    segment = face = None  # the last step taken, as a matrix, and its faces
+    powers = face = None  # the powers of the last face's step matrix, and that face
     rows = 2
     while steps > 0:
-        Z = z[None] if segment is None else _predict(segment, z, min(rows, steps))
+        Z = z[None] if powers is None else _predict(powers, z, min(rows, steps))
         F = operator(Z)
         halves, nexts, *faces = _eg_steps(operator, feasible._project_on_faces, eta, Z, F)
         faces = np.concatenate(faces, axis=1)
@@ -324,9 +333,9 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
         held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
         m = len(held) if held.all() else int(held.argmin())  # the step of row m ends the block
         rows = min(2 * len(Z), SEGMENT_MAX_STEPS) if m == len(held) else 2
+        if steps > m + 1 and (powers is None or (faces[m] != face).any()):
+            powers = [_step_matrix(inst, eta, faces[m])]  # a new face: a new map
         face = faces[m]
-        if steps > m + 1:
-            segment = _step_matrix(inst, eta, face)
         yield Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m]
         z, steps = nexts[m], steps - m - 1
 

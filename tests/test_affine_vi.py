@@ -255,8 +255,8 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     if kind == "ball":
         newton, inv = sets._secular_newton, np.linalg.inv
 
-        def counted(H, r, R, mu):
-            out = newton(H, r, R, mu)
+        def counted(H, r, R, mu, *constants):
+            out = newton(H, r, R, mu, *constants)
             if mu == 0.0 and out[0] > 0.0:
                 cold.append(mu)
             return out

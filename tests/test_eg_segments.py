@@ -27,9 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egtan import solvers
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, HalfspaceIntersection, NonnegativeOrthant, WholeSpace, _floor, _nnls_stop
-from egtan.solvers import SolverConfig, eg_run, eg_step, solve_reference
+from egtan.solvers import SolverConfig, _eg_steps, _predict, _step_matrix, eg_run, eg_step, solve_reference
 from tests.oracles import eg_iterates_by_steps, eg_step_exact, tangent_residual_sq_exact
 from tests.test_affine_vi import random_operator, random_set
 from tests.test_cli import counted
@@ -189,6 +190,48 @@ def test_a_non_normal_step_keeps_every_prediction_inside_the_floor(seed):
     inst = VIInstance.create(AffineOperator.create(M, rng.standard_normal(2)), WholeSpace(2))
     eta = 0.99 / inst.operator.lipschitz
     assert_steps_pinned(inst, eta, eg_run(inst, SolverConfig(eta=eta, T=1000), rng.standard_normal(2)))
+
+
+def step_faces(inst, eta, traj):
+    """The faces of each step of a run, its half step's then its full step's, as the engine reads them."""
+    Z = traj.iterates[:-1]
+    faces = _eg_steps(inst.operator, inst.set._project_on_faces, eta, Z, inst.operator(Z))[2:]
+    return np.concatenate(faces, axis=1)
+
+
+def test_predictions_from_reused_powers_equal_fresh_ones():
+    # a block on the face the last one ended on reuses its step matrix and
+    # squarings, and squares further only for a longer block
+    inst, z0 = orthant_instance(7)
+    eta = 0.5 / inst.operator.lipschitz
+    traj = eg_run(inst, SolverConfig(eta=eta, T=50), z0)
+    face = step_faces(inst, eta, traj)[-1]
+    powers = [_step_matrix(inst, eta, face)]
+    _predict(powers, traj.iterates[0], 4)
+    assert len(powers) == 2
+    reused = _predict(powers, traj.iterates[-1], 64)
+    assert len(powers) == 6
+    fresh = [_step_matrix(inst, eta, face)]
+    np.testing.assert_array_equal(reused, _predict(fresh, traj.iterates[-1], 64))
+    for kept, made in zip(powers, fresh, strict=True):
+        np.testing.assert_array_equal(kept, made)
+
+
+@pytest.mark.parametrize("kind", ["box", "halfspaces"])
+def test_a_step_matrix_is_built_once_per_change_of_face(kind, monkeypatch):
+    # the first block's face, then one build for each step whose faces differ
+    # from the step before; a step on the last face reuses that face's map
+    calls = []
+    monkeypatch.setattr(solvers, "_step_matrix", counted(_step_matrix, calls))
+    inst, z0 = orthant_instance(7) if kind == "box" else halfspace_instance(0)
+    eta = 0.5 / inst.operator.lipschitz
+    T = 1000
+    traj = eg_run(inst, SolverConfig(eta=eta, T=T), z0)
+    faces = step_faces(inst, eta, traj)
+    assert (faces[T // 2:] == faces[-1]).all()  # the faces settle
+    changes = int(np.count_nonzero((faces[1:T - 1] != faces[:T - 2]).any(axis=1)))
+    assert len(calls) == 1 + changes
+    assert changes >= 1
 
 
 def test_ball_runs_equal_their_steps():

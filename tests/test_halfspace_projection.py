@@ -219,3 +219,21 @@ def test_a_fresh_set_projects_as_a_heavily_used_one():
     np.testing.assert_array_equal(Z, used.project(P))
     np.testing.assert_array_equal(fresh.project_tangent_cone(Z, V), used.project_tangent_cone(Z, V))
     assert len(used._polyhedron._faces) > 1  # the used set did memoise faces
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="activity at a projection knows only ||w||, and the face's rows hold "
+    "at w only to the rounding of ||x||: a far point's projection can read a "
+    "row it holds as inactive (ROADMAP item 9)",
+)
+def test_a_far_point_projects_onto_a_wedge_whose_rows_read_active():
+    # x = R (-1e4, -1e4, 1) projects onto the wedge's edge, where both rows
+    # hold, so x - w lies in the normal cone and its tangent part is 0;
+    # row 0 is left 2.2e-13 inside at w against a floor of 4.0e-14
+    R = np.linalg.qr(np.random.default_rng(10).standard_normal((3, 3)))[0]
+    feasible = HalfspaceIntersection([(R[:, 0], 0.0), (R[:, 1], 0.0)])
+    x = R @ np.array([-1e4, -1e4, 1.0])
+    w = feasible.project(x)
+    np.testing.assert_array_equal(feasible.activity(w), [0, 1])
+    assert np.linalg.norm(feasible.project_tangent_cone(w, x - w)) <= 1e-12 * np.linalg.norm(x - w)

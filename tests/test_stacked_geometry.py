@@ -241,6 +241,26 @@ def test_project_rejects_a_non_finite_row(kind, bad):
                 feasible.project(p)
 
 
+def test_ball_projects_a_point_as_its_row_of_a_stack():
+    # a point takes a path with no array dispatch, and must answer as its row
+    # does: at the center, inside, exactly on the sphere and outside it
+    center, radius = np.array([1.0, -2.0, 0.5]), 5.0
+    ball = Ball(center, radius)
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((40, 3))
+    spread = center + rng.uniform(0.5, 1.5, (40, 1)) * radius * d / np.linalg.norm(d, axis=1, keepdims=True)
+    P = np.vstack(([center, center + [0.0, 3.0, 4.0], center + [-4.0, 0.0, -3.0], center + [30.0, -40.0, 0.0]],
+                   spread))
+    norms = np.linalg.norm(P - center, axis=1)
+    assert norms[0] == 0.0 and (norms[1:3] == radius).all()
+    assert (norms[3:] < radius).any() and (norms[3:] > radius).any()
+    stacked = ball.project(P)
+    for p, row in zip(P, stacked):
+        got = ball.project(p)
+        assert_bitwise_equal(got, row)
+        assert not np.shares_memory(got, p)  # a point inside is a copy, not the argument
+
+
 @settings(max_examples=200)
 @given(stacked_problems())
 @example(WALK_CASES)
