@@ -5,8 +5,9 @@ every set takes its normal cone by Moreau's decomposition, ``v - T(v)``.  The
 nonnegative orthant and ``R^n`` are boxes with infinite bounds, and every box
 also minimizes a linear cost exactly over set ∩ ball, for the gap function,
 by a breakpoint walk.  Halfspace intersections project by an active-set
-iteration from the point itself (:class:`_Polyhedron`): starting from the
-rows the point violates, each candidate face is solved in closed form, and
+iteration from the point itself (:class:`_Polyhedron`): a point that
+violates no row is its own projection, on the empty face; any other starts
+from the rows it violates, each candidate face is solved in closed form, and
 the first whose multipliers are nonnegative and whose point violates no
 other row is the answer.  Only a repeated candidate hands the choice of rows
 to one Lawson–Hanson NNLS solve of the least-distance dual.
@@ -39,8 +40,10 @@ Every set also solves the affine variational inequality of ``w -> H w + g``
 exactly, for any ``H`` with ``x^T H x > 0`` (:meth:`FeasibleSet.solve_affine_vi`,
 the proximal-point step).  Boxes and halfspace intersections are
 ``{w : A w >= b}`` and run the projection's active-set iteration with ``H``
-in place of the identity; its cold route is Lemke's method on the dual
-linear complementarity problem, whose pivot tolerance is :func:`_pivot_tol`.
+in place of the identity, one loop for projections, tangent cones and steps
+(a step whose ``x = -H^{-1} g`` violates no row answers ``x`` itself, as a
+projection answers its point); its cold route is Lemke's method on the dual
+LCP, whose pivot tolerance is :func:`_pivot_tol`.
 The ball solves the trust-region secular equation by safeguarded Newton
 steps.  All are finite, and all take a hint from a previous, nearby solve:
 a polyhedron's hint is a face, tested alone, and the answer is the same
@@ -610,15 +613,17 @@ class _Polyhedron:
     ``S`` is accepted when ``lam_S >= 0``, its rows hold to rounding and no
     other row is violated beyond rounding: beyond :func:`_floor` at ``w``.
     These are the KKT conditions, so an accepted ``S`` gives the unique
-    solution.  The iteration starts from the rows violated at ``x``, beyond
-    the floor at ``w = x``.  Otherwise it keeps the rows of ``S`` with
-    positive multipliers that ``w`` holds as equalities (on a full-rank face
-    it holds them all), adds the rows ``w`` violates, and repeats; at the
-    first repeated ``S`` a cold route picks ``S``: :func:`_nnls` for a
-    projection, :func:`_lemke` for a VI.  Whatever route finds ``S``, ``w``
-    is the same function of it (:meth:`on_face`).  A VI is solved point by
-    point (:meth:`iterate`); a projection takes a stack, whose rows that
-    share a candidate ``S`` are solved together (:meth:`project`).
+    solution.  One iteration, :meth:`search`, serves projections, tangent
+    cones and VIs.  A point that violates no row beyond the floor at ``w =
+    x`` is its own answer, ``x``, on the empty face; any other starts from
+    the rows it violates.  A refused ``S`` keeps its rows with positive
+    multipliers that ``w`` holds as equalities (on a full-rank face it holds
+    them all) and adds the rows ``w`` violates; at the first repeated ``S``
+    a cold route picks ``S``: :func:`_nnls` for a projection, :func:`_lemke`
+    for a VI.  Whatever route finds a non-empty ``S``, ``w`` is the same
+    function of it (:meth:`on_face`).  A stack's rows that share a candidate
+    are solved together; the one point path is a VI's hint, a face tested
+    alone.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -651,8 +656,8 @@ class _Polyhedron:
     def on_face(self, S, b_S, x, H):
         """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient.
 
-        ``x`` is a point or, with ``H`` ``None``, a stack: each row is then
-        solved as that point (:func:`_times`).
+        ``x`` is a point or a stack, for ``H`` ``None`` or a matrix; each row
+        of a stack is solved as that point (:func:`_times`).
         """
         if H is None:
             P, G, deficient, _ = self.face(S)
@@ -680,61 +685,25 @@ class _Polyhedron:
             return self.A, self.b, self.offset
         return self.A[rows], np.zeros(len(rows)), 0.0
 
-    def iterate(self, x, x_norm, H, r, S=None):
-        """The accepted ``S`` and its point for the VI of ``H``, or ``None``.
+    def search(self, rows, x, H):
+        """The active-set iteration on each row of the stack ``x``; ``H`` ``None`` projects.
 
-        ``x_norm`` is ``||x||`` and ``r = A x - b``.  The iteration starts
-        from the rows violated at ``x`` and ends at the first repeated
-        ``S``; a given ``S`` is tested alone.  Each candidate is judged by
-        :func:`_verdict` and followed by :func:`_advance`, as :meth:`project`
-        treats each row of a stack.
-        """
-        n, m = len(x), len(self.b)
-        tries = 1
-        if S is None:
-            S = (r < -_floor(n, m, self.offset, x_norm, x_norm)).nonzero()[0]
-            tries = m + 2  # a guard; a repeated S ends the iteration first
-        seen = set()
-        for _ in range(tries):
-            w, lam, deficient = self.on_face(S, self.b[S], x, H)
-            floor = _floor(n, m, self.offset, x_norm, row_norm(w))
-            accept, violated, lam = _verdict(S, self.A @ w - self.b, floor, lam, deficient)
-            if accept:
-                return S, w
-            seen.add(S.tobytes())
-            S = _advance(S, violated, lam).nonzero()[0]
-            if S.tobytes() in seen:
-                return None
-        return None
-
-    def project(self, rows, p):
-        """Projection of each row of the stack ``p`` onto the rows in play (:meth:`in_play`).
-
-        Returns the projections, the face each accepted as a boolean mask
-        over the rows in play, and which rows took the NNLS.  A row that
-        violates no row beyond :func:`_floor` at ``w = p`` is its own
-        projection, on the empty face.  The others run the active-set
-        iteration from the rows they violate: each round solves the rows
-        that share a candidate ``S`` with one face call and judges them at
-        once (:func:`_verdict`); a row that fails moves to its next
-        candidate, and a row whose candidate repeats, or that is still
-        searching after ``m + 2`` rounds, takes the cold route.  Each row
-        meets the faces a one-row stack of it meets, so a stack equals its
-        rows projected one by one, bit for bit.
-
-        The cold route is least-distance programming: ``z - p`` is the
-        shortest ``y`` with ``A_rows y >= h = b - A_rows p``, and
-        Lawson–Hanson NNLS on its dual, ``[A_rows^T; h^T] x ~ e_{n+1}``
-        (Lawson & Hanson 1974, ch. 23; ``max h = 1``), picks the rows with
-        positive multipliers.  An empty set leaves a zero dual residual, and
-        ``z`` comes back infeasible; an accepted ``S`` never does.
+        A matrix ``H`` solves the VI of ``w -> H w + g`` with the row as
+        ``x = -H^{-1} g``.  Returns the answers, the face each accepted as a
+        boolean mask over the rows in play (:meth:`in_play`), which rows went
+        cold, their answers left at ``x``, and ``r = A x - b``.  A row that
+        violates no row beyond :func:`_floor` at ``w = x`` is its own answer,
+        on the empty face.  Each round solves the rows that share a candidate
+        with one face call; a row whose candidate repeats, or that is still
+        searching after ``m + 2`` rounds, goes cold.  A stack equals its rows
+        searched one by one, bit for bit.
         """
         A, b, offset = self.in_play(rows)
-        (k, n), m = p.shape, len(b)
-        r = _times(A, p) - b
-        p_norm = row_norm(p)
-        S = r < -_floor(n, m, offset, p_norm, p_norm)[:, None]
-        z, faces, cold = p.copy(), np.zeros((k, m), dtype=bool), np.zeros(k, dtype=bool)
+        (k, n), m = x.shape, len(b)
+        r = _times(A, x) - b
+        x_norm = row_norm(x)
+        S = r < -_floor(n, m, offset, x_norm, x_norm)[:, None]
+        z, faces, cold = x.copy(), np.zeros((k, m), dtype=bool), np.zeros(k, dtype=bool)
         todo, tried = S.any(axis=1).nonzero()[0], []
         for _ in range(m + 2):  # a guard; a repeated S ends a row's iteration first
             if not todo.size:
@@ -743,8 +712,8 @@ class _Polyhedron:
             done = np.zeros(k, dtype=bool)
             for face, group in _groups(S[todo]):
                 group, on = todo[group], face.nonzero()[0]
-                w, lam, deficient = self.on_face(on if rows is None else rows[on], b[on], p[group], None)
-                floor = _floor(n, m, offset, p_norm[group], row_norm(w))[:, None]
+                w, lam, deficient = self.on_face(on if rows is None else rows[on], b[on], x[group], H)
+                floor = _floor(n, m, offset, x_norm[group], row_norm(w))[:, None]
                 accept, violated, lam = _verdict(on, _times(A, w) - b, floor, lam, deficient)
                 S[group] = _advance(on, violated, lam)
                 group = group[accept]
@@ -755,8 +724,24 @@ class _Polyhedron:
                 cold[todo[repeat]] = True
                 todo = todo[~repeat]
         cold[todo] = True
+        return z, faces, cold, r
+
+    def project(self, rows, p):
+        """Projection of each row of the stack ``p`` onto the rows in play: :meth:`search` at ``H = I``.
+
+        Returns the projections, their faces and which rows took the cold
+        route, least-distance programming: ``z - p`` is the shortest ``y``
+        with ``A_rows y >= h = b - A_rows p``, and Lawson–Hanson NNLS on its
+        dual, ``[A_rows^T; h^T] x ~ e_{n+1}`` (Lawson & Hanson 1974, ch. 23;
+        ``max h = 1``), picks the rows with positive multipliers.  An empty
+        set leaves a zero dual residual, and ``z`` comes back infeasible; an
+        accepted ``S`` never does.
+        """
+        z, faces, cold, r = self.search(rows, p, None)
         for i in cold.nonzero()[0]:
-            on = (_nnls(np.vstack((A.T, r[i] / r[i].min())), np.eye(n + 1)[-1]) > 0).nonzero()[0]
+            A, b, _ = self.in_play(rows)  # only a cold row reads the rows in play again
+            dual = np.vstack((A.T, r[i] / r[i].min()))
+            on = (_nnls(dual, np.eye(len(dual))[-1]) > 0).nonzero()[0]
             z[i] = self.on_face(on if rows is None else rows[on], b[on], p[i:i + 1], None)[0][0]
             faces[i, on] = True
         return z, faces, cold
@@ -764,10 +749,12 @@ class _Polyhedron:
     def solve_vi(self, H, g, hint):
         """The affine VI of ``H w + g``, and its ``S`` as the next call's hint.
 
-        A hint is tested alone, by the iteration's own test; when it fails,
-        the iteration runs from the rows violated at ``x``.  The cold route is
-        the dual LCP.  KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w - b
-        >= 0``, ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is
+        A non-empty hint is tested alone on the point ``x = -H^{-1} g``, by
+        the iteration's own test (:func:`_verdict`); without one, or when it
+        fails, :meth:`search` runs on ``x`` as a one-row stack, so an ``x``
+        that violates no row is the answer, hinted or cold.  The cold route
+        is the dual LCP.  KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w
+        - b >= 0``, ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is
         LCP(q, M), ``M = A H^{-1} A^T``, ``q = A x - b``.  ``x^T M x = (A^T
         x)^T H^{-1} (A^T x) >= 0``, so ``M`` is positive semidefinite, hence
         copositive-plus, and :func:`_lemke` ends on the solution, unless
@@ -776,15 +763,16 @@ class _Polyhedron:
         """
         H_inv = self._for(H)[0]
         x = -(H_inv @ g)
-        r = self.A @ x - self.b
-        x_norm = row_norm(x)
-        found = None if hint is None else self.iterate(x, x_norm, H, r, hint)
-        if found is None:
-            found = self.iterate(x, x_norm, H, r)
-        if found is not None:
-            return found[1], found[0]
+        if hint is not None and hint.size:
+            w, lam, deficient = self.on_face(hint, self.b[hint], x, H)
+            floor = _floor(len(x), len(self.b), self.offset, row_norm(x), row_norm(w))
+            if _verdict(hint, self.A @ w - self.b, floor, lam, deficient)[0]:
+                return w, hint
+        z, faces, cold, r = self.search(None, x[None], H)
+        if not cold[0]:
+            return z[0], faces[0].nonzero()[0]
         try:
-            S = _lemke(self.A @ H_inv @ self.A.T, r)
+            S = _lemke(self.A @ H_inv @ self.A.T, r[0])
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"{exc}, though the step has a solution: "
                                         f"{self._most_parallel()}") from None

@@ -50,7 +50,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .instances import AffineOperator, VIInstance, instance_to_json
+from .instances import AffineOperator, DimensionMismatchError, VIInstance, instance_to_json
 from .measures import _csv_text, gap, natural_residual, tangent_residual
 from .sets import UnsupportedSetError, _nnls_stop, require_finite, require_positive, row_norm
 
@@ -75,6 +75,14 @@ class ReferenceSolveError(RuntimeError):
 
 def _require_step_size(eta: float) -> None:
     require_positive("step size eta", eta)
+
+
+def _require_point(inst: VIInstance, name: str, z) -> np.ndarray:
+    """``z`` as a float array, or a ``ValueError`` naming ``name`` unless it is a finite point of R^n."""
+    z = require_finite(name, z)
+    if z.shape != (inst.dimension,):
+        raise DimensionMismatchError(name, f"expected shape ({inst.dimension},), got {z.shape}")
+    return z
 
 
 def _require_contraction(inst: VIInstance, eta: float, needs: str) -> None:
@@ -224,7 +232,7 @@ def _no_faces(feasible_set):
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
-    z_k = require_finite("z_k", z_k)
+    z_k = _require_point(inst, "z_k", z_k)
     return _eg_steps(inst.operator, _no_faces(inst.set), eta, z_k, inst.operator(z_k))[:2]
 
 
@@ -342,7 +350,7 @@ def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
     """A trajectory holding only ``z0``, with rows allocated for ``config.T`` steps."""
-    z = inst.set._require_feasible(z0, "z0")
+    z = inst.set._require_feasible(_require_point(inst, "z0", z0), "z0")
     F_z = inst.operator(z)
     T, n = config.T, inst.dimension
     traj = Trajectory(
@@ -402,7 +410,7 @@ def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
     ``eta * L < 1`` (see :func:`_prox_matrix`).
     """
     H = _prox_matrix(inst, eta)
-    return inst.set.solve_affine_vi(H, eta * inst.operator.q - np.asarray(z_k, dtype=float))[0]
+    return inst.set.solve_affine_vi(H, eta * inst.operator.q - _require_point(inst, "z_k", z_k))[0]
 
 
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
@@ -445,7 +453,7 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     """
     _require_step_size(eta)
     _require_contraction(inst, eta, "the reference solve")
-    z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else require_finite("z0", z0)
+    z = inst.set.project(np.zeros(inst.dimension)) if z0 is None else _require_point(inst, "z0", z0)
     tol = REFERENCE_TOL
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
@@ -538,6 +546,7 @@ def _distances_and_radius(
     """
     inst = trajectory.instance
     _require_contraction(inst, trajectory.config.eta, "a rate report")
+    z_star = _require_point(inst, "z_star", z_star)
     residual = natural_residual(inst, z_star)
     if residual > REPORT_REFERENCE_TOL:
         raise ValueError(
@@ -546,7 +555,7 @@ def _distances_and_radius(
         )
     dist = trajectory.series("dist-to-solution", z_star=z_star)
     if D is None:  # the 1-D norm: the row-wise dist[0] may differ in the last bit
-        D = 2.0 * float(np.linalg.norm(trajectory.iterates[0] - np.asarray(z_star, dtype=float)))
+        D = 2.0 * float(np.linalg.norm(trajectory.iterates[0] - z_star))
         D = D or 1.0
     return dist, require_positive("D", D)
 

@@ -227,11 +227,24 @@ def test_narrow_wedge_steps(eps):
         np.testing.assert_allclose(step, vertex, rtol=0, atol=tol)
 
 
+def vi_searches_go_cold(monkeypatch):
+    """Leave every row of a VI's active-set search cold: a step its hint does not settle takes Lemke."""
+    search = sets._Polyhedron.search
+
+    def all_cold(poly, rows, x, H):
+        z, faces, cold, r = search(poly, rows, x, H)
+        if H is not None:
+            cold[:] = True
+        return z, faces, cold, r
+
+    monkeypatch.setattr(sets._Polyhedron, "search", all_cold)
+
+
 def test_a_lemke_ray_on_a_nonempty_set_names_the_parallel_rows(monkeypatch):
-    # with the iteration made to repeat, the cold route is Lemke's method on
+    # with the iteration made to go cold, the cold route is Lemke's method on
     # A H^-1 A^T, which rounding makes singular at eps = 1e-8: it ends on a
     # ray, though the step has a solution, and the error says why
-    monkeypatch.setattr(sets._Polyhedron, "iterate", lambda *args: None)
+    vi_searches_go_cold(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="rows 0 and 1 are nearly parallel"):
         narrow_wedge(1e-8).solve_affine_vi(np.eye(2), np.zeros(2))
 
@@ -244,8 +257,9 @@ def _no_projection(*args):
 def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     """``pp_run`` with T = 100: no projection, and only a few cold solves.
 
-    A cold solve is an active-set iteration from scratch or a Lemke call on a
-    polyhedral set, or a secular-equation run that starts at ``mu = 0`` and
+    A cold solve is an active-set search from a point that violates a row
+    (it ends on a face or goes cold) or a Lemke call on a polyhedral set,
+    or a secular-equation run that starts at ``mu = 0`` and
     ends on the sphere, ``mu > 0``, on the ball.  A ball step factors
     ``H + mu I`` at the hint and once more after each Newton step, at most
     twice per step on average over a run.
@@ -264,15 +278,16 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
         monkeypatch.setattr(sets, "_secular_newton", counted)
         monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
     else:
-        lemke, iterate = sets._lemke, sets._Polyhedron.iterate
+        lemke, search = sets._lemke, sets._Polyhedron.search
 
-        def counted_iterate(poly, x, x_norm, H, r, S=None):
-            if S is None:
+        def counted_search(poly, rows, x, H):
+            out = search(poly, rows, x, H)
+            if H is not None and (out[1].any() or out[2].any()):
                 cold.append(x)
-            return iterate(poly, x, x_norm, H, r, S)
+            return out
 
         monkeypatch.setattr(sets, "_lemke", lambda M, q: cold.append(q) or lemke(M, q))
-        monkeypatch.setattr(sets._Polyhedron, "iterate", counted_iterate)
+        monkeypatch.setattr(sets._Polyhedron, "search", counted_search)
     per_step = []
     for n in (3, 4, 5):
         feasible, z0 = random_set(rng, kind, n)
@@ -289,6 +304,74 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
         np.testing.assert_allclose(traj.iterates[-1], last, rtol=0, atol=1e-10)
     if kind == "ball":
         assert np.mean(per_step) <= 2.0  # 1.81 on these runs
+
+
+def unconstrained_step(rng, kind):
+    """An instance, ``eta``, ``H``, a start ``z_k`` and its ``g``; ``x = -H^{-1} g`` holds every row."""
+    n = int(rng.integers(2, 6))
+    feasible, y = random_set(rng, kind, n)
+    inst = VIInstance.create(random_operator(rng, n, monotone=True), feasible)
+    eta = 0.5 / inst.operator.lipschitz
+    H = np.eye(n) + eta * inst.operator.M
+    z_k = H @ y + eta * inst.operator.q  # so that x is y to rounding, inside the set
+    return inst, eta, H, z_k, eta * inst.operator.q - z_k
+
+
+@pytest.mark.parametrize("kind", ("box", "orthant", "rn", "halfspaces"))
+def test_a_step_whose_unconstrained_solution_holds_every_row_is_that_solution(kind):
+    """Where ``x = -H^{-1} g`` violates no row, the step is ``x`` itself, bit for bit.
+
+    As a projection answers a point of the set, ``pp_step`` and
+    ``solve_affine_vi`` answer ``x`` on the empty face: cold, with the empty
+    hint a cold solve hands on, and with a hint that fails.
+    """
+    rng = np.random.default_rng(SET_KINDS.index(kind))
+    for _ in range(50):
+        inst, eta, H, z_k, g = unconstrained_step(rng, kind)
+        x = -(np.linalg.inv(H) @ g)
+        assert inst.set.infeasibility(x) == 0.0
+        assert pp_step(inst, eta, z_k).tobytes() == x.tobytes()
+        w, hint = inst.set.solve_affine_vi(H, g)
+        assert w.tobytes() == x.tobytes() and hint.size == 0
+        for hint in (hint, np.arange(len(inst.set._polyhedron.b))):
+            w, hint = inst.set.solve_affine_vi(H, g, hint)
+            assert w.tobytes() == x.tobytes() and hint.size == 0
+
+
+@pytest.mark.parametrize("kind", ("box", "orthant", "halfspaces"))
+def test_a_step_whose_hint_holds_solves_one_face_and_searches_nothing(kind, monkeypatch):
+    """A hint is tested alone on the point: one face solve, no search of a one-row stack.
+
+    Sending a held hint through the stacked search as a one-row stack keeps
+    every bit but makes a polyhedral ``pp_run`` about 2.9 times slower.
+    """
+    rng = np.random.default_rng(SET_KINDS.index(kind))
+    calls = []
+    on_face, search = sets._Polyhedron.on_face, sets._Polyhedron.search
+
+    def counted_on_face(poly, S, b_S, x, H):
+        calls.append(("on_face", x.ndim))
+        return on_face(poly, S, b_S, x, H)
+
+    def counted_search(poly, rows, x, H):
+        calls.append(("search", x.ndim))
+        return search(poly, rows, x, H)
+
+    monkeypatch.setattr(sets._Polyhedron, "on_face", counted_on_face)
+    monkeypatch.setattr(sets._Polyhedron, "search", counted_search)
+    held = 0
+    for _ in range(20):
+        inst, eta, H, z_k, g = unconstrained_step(rng, kind)
+        g = g - 3.0 * rng.standard_normal(len(g))  # x off the set: a face holds the step
+        w, hint = inst.set.solve_affine_vi(H, g)
+        if not hint.size:
+            continue
+        held += 1
+        calls.clear()
+        w_again, hint_again = inst.set.solve_affine_vi(H, g, hint)
+        assert calls == [("on_face", 1)]
+        assert w_again.tobytes() == w.tobytes() and hint_again is hint
+    assert held >= 10
 
 
 def test_ball_hints_that_no_longer_fit():

@@ -9,6 +9,7 @@ from egtan.cli import main
 from egtan.instances import AffineOperator, VIInstance, save_instance
 from egtan.sets import Ball, Box, HalfspaceIntersection
 from egtan.solvers import Trajectory
+from tests.test_affine_vi import vi_searches_go_cold
 
 
 def counted(method, calls):
@@ -564,7 +565,7 @@ class TestOneRunAndReportPath:
         assert main([*flags, "--out", str(tmp_path / "out")]) == 0
         last = (tmp_path / "out" / "trajectory.csv").read_text().strip().splitlines()[-1].split(",")
         np.testing.assert_allclose([float(last[1]), float(last[2])], [0.0, 1e8], rtol=0, atol=1e-1)
-        monkeypatch.setattr(sets._Polyhedron, "iterate", lambda *args: None)
+        vi_searches_go_cold(monkeypatch)
         assert main([*flags, "--out", str(tmp_path / "ray")]) == 1
         assert "rows 0 and 1 are nearly parallel" in capsys.readouterr().err
 

@@ -32,6 +32,7 @@ from egtan.sets import (
     WholeSpace,
 )
 from tests.oracles import box_affine_vi_exact, pp_step_exact
+from tests.test_affine_vi import SET_KINDS, random_operator, random_set
 from tests.test_eg_segments import assert_steps_pinned, integer_box_instance
 from tests.test_instances import bilinear_spec
 
@@ -556,6 +557,48 @@ class TestStartValidation:
                 run(inst, SolverConfig(eta=0.1, T=1), z0)
         with pytest.raises(ValueError, match="^z0 must be finite"):
             solve_reference(inst, eta=0.1, z0=z0)
+
+
+POINT_CALLS = {
+    "eg_run": (lambda inst, z: eg_run(inst, SolverConfig(eta=0.1, T=1), z), "z0"),
+    "pp_run": (lambda inst, z: pp_run(inst, SolverConfig(eta=0.1, T=1), z), "z0"),
+    "eg_step": (lambda inst, z: eg_step(inst, 0.1, z), "z_k"),
+    "pp_step": (lambda inst, z: pp_step(inst, 0.1, z), "z_k"),
+    "solve_reference": (lambda inst, z: solve_reference(inst, eta=0.1, z0=z), "z0"),
+}
+
+
+class TestPointArguments:
+    """Every solver entry point checks its point, and the error names the argument."""
+
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 2)])
+    def test_a_point_of_the_wrong_shape_is_named(self, call, shape):
+        run, name = POINT_CALLS[call]
+        with pytest.raises(ValueError, match=rf"^dimension mismatch in {name}: expected shape \(2,\)"):
+            run(zero_operator_instance(), np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pp_step_names_a_non_finite_point(self, kind, bad):
+        rng = np.random.default_rng(SET_KINDS.index(kind))
+        feasible, z = random_set(rng, kind, 3)
+        inst = VIInstance.create(random_operator(rng, 3, monotone=True), feasible)
+        z[1] = bad
+        with pytest.raises(ValueError, match="^z_k must be finite"):
+            pp_step(inst, 0.5 / inst.operator.lipschitz, z)
+
+    @pytest.mark.parametrize("report", [rate_report_eg, rate_report_pp])
+    @pytest.mark.parametrize("z_star, message", [
+        ([np.nan, 0.5], "^z_star must be finite"),
+        ([0.5, -np.inf], "^z_star must be finite"),
+        ([0.5], r"^dimension mismatch in z_star: expected shape \(2,\)"),
+    ])
+    def test_rate_reports_name_z_star(self, report, z_star, message):
+        inst = zero_operator_instance()
+        traj = eg_run(inst, SolverConfig(eta=0.1, T=2), np.full(2, 0.5))
+        with pytest.raises(ValueError, match=message):
+            report(traj, np.array(z_star))
 
 
 @settings(max_examples=30)
