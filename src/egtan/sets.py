@@ -157,17 +157,17 @@ class FeasibleSet:
         """:meth:`project_tangent_cone` once ``z`` is checked feasible and ``v`` finite."""
         raise NotImplementedError
 
-    def _project_on_faces(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The projection of each row of the stack ``p``, and the face each lands on.
+    def _project_on_faces(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The projection of a point, or of each row of a stack, and the face each lands on.
 
-        ``(z, faces)``: ``faces`` has one row per row of ``p``, and two rows
-        of ``p`` land on one face where their rows agree.  The projection of
-        every ``x`` that lands on a face is the affine map
-        :meth:`_face_map` of that row.  ``None`` (the default) for a set
-        whose projection has no such maps: an EG run on it takes its steps
-        one by one.
+        ``(z, faces)``: ``faces`` has one row per row of ``p`` (one face for
+        a point), and two rows of ``p`` land on one face where their rows
+        agree.  The projection of every ``x`` that lands on a face is the
+        affine map :meth:`_face_map` of that row.  ``faces`` is ``None`` (the
+        default) for a set whose projection has no such maps: an EG run on it
+        takes every step on the point.
         """
-        return None
+        return self._project(p), None
 
     def _face_map(self, face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(S, t)`` with ``project(x) = S x + t`` on ``face``, a row of :meth:`_project_on_faces`."""
@@ -857,22 +857,23 @@ class HalfspaceIntersection(FeasibleSet):
 
     def _project(self, p):
         """Nearest point of the set to ``p``, or to each row of a stack (see :class:`_Polyhedron`)."""
-        return self._project_on_faces(np.atleast_2d(p))[0].reshape(p.shape)
+        return self._project_on_faces(p)[0]
 
     def _project_on_faces(self, p):
         """A row's face is the mask of the rows the projection holds: the accepted ``S``.
 
-        A point that violates no row, on unit rows, beyond the rounding floor
-        (:func:`_floor` at ``w = p``) is its own projection, on the empty
-        face.  A projection that violates the set beyond
-        :meth:`feasibility_tol` at ``p`` proves the set empty: ``z`` carries
-        the rounding of ``p``, which a row scales by its norm.
+        A point is a one-row stack.  A point that violates no row, on unit
+        rows, beyond the rounding floor (:func:`_floor` at ``w = p``) is its
+        own projection, on the empty face.  A projection that violates the
+        set beyond :meth:`feasibility_tol` at ``p`` proves the set empty:
+        ``z`` carries the rounding of ``p``, which a row scales by its norm.
         """
-        z, faces, cold = self._polyhedron.project(None, p)
+        x = np.atleast_2d(p)
+        z, faces, cold = self._polyhedron.project(None, x)
         if cold.any() and np.any(np.min(_times(self.a, z[cold]) - self.b, axis=1)
-                                 < -self.feasibility_tol(p[cold])):
+                                 < -self.feasibility_tol(x[cold])):
             raise EmptySetError("halfspace intersection is empty")
-        return z, faces
+        return z.reshape(p.shape), faces.reshape(*p.shape[:-1], len(self.b))
 
     def _face_map(self, face):
         """``(Z Z^T, P b_S)`` of the face's memoised SVD: the projection onto its affine hull."""

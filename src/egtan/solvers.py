@@ -13,23 +13,24 @@ on a genuinely monotone instance should never happen.  A check the instance
 cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
-An EG run on a box (the orthant and ``R^n`` too) or a halfspace set goes in
-affine segments.  A projection onto such a set is affine on each face: a
-clamp with a fixed pattern, or ``p -> Z Z^T p + P b_S`` on the rows ``S`` a
-halfspace projection holds.  Projection methods identify the active face in
-finitely many steps (Calamai & Moré, *Math. Programming* 39, 1987; Burke &
-Moré, *SIAM J. Numer. Anal.* 25, 1988), so while the faces of its half and
-full steps hold, an EG step is one affine map.  :func:`_eg_blocks` predicts
-a block of iterates from the powers of that map and checks them all in one
-stacked step, which :func:`eg_step` is the one-row case of.  A block that
-ends on the face it ran on hands its map and the powers squared from it to
-the next block; only a change of face builds a new map.  Each half
-iterate is then ``eg_step`` of its iterate bit for bit, and each iterate
-lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the full step before
-it, on the face that step accepted: on a box exactly on every bound it
-lands on.  On the ball, which has no face maps, :func:`_eg_blocks` takes
-one step at a time, on points, and a run equals its steps taken one by
-one, bit for bit.
+An EG run goes in point steps until a face repeats, then in affine
+segments.  A projection onto a box (the orthant and ``R^n`` too) or a
+halfspace set is affine on each face: a clamp with a fixed pattern, or
+``p -> Z Z^T p + P b_S`` on the rows ``S`` a halfspace projection holds.
+Projection methods identify the active face in finitely many steps
+(Calamai & Moré, *Math. Programming* 39, 1987; Burke & Moré, *SIAM J.
+Numer. Anal.* 25, 1988), so while the faces of its half and full steps
+hold, an EG step is one affine map.  :func:`_eg_blocks` takes plain steps
+on the point until one lands on the faces of the step before it, then
+predicts blocks of 8 iterates from the powers of that face's map, growing
+×8, and checks each block in one stacked step, which :func:`eg_step` is
+the one-row case of.  Each half iterate is ``eg_step`` of its iterate bit
+for bit, and so is each iterate a point step makes; each iterate of a
+block lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the full step
+before it, on the face that step accepted: on a box exactly on every
+bound it lands on.  The ball is the set that never gets a map: every step
+is a point step, and a run equals its steps taken one by one, bit for
+bit.
 
 Proximal-point steps are exact and finite: each is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
@@ -58,6 +59,8 @@ REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
 REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
 REPORT_REFERENCE_TOL = 1e-10  # natural residual a rate report asks of z_star
+SEGMENT_FIRST_STEPS = 8  # steps of the first EG block on a face a point step confirmed
+SEGMENT_GROWTH = 8  # factor from an EG block that kept its face to the next
 SEGMENT_MAX_STEPS = 512  # steps one EG block takes at most, so its memory stays flat
 
 
@@ -224,16 +227,11 @@ def _eg_steps(operator, project, eta: float, z: np.ndarray, F_z: np.ndarray) -> 
     return z_half, z_next, half_face, next_face
 
 
-def _no_faces(feasible_set):
-    """``feasible_set``'s projection as :func:`_eg_steps` takes it, with no faces."""
-    return lambda p: (feasible_set._project(p), None)
-
-
 def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One extragradient update: half step with F(z_k), full step with F(z_half)."""
     _require_step_size(eta)
     z_k = _require_point(inst, "z_k", z_k)
-    return _eg_steps(inst.operator, _no_faces(inst.set), eta, z_k, inst.operator(z_k))[:2]
+    return _eg_steps(inst.operator, inst.set._project_on_faces, eta, z_k, inst.operator(z_k))[:2]
 
 
 def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
@@ -284,68 +282,67 @@ def _predict(powers: list, z: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
-    """EG from ``z`` for ``steps`` steps, taken in affine segments.
+    """EG from ``z`` for ``steps`` steps: point steps until a face repeats, then affine segments.
 
-    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z`` (an
-    ``(m, n)`` stack), ``F = F(Z)``, their half steps and the iterate after
-    the last of them, where the next block starts.  On a set without face
-    maps (:meth:`FeasibleSet._project_on_faces` gives ``None``: the ball)
-    every block is one step, taken and yielded as points, ``(n,)`` arrays:
-    the ball projects a point faster than a stack of one row, and the
-    callers' array calls on a point cost less too.  Such a run equals its
-    steps taken one by one, bit for bit.
+    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z``,
+    ``F = F(Z)``, their half steps and the iterate after the last of them,
+    where the next block starts.  A point step yields points, ``(n,)``
+    arrays; a segment yields ``(m, n)`` stacks.
 
-    On a box or a halfspace set each stacked projection hands back the face
-    it accepted, and while the faces of the half and full steps hold, a step
-    is ``z -> A z + c`` (:func:`_step_matrix`).  From the faces of the last step taken, a
-    block predicts the next ``K - 1`` iterates (:func:`_predict`) and takes
-    the EG step from all ``K`` rows in one stacked call.  A predicted
-    iterate is kept while every step before it kept both faces and landed
-    within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The first row that
-    fails took a true step, so its step ends the block and its faces start
-    the next.  ``K`` doubles after a block that kept every row, up to
-    :data:`SEGMENT_MAX_STEPS`, and is back to 2 after one that did not.
-    When the step that ends a block is on the block's own face, the next
-    block reuses that face's matrix and the powers :func:`_predict` squared
-    from it; a new face builds a new matrix.  The matrix is a function of
-    the face alone, so reuse changes no bit, and the powers kept are at
-    most ``log2(SEGMENT_MAX_STEPS) + 1`` matrices of size ``(n + 1)^2``.
+    Each projection hands back the face it accepted
+    (:meth:`FeasibleSet._project_on_faces`), and while the faces of the half
+    and full steps hold, a step is ``z -> A z + c`` (:func:`_step_matrix`).
+    Without a map for the current face the run takes plain EG steps on the
+    point.  Once a point step lands on the faces of the step before it, with
+    steps left, that face's map is built, and blocks predict the next
+    iterates from its powers (:func:`_predict`) and take the EG step from
+    all rows in one stacked call: first :data:`SEGMENT_FIRST_STEPS` rows,
+    then ``SEGMENT_GROWTH`` times the last block, up to
+    :data:`SEGMENT_MAX_STEPS`.  A predicted iterate is kept while every
+    step before it kept both faces and landed within
+    ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The first row that fails
+    took a true step, so its step ends the block, and point steps go on
+    from there, as they do after a block whose last step left its face.  A
+    block that ends on its own face hands the map and the powers squared
+    from it to the next; at most ``log2(SEGMENT_MAX_STEPS) + 1`` matrices
+    of size ``(n + 1)^2``.  The ball's faces are ``None``: it never gets a
+    map, and every step is a point step.
 
-    Each half step is the EG step of its iterate bit for bit.  Each iterate
-    is within that floor of the full step of the one before it, on the face
-    that step accepted, since the prediction is that face's map; on a box
-    it equals the step on every bound the step lands on.
+    Each half step is the EG step of its iterate bit for bit, and so is
+    each iterate a point step makes, which covers the first two iterates
+    after every change of face.  Each iterate of a block is within that
+    floor of the full step of the one before it, on the face that step
+    accepted, since the prediction is that face's map; on a box it equals
+    the step on every bound the step lands on.
     An operator other than :class:`AffineOperator` takes each stack row by
     row (:func:`_rowwise`).
     """
-    operator, feasible = inst.operator, inst.set
-    if feasible._project_on_faces(z[None]) is None:
-        project = _no_faces(feasible)
-        for _ in range(steps):
-            F = operator(z)
-            half, z_next = _eg_steps(operator, project, eta, z, F)[:2]
-            yield z, F, half, z_next
-            z = z_next
-        return
-    operator = _rowwise(operator)
-    n = inst.dimension
-    stop = _nnls_stop(n + 1, n)
-    powers = face = None  # the powers of the last face's step matrix, and that face
-    rows = 2
+    operator, project = inst.operator, inst.set._project_on_faces
+    stacked = _rowwise(operator)
+    stop = _nnls_stop(inst.dimension + 1, inst.dimension)
+    powers = face = None  # the powers of the map on face, the faces of the last step
     while steps > 0:
-        Z = z[None] if powers is None else _predict(powers, z, min(rows, steps))
-        F = operator(Z)
-        halves, nexts, *faces = _eg_steps(operator, feasible._project_on_faces, eta, Z, F)
+        if powers is None:  # a point step
+            F = operator(z)
+            half, z_next, half_face, next_face = _eg_steps(operator, project, eta, z, F)
+            yield z, F, half, z_next
+            z, steps = z_next, steps - 1
+            if half_face is not None:
+                last, face = face, np.concatenate((half_face, next_face))
+                if steps and last is not None and (face == last).all():  # the face repeats
+                    powers, rows = [_step_matrix(inst, eta, face)], SEGMENT_FIRST_STEPS
+            continue
+        Z = _predict(powers, z, min(rows, steps))
+        F = stacked(Z)
+        halves, nexts, *faces = _eg_steps(stacked, project, eta, Z, F)
         faces = np.concatenate(faces, axis=1)
         drift = row_norm(nexts[:-1] - Z[1:])
         held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
         m = len(held) if held.all() else int(held.argmin())  # the step of row m ends the block
-        rows = min(2 * len(Z), SEGMENT_MAX_STEPS) if m == len(held) else 2
-        if steps > m + 1 and (powers is None or (faces[m] != face).any()):
-            powers = [_step_matrix(inst, eta, faces[m])]  # a new face: a new map
-        face = faces[m]
         yield Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m]
-        z, steps = nexts[m], steps - m - 1
+        z, steps, rows = nexts[m], steps - m - 1, min(SEGMENT_GROWTH * len(Z), SEGMENT_MAX_STEPS)
+        if m < len(held) or (faces[m] != face).any():
+            powers, face = None, faces[m]  # point steps until a face repeats
 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
@@ -368,9 +365,9 @@ def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool)
 def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run EG for ``config.T`` steps from a feasible start; fully deterministic.
 
-    The steps are taken in blocks (:func:`_eg_blocks`): on a box or a
-    halfspace set, a block per stretch of steps on fixed faces, and one
-    step at a time on the ball.
+    The steps are taken by :func:`_eg_blocks`: point steps until a face
+    repeats, then blocks of 8 steps on that face, growing ×8; the ball takes
+    every step on the point.
     Warns when ``eta * L >= 1``, where the convergence theorems do not apply.
     """
     eta_L = config.eta * inst.operator.lipschitz
@@ -443,11 +440,13 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     quotient by ``t`` nonincreasing, so
     ``r_nat(z) >= min(1, 1/eta) * ||z - z_half||``.  While that bound exceeds
     ``2 * tol`` (the factor absorbs rounding) the check could not pass.  The
-    run takes its steps as :func:`eg_run` does, in affine segments on a box
-    or a halfspace set (Calamai & Moré 1987; Burke & Moré, *SIAM J. Numer.
-    Anal.* 25, 1988),
-    and the gate and the check run on each block at once.  A run that
-    exhausts its :data:`REFERENCE_MAX_ITER` EG steps raises
+    same lemma gives ``r_nat(z) <= max(1, 1/eta) * ||z - z_half||``, so a
+    block's rows past the first that bound puts below ``tol / 2`` cannot be
+    the first to pass, and the check skips them.  The run takes its steps as
+    :func:`eg_run` does, point steps until a face repeats and then affine
+    segments on a box or a halfspace set (Calamai & Moré 1987; Burke & Moré,
+    *SIAM J. Numer. Anal.* 25, 1988), and the gate and the check run on each
+    block at once.  A run that exhausts its :data:`REFERENCE_MAX_ITER` EG steps raises
     :class:`ReferenceSolveError` with the smallest residual it evaluated, at
     the last iterate if the check never ran.
     """
@@ -458,8 +457,13 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
     for Z, F, halves, z in _eg_blocks(inst, eta, z, REFERENCE_MAX_ITER):
-        near = row_norm(Z - halves) <= gate
+        half_step = row_norm(Z - halves)
+        near = half_step <= gate
         if near.any() if near.ndim else near:  # a step on points gives one bool
+            if near.ndim:  # the rows up to the first whose residual is surely below tol / 2
+                sure = max(1.0, 1.0 / eta) * half_step <= 0.5 * tol
+                Z = Z[: int(sure.argmax()) + 1 if sure.any() else len(Z)]
+                F, near = F[: len(Z)], near[: len(Z)]
             residual = np.where(near, natural_residual(inst, Z, F), math.inf)
             best = min(best, float(residual.min()))
             if best <= tol:

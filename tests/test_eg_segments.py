@@ -1,12 +1,15 @@
 """EG runs on boxes and halfspace sets taken in affine segments, against the
 step-by-step run.
 
-On a box or a halfspace set, ``eg_run`` and ``solve_reference`` predict a run
-of iterates from the affine map of a step on fixed faces and check every
-prediction in one stacked step.  So a run no longer equals its steps taken
-one by one bit for bit.  What holds instead, and is pinned here:
+``eg_run`` and ``solve_reference`` take point steps until a step lands on
+the faces of the step before it.  On a box or a halfspace set they then
+predict blocks of 8 iterates, growing ×8, from the affine map of a step on
+that face and check every prediction in one stacked step; a block that
+leaves the face goes back to point steps.  So a run no longer equals its
+steps taken one by one bit for bit.  What holds instead, and is pinned here:
 
-* every half iterate is ``eg_step`` of its iterate, bit for bit;
+* every half iterate is ``eg_step`` of its iterate, bit for bit, and so is
+  every iterate a point step makes: the first two after each change of face;
 * every iterate lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the
   full step of the iterate before it, on the face that step accepted: on a
   box exactly on every bound it lands on, on a halfspace set on the rows
@@ -15,8 +18,9 @@ one by one bit for bit.  What holds instead, and is pinned here:
   (``tests.oracles.eg_iterates_by_steps``) to 1e-12 relative, and on an
   integer box with an exact rational run to 1e-12 (1 + ||z||).
 
-On the ball, which has no face maps, a run still equals its steps bit for
-bit.  An operator that is not an ``AffineOperator`` is called on points only.
+The ball is the set that never gets a map: every step is a point step, and
+a run equals its steps bit for bit.  An operator that is not an
+``AffineOperator`` is called on points only.
 """
 
 import math
@@ -140,7 +144,7 @@ def orthant_instance(seed, n=4, mu=0.2):
 
 
 def test_box_runs_project_per_segment_not_per_step(monkeypatch):
-    # a run past its last change of face adds a block per doubling, not a step's projections
+    # a run past its last change of face adds a block per ×8 growth, not a step's projections
     calls = []
     monkeypatch.setattr(Box, "project", counted(Box.project, calls))
     inst, z0 = orthant_instance(7)
@@ -217,10 +221,28 @@ def test_predictions_from_reused_powers_equal_fresh_ones():
         np.testing.assert_array_equal(kept, made)
 
 
+def confirmed_faces(faces):
+    """How many faces a point step confirms with steps left, by the engine's rule on a run's step faces.
+
+    Without a map, a step is a point step, and one that lands on the faces
+    of the step before it, with steps left, builds that face's map; the
+    steps after it run on the map until one leaves its face.  A block that
+    failed on drift alone would cost one more build; no prediction on the
+    contractive runs counted here drifts past the floor.
+    """
+    builds, face = 0, None
+    for k in range(1, len(faces)):
+        if face is not None:
+            face = face if (faces[k] == face).all() else None
+        elif (faces[k] == faces[k - 1]).all() and k < len(faces) - 1:
+            builds, face = builds + 1, faces[k]
+    return builds
+
+
 @pytest.mark.parametrize("kind", ["box", "halfspaces"])
-def test_a_step_matrix_is_built_once_per_change_of_face(kind, monkeypatch):
-    # the first block's face, then one build for each step whose faces differ
-    # from the step before; a step on the last face reuses that face's map
+def test_a_step_matrix_is_built_once_per_face_a_point_step_confirms(kind, monkeypatch):
+    # a map is built only when a point step repeats the faces of the step
+    # before it; a face the run leaves after one step costs no build
     calls = []
     monkeypatch.setattr(solvers, "_step_matrix", counted(_step_matrix, calls))
     inst, z0 = orthant_instance(7) if kind == "box" else halfspace_instance(0)
@@ -229,9 +251,33 @@ def test_a_step_matrix_is_built_once_per_change_of_face(kind, monkeypatch):
     traj = eg_run(inst, SolverConfig(eta=eta, T=T), z0)
     faces = step_faces(inst, eta, traj)
     assert (faces[T // 2:] == faces[-1]).all()  # the faces settle
-    changes = int(np.count_nonzero((faces[1:T - 1] != faces[:T - 2]).any(axis=1)))
-    assert len(calls) == 1 + changes
+    changes = int(np.count_nonzero((faces[1:] != faces[:-1]).any(axis=1)))
     assert changes >= 1
+    assert len(calls) == confirmed_faces(faces)
+
+
+def test_a_long_run_on_one_face_takes_few_blocks():
+    # two point steps confirm the face of R^n, then blocks of 8, 64, 512 and the rest
+    inst, _ = orthant_instance(7)
+    inst = VIInstance.create(inst.operator, WholeSpace(4))
+    eta = 0.5 / inst.operator.lipschitz
+    blocks = list(solvers._eg_blocks(inst, eta, np.ones(4), 1000))
+    assert [len(np.atleast_2d(Z)) for Z, *_ in blocks] == [1, 1, 8, 64, 512, 414]
+
+
+@pytest.mark.parametrize("kind, seed", [("box", 0), ("box", 2), ("halfspaces", 0), ("halfspaces", 1)])
+def test_the_two_iterates_after_a_change_of_face_are_true_steps(kind, seed):
+    # they are point steps: the full step of eg_step bit for bit, not a prediction
+    inst, z0 = orthant_instance(seed) if kind == "box" else halfspace_instance(seed)
+    eta = 0.5 / inst.operator.lipschitz
+    T = 300
+    traj = eg_run(inst, SolverConfig(eta=eta, T=T), z0)
+    faces = step_faces(inst, eta, traj)
+    changes = [0] + [k for k in range(1, T) if (faces[k] != faces[k - 1]).any()]
+    assert len(changes) >= 2
+    for k in changes:
+        for j in range(k, min(k + 2, T)):
+            np.testing.assert_array_equal(traj.iterates[j + 1], eg_step(inst, eta, traj.iterates[j])[1])
 
 
 def test_ball_runs_equal_their_steps():
