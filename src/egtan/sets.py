@@ -33,8 +33,8 @@ rows of a stack that share a candidate face with one call on that face.
 ``project`` rejects a non-finite point; the solvers call the unchecked
 ``_project`` on the points they made themselves.  Boxes and halfspace sets
 also hand back the face each projection lands on (``_project_on_faces``)
-and the affine map of a face (``_face_map``), from which an EG run takes
-its steps in segments.
+and its affine map (``_face_map``), and so does their polyhedron for a VI
+step (``_Polyhedron.hinted``, ``vi_map``): EG and PP runs go in segments.
 
 Every set also solves the affine variational inequality of ``w -> H w + g``
 exactly, for any ``H`` with ``x^T H x > 0`` (:meth:`FeasibleSet.solve_affine_vi`,
@@ -132,6 +132,7 @@ class FeasibleSet:
 
     _offset = 0.0  # the largest |right-hand side| of a constraint, for feasibility_tol
     _normal = 1.0  # the largest constraint normal
+    _polyhedron = None  # the rows a polyhedral set's VI is solved on (:class:`_Polyhedron`)
 
     def infeasibility(self, z: np.ndarray) -> float:
         """How far the point (or the worst row of a stack) violates the set."""
@@ -375,6 +376,7 @@ class Ball(FeasibleSet):
         self.dimension = center.shape[0]
         self._offset = float(row_norm(center)) + self.radius
         self._metric = (b"", None, None)  # H's bytes, I and ||H||_inf, for the PP kernel
+        self._kept = (None, None)  # mu and (H + mu I)^{-1} of the last Newton run on that H
 
     def _violation(self, z):
         return np.maximum(row_norm(z - self.center) - self.radius, 0.0)
@@ -414,14 +416,17 @@ class Ball(FeasibleSet):
         finds from the hint, the previous step's ``mu`` (0 without one).  The
         run ends at ``mu = 0`` with ``||d|| <= R`` for a point inside the ball;
         any other ``d`` is put on the sphere.  Returns ``w`` and ``mu``, the
-        next step's hint.  ``I`` and ``||H||_inf`` are kept for the last ``H``
-        seen, as a polyhedron keeps ``H^{-1}``, so a run builds them once.
+        next step's hint.  ``I``, ``||H||_inf`` and the last Newton run's
+        ``(mu, (H + mu I)^{-1})`` are kept for the last ``H`` seen, as a
+        polyhedron keeps ``H^{-1}``: a run starting at that ``mu`` reuses it.
         """
         R = self.radius
         key = H.tobytes()
         if key != self._metric[0]:
             self._metric = (key, np.eye(len(H)), float(np.abs(H).sum(axis=1).max()))
-        mu, d = _secular_newton(H, g + H @ self.center, R, hint or 0.0, *self._metric[1:])
+            self._kept = (None, None)
+        r = g + H @ self.center
+        mu, d, self._kept = _secular_newton(H, r, R, hint or 0.0, *self._metric[1:], self._kept)
         norm = row_norm(d)
         if mu == 0.0 and norm <= R:
             return self.center + d, mu
@@ -622,8 +627,8 @@ class _Polyhedron:
     a cold route picks ``S``: :func:`_nnls` for a projection, :func:`_lemke`
     for a VI.  Whatever route finds a non-empty ``S``, ``w`` is the same
     function of it (:meth:`on_face`).  A stack's rows that share a candidate
-    are solved together; the one point path is a VI's hint, a face tested
-    alone.
+    are solved together; the one other path is a VI's hint, a face tested
+    alone on a point or on each row of a stack (:meth:`hinted`).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -653,27 +658,44 @@ class _Polyhedron:
             self._metric = (key, np.linalg.inv(H), {})
         return self._metric[1:]
 
+    def _maps(self, S, H):
+        """``P``, ``G``, ``P^T H`` and whether ``A_S`` is rank deficient, for ``H`` ``None`` or a matrix."""
+        if H is None:
+            P, G, deficient, _ = self.face(S)
+            return P, G, P.T, deficient
+        maps = self._for(H)[1]
+        key = S.tobytes()
+        entry = maps.get(key)
+        if entry is None:
+            P, _, deficient, Z = self.face(S)
+            ZtH = Z.T @ H
+            entry = maps[key] = (P, Z @ np.linalg.solve(ZtH @ Z, ZtH), P.T @ H, deficient)
+        return entry
+
     def on_face(self, S, b_S, x, H):
         """``w`` on the face ``S`` (global rows), ``lam_S``, and whether ``A_S`` is rank deficient.
 
         ``x`` is a point or a stack, for ``H`` ``None`` or a matrix; each row
         of a stack is solved as that point (:func:`_times`).
         """
-        if H is None:
-            P, G, deficient, _ = self.face(S)
-            PtH = P.T
-        else:
-            maps = self._for(H)[1]
-            key = S.tobytes()
-            entry = maps.get(key)
-            if entry is None:
-                P, _, deficient, Z = self.face(S)
-                ZtH = Z.T @ H
-                entry = maps[key] = (P, Z @ np.linalg.solve(ZtH @ Z, ZtH), P.T @ H, deficient)
-            P, G, PtH, deficient = entry
+        P, G, PtH, deficient = self._maps(S, H)
         w0 = P @ b_S
         w = w0 + _times(G, x - w0)
         return w, _times(PtH, w - x), deficient
+
+    def hinted(self, S, x, H):
+        """``w`` on the face ``S`` from ``x`` (the empty face's is ``x``), and whether the iteration's
+        own test (:func:`_verdict`) accepts ``S`` there: for a point, or each row of a stack as its point."""
+        w, lam, deficient = self.on_face(S, self.b[S], x, H) if S.size else (x, x[..., :0], False)
+        floor = _floor(x.shape[-1], len(self.b), self.offset, row_norm(x), row_norm(w))
+        return w, _verdict(S, _times(self.A, w) - self.b, floor[..., None], lam, deficient)[0]
+
+    def vi_map(self, S, H, y):
+        """``(A, c)`` with :meth:`hinted`'s ``w = A z + c`` on the face ``S`` from ``x = H^{-1} (z - y)``."""
+        P, G = self._maps(S, H)[:2]
+        w0 = P @ self.b[S]
+        A = G @ self._for(H)[0]
+        return A, w0 - G @ w0 - A @ y
 
     def in_play(self, rows) -> tuple[np.ndarray, np.ndarray, float]:
         """``A``, ``b`` and the largest ``|b_i|`` of the rows in play.
@@ -749,10 +771,10 @@ class _Polyhedron:
     def solve_vi(self, H, g, hint):
         """The affine VI of ``H w + g``, and its ``S`` as the next call's hint.
 
-        A non-empty hint is tested alone on the point ``x = -H^{-1} g``, by
-        the iteration's own test (:func:`_verdict`); without one, or when it
-        fails, :meth:`search` runs on ``x`` as a one-row stack, so an ``x``
-        that violates no row is the answer, hinted or cold.  The cold route
+        A hint is tested alone on the point ``x = -H^{-1} g`` (:meth:`hinted`);
+        without one, or when it fails, :meth:`search` runs on ``x`` as a
+        one-row stack, so an ``x`` that violates no row is the answer on the
+        empty face, hinted or cold.  The cold route
         is the dual LCP.  KKT: ``H w + g = A^T lam``, ``lam >= 0``, ``s = A w
         - b >= 0``, ``s^T lam = 0``.  With ``w = H^{-1}(A^T lam - g)`` this is
         LCP(q, M), ``M = A H^{-1} A^T``, ``q = A x - b``.  ``x^T M x = (A^T
@@ -763,10 +785,9 @@ class _Polyhedron:
         """
         H_inv = self._for(H)[0]
         x = -(H_inv @ g)
-        if hint is not None and hint.size:
-            w, lam, deficient = self.on_face(hint, self.b[hint], x, H)
-            floor = _floor(len(x), len(self.b), self.offset, row_norm(x), row_norm(w))
-            if _verdict(hint, self.A @ w - self.b, floor, lam, deficient)[0]:
+        if hint is not None:
+            w, accepted = self.hinted(hint, x, H)
+            if accepted:
                 return w, hint
         z, faces, cold, r = self.search(None, x[None], H)
         if not cold[0]:
@@ -786,7 +807,7 @@ class _Polyhedron:
         return f"rows {i} and {j} are nearly parallel (|cos| = 1 - {1.0 - cos[i, j]:.1e})"
 
 
-def _secular_newton(H, r, R, mu, eye, scale):
+def _secular_newton(H, r, R, mu, eye, scale, kept):
     """Safeguarded Newton steps from ``mu`` on ``psi = 1/||d|| - 1/R``, ``d = -(H + mu I)^{-1} r``.
 
     ``psi`` increases, with ``psi' = d^T (H + mu I)^{-1} d / ||d||^3``; its root
@@ -799,14 +820,16 @@ def _secular_newton(H, r, R, mu, eye, scale):
     most ``_nnls_stop(n, n)`` relative to ``mu + ||H||_inf``, given as
     ``scale`` with ``eye = I``: the step carries rounding of about
     ``eps ||H + mu I||``, so a test relative to ``mu`` alone cannot pass once
-    ``mu`` is small beside ``||H||``.
+    ``mu`` is small beside ``||H||``.  ``kept`` is an earlier ``(mu, (H + mu
+    I)^{-1})``, returned with ``mu`` and ``d`` as the last pair this run used.
     """
     n = len(r)
     lo, hi = -math.inf, float(row_norm(r)) / R  # lo < 0 until a point left of the root is seen
     mu = min(max(mu, 0.0), hi)
     stop = _nnls_stop(n, n)
     for _ in range(100):  # a guard: bisection alone shrinks the bracket to rounding in under 60
-        K_inv = np.linalg.inv(H + mu * eye)
+        kept = kept if mu == kept[0] else (mu, np.linalg.inv(H + mu * eye))
+        K_inv = kept[1]
         d = -(K_inv @ r)
         phi = float(row_norm(d))
         if phi > R:
@@ -824,7 +847,7 @@ def _secular_newton(H, r, R, mu, eye, scale):
         elif not lo < new < hi:
             new = 0.5 * (lo + hi)
         mu = new
-    return mu, d
+    return mu, d, kept
 
 
 class HalfspaceIntersection(FeasibleSet):

@@ -13,31 +13,30 @@ on a genuinely monotone instance should never happen.  A check the instance
 cannot support (no gap oracle on the set, or no strong monotonicity) is listed
 in ``RateReport.skipped`` with the reason.
 
-An EG run goes in point steps until a face repeats, then in affine
-segments.  A projection onto a box (the orthant and ``R^n`` too) or a
-halfspace set is affine on each face: a clamp with a fixed pattern, or
-``p -> Z Z^T p + P b_S`` on the rows ``S`` a halfspace projection holds.
-Projection methods identify the active face in finitely many steps
-(Calamai & Moré, *Math. Programming* 39, 1987; Burke & Moré, *SIAM J.
-Numer. Anal.* 25, 1988), so while the faces of its half and full steps
-hold, an EG step is one affine map.  :func:`_eg_blocks` takes plain steps
-on the point until one lands on the faces of the step before it, then
-predicts blocks of 8 iterates from the powers of that face's map, growing
-×8, and checks each block in one stacked step, which :func:`eg_step` is
-the one-row case of.  Each half iterate is ``eg_step`` of its iterate bit
-for bit, and so is each iterate a point step makes; each iterate of a
-block lies within ``_nnls_stop(n + 1, n) (1 + ||z||)`` of the full step
-before it, on the face that step accepted: on a box exactly on every
-bound it lands on.  The ball is the set that never gets a map: every step
-is a point step, and a run equals its steps taken one by one, bit for
-bit.
+EG and PP runs go in point steps until a face repeats, then in affine
+segments, on one engine (:func:`_segments`).  A projection onto a box (the
+orthant and ``R^n`` too) or a halfspace set is affine on each face: a
+clamp with a fixed pattern, or ``p -> Z Z^T p + P b_S`` on the rows ``S``
+a halfspace projection holds; so is a PP step, ``w0 + G (x - w0)`` with
+``x = H^{-1} (z - eta q)``.  Projection methods identify the active face
+in finitely many steps (Calamai & Moré, *Math. Programming* 39, 1987;
+Burke & Moré, *SIAM J. Numer. Anal.* 25, 1988), and once they have, a step
+is one affine map.  The engine takes plain steps on the point until one lands on
+the face of the step before it, then predicts blocks of 8 iterates from
+the powers of that face's map, growing ×8, and checks each block in one
+stacked step.  Each iterate a point step makes is :func:`eg_step` or
+:func:`pp_step` of the one before, bit for bit on a polyhedral set, and so
+is each EG half iterate; each iterate of a block lies within
+``_nnls_stop(n + 1, n) (1 + ||z||)`` of that step, on its face: on a box
+exactly on every bound an EG step lands on.  The ball never gets a map:
+every step is a point step, and an EG run equals its steps bit for bit.
 
-Proximal-point steps are exact and finite: each is one call of
+Proximal-point steps are exact and finite.  A point step is one call of
 :meth:`FeasibleSet.solve_affine_vi` (an active-set iteration on the faces of a
 polyhedral set, with Lemke's method as its cold route; the secular equation
-on the ball), and a run hands each step's active set, or the ball's
-multiplier, to the next as a hint.
-No projection is made.
+on the ball), hinted with the last step's active set, or the ball's
+multiplier; a block checks its steps by that call's hinted test.  No
+projection is made.
 
 Every tolerance and iteration budget is a module constant, read at call time.
 """
@@ -53,15 +52,15 @@ import numpy as np
 
 from .instances import AffineOperator, DimensionMismatchError, VIInstance, instance_to_json
 from .measures import _csv_text, gap, natural_residual, tangent_residual
-from .sets import UnsupportedSetError, _nnls_stop, require_finite, require_positive, row_norm
+from .sets import UnsupportedSetError, _nnls_stop, _times, require_finite, require_positive, row_norm
 
 REFERENCE_TOL = 1e-11  # natural residual a reference solution must reach
 REFERENCE_MAX_ITER = 2_000_000  # EG iterations allowed to reach it
 REPORT_TOL = 1e-8  # negative slack a rate check may show and still pass
 REPORT_REFERENCE_TOL = 1e-10  # natural residual a rate report asks of z_star
-SEGMENT_FIRST_STEPS = 8  # steps of the first EG block on a face a point step confirmed
-SEGMENT_GROWTH = 8  # factor from an EG block that kept its face to the next
-SEGMENT_MAX_STEPS = 512  # steps one EG block takes at most, so its memory stays flat
+SEGMENT_FIRST_STEPS = 8  # steps of the first block on a face a point step confirmed
+SEGMENT_GROWTH = 8  # factor from a block that kept its face to the next
+SEGMENT_MAX_STEPS = 512  # steps one block takes at most, so its memory stays flat
 
 
 class StepSizeError(ValueError):
@@ -234,13 +233,19 @@ def eg_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> tuple[np.ndarray, 
     return _eg_steps(inst.operator, inst.set._project_on_faces, eta, z_k, inst.operator(z_k))[:2]
 
 
+def _affine(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``z -> A z + c`` as ``[[A^T, 0], [c^T, 1]]``, which takes a row ``[z, 1]`` to ``[A z + c, 1]``."""
+    step = np.zeros((len(c) + 1, len(c) + 1))
+    step[:-1, :-1], step[-1, :-1], step[-1, -1] = A.T, c, 1.0
+    return step
+
+
 def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
-    """The EG step on fixed faces, ``z -> A z + c``, as ``[[A^T, 0], [c^T, 1]]``.
+    """The EG step on fixed faces as a matrix (:func:`_affine`).
 
     ``face`` is a row of the half step's faces followed by the full step's
     (:meth:`FeasibleSet._project_on_faces`); on them the projections are the
-    maps ``p -> S p + t`` of :meth:`FeasibleSet._face_map`.  The matrix
-    takes a row ``[z, 1]`` to ``[A z + c, 1]``.
+    maps ``p -> S p + t`` of :meth:`FeasibleSet._face_map`.
     """
     n = inst.dimension
     M, q = inst.operator.M, inst.operator.q
@@ -249,11 +254,7 @@ def _step_matrix(inst: VIInstance, eta: float, face: np.ndarray) -> np.ndarray:
     S_next, t_next = inst.set._face_map(face[half:])
     A_half = S_half @ (np.eye(n) - eta * M)
     c_half = t_half - eta * (S_half @ q)
-    step = np.zeros((n + 1, n + 1))
-    step[:n, :n] = (S_next @ (np.eye(n) - eta * (M @ A_half))).T
-    step[n, :n] = t_next - eta * (S_next @ (M @ c_half + q))
-    step[n, n] = 1.0
-    return step
+    return _affine(S_next @ (np.eye(n) - eta * (M @ A_half)), t_next - eta * (S_next @ (M @ c_half + q)))
 
 
 def _predict(powers: list, z: np.ndarray, rows: int) -> np.ndarray:
@@ -281,68 +282,85 @@ def _predict(powers: list, z: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(out[: rows if finite.all() else max(1, int(finite.argmin())), :n])
 
 
-def _eg_blocks(inst: VIInstance, eta: float, z: np.ndarray, steps: int):
-    """EG from ``z`` for ``steps`` steps: point steps until a face repeats, then affine segments.
+def _segments(z: np.ndarray, steps: int, point, stacked, step_map):
+    """A run from ``z`` for ``steps`` steps: point steps until a face repeats, then affine segments.
 
-    Yields blocks ``(Z, F, halves, z_next)``: consecutive iterates ``Z``,
-    ``F = F(Z)``, their half steps and the iterate after the last of them,
-    where the next block starts.  A point step yields points, ``(n,)``
-    arrays; a segment yields ``(m, n)`` stacks.
-
-    Each projection hands back the face it accepted
-    (:meth:`FeasibleSet._project_on_faces`), and while the faces of the half
-    and full steps hold, a step is ``z -> A z + c`` (:func:`_step_matrix`).
-    Without a map for the current face the run takes plain EG steps on the
-    point.  Once a point step lands on the faces of the step before it, with
-    steps left, that face's map is built, and blocks predict the next
-    iterates from its powers (:func:`_predict`) and take the EG step from
-    all rows in one stacked call: first :data:`SEGMENT_FIRST_STEPS` rows,
-    then ``SEGMENT_GROWTH`` times the last block, up to
-    :data:`SEGMENT_MAX_STEPS`.  A predicted iterate is kept while every
-    step before it kept both faces and landed within
-    ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The first row that fails
-    took a true step, so its step ends the block, and point steps go on
-    from there, as they do after a block whose last step left its face.  A
-    block that ends on its own face hands the map and the powers squared
-    from it to the next; at most ``log2(SEGMENT_MAX_STEPS) + 1`` matrices
-    of size ``(n + 1)^2``.  The ball's faces are ``None``: it never gets a
-    map, and every step is a point step.
-
-    Each half step is the EG step of its iterate bit for bit, and so is
-    each iterate a point step makes, which covers the first two iterates
-    after every change of face.  Each iterate of a block is within that
-    floor of the full step of the one before it, on the face that step
-    accepted, since the prediction is that face's map; on a box it equals
-    the step on every bound the step lands on.
-    An operator other than :class:`AffineOperator` takes each stack row by
-    row (:func:`_rowwise`).
+    A method (:func:`_eg_method`, :func:`_pp_method`) gives ``point(z)``:
+    the next iterate, the face its step accepted (``None`` where steps have
+    no affine map) and the block to yield; ``stacked(Z, face)``: the rows a
+    run records beside the iterates (EG's ``F(Z)`` and half steps), the
+    next iterates, whether each row's step kept ``face``, and a function
+    giving row ``m``'s true step and face; and ``step_map(face)``.  Yields
+    ``(Z, *rows, z_next)``, points or ``(m, n)`` stacks.  Blocks of
+    :data:`SEGMENT_FIRST_STEPS` rows, growing ×:data:`SEGMENT_GROWTH` up to
+    :data:`SEGMENT_MAX_STEPS`, are predicted (:func:`_predict`).  A row is
+    kept while every step before it kept the face and landed within
+    ``_nnls_stop(n + 1, n) (1 + ||z||)`` of it.  The true step of the last
+    kept row ends the block; the map serves the next block if every row was
+    kept on the face, and point steps follow otherwise.
     """
-    operator, project = inst.operator, inst.set._project_on_faces
-    stacked = _rowwise(operator)
-    stop = _nnls_stop(inst.dimension + 1, inst.dimension)
-    powers = face = None  # the powers of the map on face, the faces of the last step
+    stop = _nnls_stop(len(z) + 1, len(z))
+    powers = face = None  # the powers of the map on face, the face of the last step
     while steps > 0:
         if powers is None:  # a point step
-            F = operator(z)
-            half, z_next, half_face, next_face = _eg_steps(operator, project, eta, z, F)
-            yield z, F, half, z_next
+            z_next, new, block = point(z)
+            yield block
             z, steps = z_next, steps - 1
-            if half_face is not None:
-                last, face = face, np.concatenate((half_face, next_face))
-                if steps and last is not None and (face == last).all():  # the face repeats
-                    powers, rows = [_step_matrix(inst, eta, face)], SEGMENT_FIRST_STEPS
+            if new is not None:
+                last, face = face, new
+                if steps and last is not None and len(face) == len(last) and (face == last).all():
+                    powers, size = [step_map(face)], SEGMENT_FIRST_STEPS  # the face repeats
             continue
-        Z = _predict(powers, z, min(rows, steps))
-        F = stacked(Z)
-        halves, nexts, *faces = _eg_steps(stacked, project, eta, Z, F)
-        faces = np.concatenate(faces, axis=1)
+        Z = _predict(powers, z, min(size, steps))
+        rows, nexts, kept, true_step = stacked(Z, face)
         drift = row_norm(nexts[:-1] - Z[1:])
-        held = (faces[:-1] == face).all(axis=1) & (drift <= stop * (1.0 + row_norm(Z[1:])))
+        held = kept[:-1] & (drift <= stop * (1.0 + row_norm(Z[1:])))
         m = len(held) if held.all() else int(held.argmin())  # the step of row m ends the block
-        yield Z[: m + 1], F[: m + 1], halves[: m + 1], nexts[m]
-        z, steps, rows = nexts[m], steps - m - 1, min(SEGMENT_GROWTH * len(Z), SEGMENT_MAX_STEPS)
-        if m < len(held) or (faces[m] != face).any():
-            powers, face = None, faces[m]  # point steps until a face repeats
+        z, new = (nexts[m], face) if kept[m] else true_step(m)
+        yield Z[: m + 1], *(r[: m + 1] for r in rows), z
+        steps, size = steps - m - 1, min(SEGMENT_GROWTH * len(Z), SEGMENT_MAX_STEPS)
+        if m < len(held) or not kept[m]:
+            powers, face = None, new  # point steps until a face repeats
+
+
+def _eg_method(inst: VIInstance, eta: float) -> tuple:
+    """EG's steps for :func:`_segments`: a face is the half step's faces then the full step's
+    (:meth:`FeasibleSet._project_on_faces`), and each row of a stack takes a true step."""
+    operator, project = inst.operator, inst.set._project_on_faces
+    rowwise = _rowwise(operator)
+
+    def point(z):
+        F = operator(z)
+        half, z_next, half_face, next_face = _eg_steps(operator, project, eta, z, F)
+        face = None if half_face is None else np.concatenate((half_face, next_face))
+        return z_next, face, (z, F, half, z_next)
+
+    def stacked(Z, face):
+        F = rowwise(Z)
+        halves, nexts, *faces = _eg_steps(rowwise, project, eta, Z, F)
+        faces = np.concatenate(faces, axis=1)
+        return (F, halves), nexts, (faces == face).all(axis=1), lambda m: (nexts[m], faces[m])
+
+    return point, stacked, lambda face: _step_matrix(inst, eta, face)
+
+
+def _pp_method(inst: VIInstance, eta: float) -> tuple:
+    """PP's steps for :func:`_segments`: a face is the active rows ``solve_affine_vi`` returns as
+    its hint, ``None`` on the ball (whose hint is its multiplier), and a stack takes that call's
+    hinted test on every row (:meth:`_Polyhedron.hinted`); a row it refuses is solved on the point."""
+    H, q = _prox_matrix(inst, eta), eta * inst.operator.q
+    solve, poly, hint = inst.set.solve_affine_vi, inst.set._polyhedron, None
+
+    def point(z, cold=False):
+        nonlocal hint
+        w, hint = solve(H, q - z, None if cold else hint)
+        return w, None if poly is None else hint, (z, w)
+
+    def stacked(Z, S):
+        W, accepted = poly.hinted(S, -_times(poly._for(H)[0], q - Z), H)
+        return (), W, accepted, lambda m: point(Z[m], cold=True)[:2]
+
+    return point, stacked, lambda S: _affine(*poly.vi_map(S, H, q))
 
 
 def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool) -> Trajectory:
@@ -365,7 +383,7 @@ def _start(inst: VIInstance, config: SolverConfig, z0: np.ndarray, halves: bool)
 def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run EG for ``config.T`` steps from a feasible start; fully deterministic.
 
-    The steps are taken by :func:`_eg_blocks`: point steps until a face
+    The steps are taken by :func:`_segments`: point steps until a face
     repeats, then blocks of 8 steps on that face, growing ×8; the ball takes
     every step on the point.
     Warns when ``eta * L >= 1``, where the convergence theorems do not apply.
@@ -377,7 +395,7 @@ def eg_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory
     traj = _start(inst, config, z0, halves=True)
     zs, halfs, Fs = traj.iterates, traj.half_iterates, traj.operator_values
     k, z = 0, zs[0]
-    for Z, F, halves, z in _eg_blocks(inst, config.eta, z, config.T):
+    for Z, F, halves, z in _segments(z, config.T, *_eg_method(inst, config.eta)):
         m = Z.size // inst.dimension  # a point fills one row
         zs[k:k + m], Fs[k:k + m], halfs[k:k + m] = Z, F, halves
         k += m
@@ -413,19 +431,17 @@ def pp_step(inst: VIInstance, eta: float, z_k: np.ndarray) -> np.ndarray:
 def pp_run(inst: VIInstance, config: SolverConfig, z0: np.ndarray) -> Trajectory:
     """Run PP for ``config.T`` steps; trajectories carry no half iterates.
 
-    Each step hands its active rows (or the ball's multiplier) to the next
-    as a hint.  A hint changes only how the step is found: on a polyhedral
-    set the run equals successive :func:`pp_step` calls bit for bit, and on
-    the ball it agrees with them to rounding.
+    The steps are taken by :func:`_segments`, as EG's are: point steps
+    until a step accepts the face it was hinted, then blocks on that face.
+    A point step is :func:`pp_step` bit for bit on a polyhedral set, and to
+    rounding on the ball, which takes every step on the point.
     """
     traj = _start(inst, config, z0, halves=False)
-    zs, Fs, eta = traj.iterates, traj.operator_values, config.eta
+    zs = traj.iterates
     if config.T:
-        H = _prox_matrix(inst, eta)
-    hint = None
-    for k in range(config.T):
-        zs[k + 1], hint = inst.set.solve_affine_vi(H, eta * inst.operator.q - zs[k], hint)
-        Fs[k + 1] = inst.operator(zs[k + 1])
+        blocks = list(_segments(zs[0], config.T, *_pp_method(inst, config.eta)))
+        zs[:-1], zs[-1] = np.vstack([Z for Z, _ in blocks]), blocks[-1][1]
+        traj.operator_values[1:] = _rowwise(inst.operator)(zs[1:])
     return traj
 
 
@@ -456,7 +472,7 @@ def solve_reference(inst: VIInstance, eta: float, z0: np.ndarray | None = None) 
     tol = REFERENCE_TOL
     gate = 2.0 * tol * max(1.0, eta)  # 2 tol / min(1, 1/eta)
     best = math.inf
-    for Z, F, halves, z in _eg_blocks(inst, eta, z, REFERENCE_MAX_ITER):
+    for Z, F, halves, z in _segments(z, REFERENCE_MAX_ITER, *_eg_method(inst, eta)):
         half_step = row_norm(Z - halves)
         near = half_step <= gate
         if near.any() if near.ndim else near:  # a step on points gives one bool

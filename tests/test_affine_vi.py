@@ -92,12 +92,17 @@ def assert_rows_close(got, want):
 @settings(max_examples=150)
 @given(prox_problems())
 def test_warm_and_cold_steps_are_the_same_bits(problem):
-    """A hinted step equals a cold one, and ``pp_run`` the loop of ``pp_step`` calls.
+    """A hinted step equals a cold one, and ``pp_run`` agrees with its ``pp_step`` calls.
 
-    On polyhedra the two are the same bits.  On the ball a hinted Newton run
-    ends at its own root, so they agree to ``1e-13 (1 + ||w||)``, and each
-    step is the fixed point to rounding.
+    On polyhedra the two steps are the same bits, and a run is pinned to
+    its steps as a segmented run is (``assert_pp_steps_pinned``): each
+    point step bit for bit, each block step within the rounding floor.  On
+    the ball a hinted Newton run ends at its own root, so steps and run
+    agree to ``1e-13 (1 + ||w||)``, and each step is the fixed point to
+    rounding.
     """
+    from tests.test_eg_segments import assert_pp_steps_pinned, pp_run_recorded  # it imports this module
+
     inst, eta, z = problem
     H = np.eye(inst.dimension) + eta * inst.operator.M
     w, hint = inst.set.solve_affine_vi(H, eta * inst.operator.q - z)
@@ -105,14 +110,15 @@ def test_warm_and_cold_steps_are_the_same_bits(problem):
     # the next step, with this step's hint and cold; then a run against its steps
     g = eta * inst.operator.q - w
     w_next = inst.set.solve_affine_vi(H, g, hint)[0]
-    traj = pp_run(inst, SolverConfig(eta=eta, T=8), inst.set.project(z))
-    pairs = [(w_again, w), (w_next, inst.set.solve_affine_vi(H, g)[0]),
-             (traj.iterates, pp_iterates_by_steps(inst, eta, traj.iterates[0], 8))]
+    traj, made = pp_run_recorded(inst, SolverConfig(eta=eta, T=8), inst.set.project(z))
+    pairs = [(w_again, w), (w_next, inst.set.solve_affine_vi(H, g)[0])]
     if not isinstance(inst.set, Ball):
         np.testing.assert_array_equal(hint_again, hint)
         for got, want in pairs:
             np.testing.assert_array_equal(got, want)
+        assert_pp_steps_pinned(inst, eta, traj, made)
         return
+    pairs.append((traj.iterates, pp_iterates_by_steps(inst, eta, traj.iterates[0], 8)))
     for got, want in pairs:
         assert_rows_close(got, want)
     steps = [(z, w_again), (w, w_next), *zip(traj.iterates[:-1], traj.iterates[1:])]
@@ -261,8 +267,9 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
     (it ends on a face or goes cold) or a Lemke call on a polyhedral set,
     or a secular-equation run that starts at ``mu = 0`` and
     ends on the sphere, ``mu > 0``, on the ball.  A ball step factors
-    ``H + mu I`` at the hint and once more after each Newton step, at most
-    twice per step on average over a run.
+    ``H + mu I`` after each Newton step, and at the hint only when the hint
+    is not the multiplier the last run ended on, whose inversion the ball
+    keeps: at most once per step on average over a run.
     """
     rng = np.random.default_rng(SET_KINDS.index(kind))
     cold, inverses = [], []
@@ -303,7 +310,34 @@ def test_runs_take_warm_steps_and_never_project(kind, monkeypatch):
         last = prox_point_by_picard(inst, eta, traj.iterates[-2])
         np.testing.assert_allclose(traj.iterates[-1], last, rtol=0, atol=1e-10)
     if kind == "ball":
-        assert np.mean(per_step) <= 2.0  # 1.81 on these runs
+        assert np.mean(per_step) <= 1.0  # 0.82 on these runs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_balls_kept_inversion_changes_no_bit(seed, monkeypatch):
+    """``pp_run`` on the ball equals its hinted steps with the kept inversion cleared before each.
+
+    Each Newton run that starts at the multiplier the last one ended on
+    reuses that run's ``(H + mu I)^{-1}``; inverting again gives the same
+    bits, so only the count of inversions moves.
+    """
+    rng = np.random.default_rng(seed)
+    feasible, z0 = random_set(rng, "ball", 4)
+    op = random_operator(rng, 4, monotone=True)
+    inst = VIInstance.create(AffineOperator.create(op.M, op.q * 3.0 ** (seed % 3)), feasible)
+    eta = 0.5 / inst.operator.lipschitz
+    inverses, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda K: inverses.append(K) or inv(K))
+    traj = pp_run(inst, SolverConfig(eta=eta, T=60), z0)
+    kept = len(inverses)
+    H = np.eye(4) + eta * inst.operator.M
+    zs, hint = [z0], None
+    for _ in range(60):
+        feasible._kept = (None, None)
+        w, hint = feasible.solve_affine_vi(H, eta * inst.operator.q - zs[-1], hint)
+        zs.append(w)
+    np.testing.assert_array_equal(traj.iterates, np.array(zs))
+    assert kept < len(inverses) - kept  # the run reused inversions the loop made again
 
 
 def unconstrained_step(rng, kind):

@@ -1,5 +1,5 @@
-"""EG runs on boxes and halfspace sets taken in affine segments, against the
-step-by-step run.
+"""EG and PP runs on boxes and halfspace sets taken in affine segments,
+against the step-by-step run.
 
 ``eg_run`` and ``solve_reference`` take point steps until a step lands on
 the faces of the step before it.  On a box or a halfspace set they then
@@ -19,8 +19,13 @@ steps taken one by one bit for bit.  What holds instead, and is pinned here:
   integer box with an exact rational run to 1e-12 (1 + ||z||).
 
 The ball is the set that never gets a map: every step is a point step, and
-a run equals its steps bit for bit.  An operator that is not an
+an EG run equals its steps bit for bit.  An operator that is not an
 ``AffineOperator`` is called on points only.
+
+A PP run goes in the same segments, on the face its steps accept: every
+iterate a point step makes is ``pp_step`` of the one before, bit for bit,
+the first two after each change of face among them, and every other
+iterate lies within the same floor of that step, on its face.
 """
 
 import math
@@ -34,8 +39,9 @@ from hypothesis import strategies as st
 from egtan import solvers
 from egtan.instances import AffineOperator, VIInstance
 from egtan.sets import Box, HalfspaceIntersection, NonnegativeOrthant, WholeSpace, _floor, _nnls_stop
-from egtan.solvers import SolverConfig, _eg_steps, _predict, _step_matrix, eg_run, eg_step, solve_reference
-from tests.oracles import eg_iterates_by_steps, eg_step_exact, tangent_residual_sq_exact
+from egtan.solvers import (SolverConfig, _eg_method, _eg_steps, _predict, _segments, _step_matrix, eg_run,
+                           eg_step, pp_run, pp_step, solve_reference)
+from tests.oracles import eg_iterates_by_steps, eg_step_exact, pp_iterates_by_steps, tangent_residual_sq_exact
 from tests.test_affine_vi import random_operator, random_set
 from tests.test_cli import counted
 
@@ -66,6 +72,49 @@ def assert_steps_pinned(inst, eta, traj):
         rounding = _floor(n, len(poly.b), poly.offset, np.linalg.norm(to_next), np.linalg.norm(z_next))
         slack = poly.A[face] @ zs[k + 1] - poly.b[face]
         assert np.all(np.abs(slack) <= floor + rounding), k
+
+
+def pp_run_recorded(inst, config, z0):
+    """``pp_run`` and the iterates its point steps made: each ``solve_affine_vi`` answer, in order."""
+    made, solve = [], inst.set.solve_affine_vi
+
+    def recording(H, g, hint=None):
+        out = solve(H, g, hint)
+        made.append(out[0])
+        return out
+
+    inst.set.solve_affine_vi = recording
+    try:
+        return pp_run(inst, config, z0), made
+    finally:
+        del inst.set.solve_affine_vi
+
+
+def assert_pp_steps_pinned(inst, eta, traj, made):
+    """Each step of a segmented PP run on a polyhedral set against ``pp_step`` from its iterate.
+
+    ``made`` holds the iterates the run's point steps made, in order
+    (:func:`pp_run_recorded`): each is ``pp_step`` of the iterate before
+    it, bit for bit.  Every other iterate is within the floor of that
+    step, and on the face the step's solve accepted: each of its rows holds
+    there to the floor and the solve's own rounding.
+    """
+    n, zs, poly = inst.dimension, traj.iterates, inst.set._polyhedron
+    H = np.eye(n) + eta * inst.operator.M
+    points = iter(made)
+    point = next(points, None)
+    for k in range(len(zs) - 1):
+        w, S = inst.set.solve_affine_vi(H, eta * inst.operator.q - zs[k])  # pp_step's call, with its face
+        if point is not None and np.array_equal(zs[k + 1], point):
+            np.testing.assert_array_equal(zs[k + 1], w)
+            point = next(points, None)
+            continue
+        floor = _nnls_stop(n + 1, n) * (1.0 + np.linalg.norm(zs[k + 1]))
+        assert np.linalg.norm(zs[k + 1] - w) <= floor, k
+        x = np.linalg.solve(H, zs[k] - eta * inst.operator.q)
+        rounding = _floor(n, len(poly.b), poly.offset, np.linalg.norm(x), np.linalg.norm(w))
+        assert np.all(np.abs(poly.A[S] @ zs[k + 1] - poly.b[S]) <= floor + rounding), k
+    assert point is None  # every point step's iterate is in the run, in order
 
 
 def skew_game(rng, kind):
@@ -104,6 +153,12 @@ def test_segmented_runs_keep_every_step(kind, eta_L, seed):
         scale = 1.0 + np.linalg.norm(zs, axis=1)
         assert np.all(np.linalg.norm(traj.iterates - zs, axis=1) <= 1e-12 * scale)
         assert np.all(np.linalg.norm(traj.half_iterates - halfs, axis=1) <= 1e-12 * scale[:-1])
+        # PP runs in the same segments, on the faces its steps accept
+        traj, made = pp_run_recorded(inst, config, z0)
+        assert_pp_steps_pinned(inst, eta, traj, made)
+        zs = pp_iterates_by_steps(inst, eta, z0, config.T)
+        scale = 1.0 + np.linalg.norm(zs, axis=1)
+        assert np.all(np.linalg.norm(traj.iterates - zs, axis=1) <= 1e-12 * scale)
 
 
 def integer_box_instance(rng, n):
@@ -261,7 +316,7 @@ def test_a_long_run_on_one_face_takes_few_blocks():
     inst, _ = orthant_instance(7)
     inst = VIInstance.create(inst.operator, WholeSpace(4))
     eta = 0.5 / inst.operator.lipschitz
-    blocks = list(solvers._eg_blocks(inst, eta, np.ones(4), 1000))
+    blocks = list(_segments(np.ones(4), 1000, *_eg_method(inst, eta)))
     assert [len(np.atleast_2d(Z)) for Z, *_ in blocks] == [1, 1, 8, 64, 512, 414]
 
 
@@ -278,6 +333,36 @@ def test_the_two_iterates_after_a_change_of_face_are_true_steps(kind, seed):
     for k in changes:
         for j in range(k, min(k + 2, T)):
             np.testing.assert_array_equal(traj.iterates[j + 1], eg_step(inst, eta, traj.iterates[j])[1])
+
+
+def test_a_long_pp_run_with_an_interior_solution_takes_few_point_steps():
+    # the empty face holds all along: two point steps confirm it, then blocks
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((4, 4))
+    M = raw - raw.T + 0.5 * np.eye(4)
+    z_star = rng.uniform(1.5, 2.5, 4)
+    inst = VIInstance.create(AffineOperator.create(M, -M @ z_star), NonnegativeOrthant(4))
+    eta = 0.5 / inst.operator.lipschitz
+    traj, made = pp_run_recorded(inst, SolverConfig(eta=eta, T=1000), z_star + rng.uniform(-0.5, 0.5, 4))
+    assert len(made) <= 10  # a run of point steps makes 1000
+    assert_pp_steps_pinned(inst, eta, traj, made)
+    np.testing.assert_allclose(traj.iterates[-1], z_star, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, seed", [("box", 0), ("box", 2), ("halfspaces", 1), ("halfspaces", 3)])
+def test_the_two_pp_iterates_after_a_change_of_face_are_true_steps(kind, seed):
+    # they are point steps, pp_step bit for bit, while the run takes few point steps in all
+    inst, z0 = orthant_instance(seed) if kind == "box" else halfspace_instance(seed)
+    eta = 0.5 / inst.operator.lipschitz
+    T = 300
+    traj, made = pp_run_recorded(inst, SolverConfig(eta=eta, T=T), z0)
+    H = np.eye(inst.dimension) + eta * inst.operator.M
+    faces = [inst.set.solve_affine_vi(H, eta * inst.operator.q - z)[1] for z in traj.iterates[:-1]]
+    changes = [0] + [k for k in range(1, T) if not np.array_equal(faces[k], faces[k - 1])]
+    assert len(changes) >= 2 and len(made) <= 3 * len(changes) + 2
+    for k in changes:
+        for j in range(k, min(k + 2, T)):
+            np.testing.assert_array_equal(traj.iterates[j + 1], pp_step(inst, eta, traj.iterates[j]))
 
 
 def test_ball_runs_equal_their_steps():

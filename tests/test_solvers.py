@@ -33,7 +33,7 @@ from egtan.sets import (
 )
 from tests.oracles import box_affine_vi_exact, pp_step_exact
 from tests.test_affine_vi import SET_KINDS, random_operator, random_set
-from tests.test_eg_segments import assert_steps_pinned, integer_box_instance
+from tests.test_eg_segments import assert_pp_steps_pinned, assert_steps_pinned, integer_box_instance, pp_run_recorded
 from tests.test_instances import bilinear_spec
 
 
@@ -111,7 +111,7 @@ class TestArrayTrajectories:
         eta = 0.5 / inst.operator.lipschitz
         z0 = np.full(4, 0.5)
         eg = eg_run(inst, SolverConfig(eta=eta, T=6), z0)
-        pp = pp_run(inst, SolverConfig(eta=eta, T=6), z0)
+        pp, made = pp_run_recorded(inst, SolverConfig(eta=eta, T=6), z0)
         for traj in (eg, pp):
             assert type(traj.iterates) is np.ndarray and traj.iterates.shape == (7, 4)
             assert type(traj.operator_values) is np.ndarray and traj.operator_values.shape == (7, 4)
@@ -119,11 +119,11 @@ class TestArrayTrajectories:
                 np.testing.assert_array_equal(F_z, inst.operator(z))
         assert type(eg.half_iterates) is np.ndarray and eg.half_iterates.shape == (6, 4)
         assert pp.half_iterates is None
-        # EG on a box runs in affine segments (tests/test_eg_segments.py): each
-        # half step is exact, each full step within the rounding floor
+        # EG and PP on a box run in affine segments (tests/test_eg_segments.py):
+        # each point step and half step is exact, each block step within the
+        # rounding floor
         assert_steps_pinned(inst, eta, eg)
-        for k in range(6):
-            np.testing.assert_array_equal(pp.iterates[k + 1], pp_step(inst, eta, pp.iterates[k]))
+        assert_pp_steps_pinned(inst, eta, pp, made)
 
 
     @pytest.mark.parametrize("solver, T, gap_stride, feasible", [
